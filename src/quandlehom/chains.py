@@ -13,7 +13,7 @@ boundary; boundary o boundary = 0.
 
 from __future__ import annotations
 
-from .quandles import FiniteQuandle, QuandleError
+from .quandles import FiniteQuandle, QuandleError, parse_ints
 
 
 class ChainError(ValueError):
@@ -294,7 +294,7 @@ def chain_from_text(text):
     graded = head[2] == "graded"
     chain = Chain(arity, graded)
     for ln in rows[1:]:
-        parts = [int(x) for x in ln.split()]
+        parts = parse_ints(ln.split(), ChainError, "chain line %r" % ln)
         if len(parts) != 3 + arity:
             raise ChainError("bad chain line %r" % ln)
         coeff, n, u = parts[0], parts[1], parts[2]

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from .quandles import (
     FiniteQuandle,
     QuandleError,
+    color_words,
     inner_subgroup,
     make_dihedral,
     make_octahedral,
+    parse_ints,
 )
 from . import chains
 from .chains import Chain
@@ -83,15 +85,7 @@ def mochizuki(n):
     if not is_odd_prime(n):
         raise CocycleError("need an odd prime, got %r" % (n,))
     q = make_dihedral(n)
-    values = {}
-    for a in range(n):
-        for b in range(n):
-            if b == a:
-                continue
-            for c in range(n):
-                if c == b:
-                    continue
-                values[(a, b, c)] = dihedral_cocycle_value(n, a, b, c)
+    values = {word: dihedral_cocycle_value(n, *word) for word in color_words(n, 3)}
     return ThreeCocycle(q, n, values, name="zeta%d" % n)
 
 
@@ -151,23 +145,13 @@ def verify_cocycle_condition(theta):
     """Evaluate theta on the boundary of every non-degenerate 4-generator
     over the trivial coefficient set; all values must vanish mod modulus."""
     q = theta.quandle
-    n = q.size
     failures = []
     checked = 0
-    for a1 in range(n):
-        for a2 in range(n):
-            if a2 == a1:
-                continue
-            for a3 in range(n):
-                if a3 == a2:
-                    continue
-                for a4 in range(n):
-                    if a4 == a3:
-                        continue
-                    checked += 1
-                    gen = Chain.single(1, 0, 0, (a1, a2, a3, a4), graded=False)
-                    if evaluate(theta, chains.boundary(gen, q)) != 0:
-                        failures.append((a1, a2, a3, a4))
+    for word in color_words(q.size, 4):
+        checked += 1
+        gen = Chain.single(1, 0, 0, word, graded=False)
+        if evaluate(theta, chains.boundary(gen, q)) != 0:
+            failures.append(word)
     return CocycleReport(checked=checked, failures=failures)
 
 
@@ -222,7 +206,8 @@ def triple_points_from_text(text):
         if len(parts) != 4 or parts[0] not in ("+", "-"):
             raise CocycleError("bad triple-point line %r" % ln)
         sign = 1 if parts[0] == "+" else -1
-        records.append(TriplePointRecord(sign, tuple(int(x) for x in parts[1:])))
+        colors = parse_ints(parts[1:], CocycleError, "triple-point line %r" % ln)
+        records.append(TriplePointRecord(sign, tuple(colors)))
     return records
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import intlinalg
 from .chains import Chain, ChainError, boundary, f_map, g_map, is_cycle, length
 from .cocycles import evaluate
-from .quandles import FiniteQuandle, QuandleError
+from .quandles import FiniteQuandle, QuandleError, color_words
 
 
 @dataclass
@@ -49,16 +49,9 @@ def build_slice(q, degree=0, index=None, cell=None):
     gens = []
     indices = range(q.size) if index is None else (index,)
     for u in indices:
-        for a in range(q.size):
-            for b in range(q.size):
-                if b == a:
-                    continue
-                for c in range(q.size):
-                    if c == b:
-                        continue
-                    if cell is not None and q.act_word(u, (a, b, c)) != cell:
-                        continue
-                    gens.append((degree, u, (a, b, c)))
+        for word in color_words(q.size, 3):
+            if cell is None or q.act_word(u, word) == cell:
+                gens.append((degree, u, word))
     gens.sort()
     f_rows = _map_matrix(gens, lambda chain: f_map(chain))
     g_rows = _map_matrix(gens, lambda chain: g_map(chain, q))

@@ -283,18 +283,28 @@ def inner_group(q):
     return sorted(seen)
 
 
+def color_words(n, length):
+    """Every word of `length` colors from 0..n-1 with adjacent colors
+    distinct, in lexicographic order."""
+    for word in itertools.product(range(n), repeat=length):
+        if all(x != y for x, y in zip(word, word[1:])):
+            yield word
+
+
+def parse_ints(tokens, error, where):
+    """The integers written by `tokens`; a malformed token raises `error`."""
+    out = []
+    for token in tokens:
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise error("%s: %r is not an integer" % (where, token)) from None
+    return out
+
+
 def triple_action_table(q, base=0):
     """Map (a, b, c) -> base^{a b c} over all triples with b != a and b != c."""
-    out = {}
-    for a in range(q.size):
-        for b in range(q.size):
-            if b == a:
-                continue
-            for c in range(q.size):
-                if b == c:
-                    continue
-                out[(a, b, c)] = q.act_word(base, (a, b, c))
-    return out
+    return {word: q.act_word(base, word) for word in color_words(q.size, 3)}
 
 
 def quandle_from_file(path):
@@ -306,13 +316,13 @@ def quandle_from_file(path):
         tokens = fh.read().split()
     if not tokens:
         raise QuandleError("empty quandle file %s" % path)
-    n = int(tokens[0])
-    body = tokens[1:]
+    values = parse_ints(tokens, QuandleError, path)
+    n, body = values[0], values[1:]
     if len(body) != n * n:
         raise QuandleError(
             "expected %d entries after the size line, found %d" % (n * n, len(body))
         )
-    table = [[int(body[a * n + b]) for b in range(n)] for a in range(n)]
+    table = [body[a * n : (a + 1) * n] for a in range(n)]
     q = FiniteQuandle(table, name=path)
     report = check_axioms(q)
     if not report.ok:
@@ -335,5 +345,5 @@ def resolve_quandle(spec_str):
     if s.startswith("r") and s[1:].isdigit():
         return make_dihedral(int(s[1:]))
     if s.startswith("dihedral:"):
-        return make_dihedral(int(s.split(":", 1)[1]))
+        return make_dihedral(parse_ints([s.split(":", 1)[1]], QuandleError, spec_str)[0])
     return quandle_from_file(spec_str)

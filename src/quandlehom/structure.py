@@ -9,10 +9,13 @@ quandles.
 A set of same-degree 3-terms is f-connected when its f-image vanishes and no
 proper nonempty subset has vanishing f-image (g-connected likewise).  Since
 f never consults the quandle operation, the f-connected families of a given
-size admit a quandle-independent symbolic census; it is re-derived here by a
-guided depth-first search over symbolic colors and deduplicated up to global
-sign, symbol renaming and the two concrete shapes of a bigon term
-(a, b, a) ~ (b, a, b).
+size admit a quandle-independent symbolic census; it is re-derived here and
+deduplicated up to global sign, symbol renaming and the two concrete shapes
+of a bigon term (a, b, a) ~ (b, a, b).
+
+The census and the cycle searches share two tools defined here: TermTable,
+every 3-term of one degree with its f- and g-images and per-face cancel
+indexes, and cancel_search, the one residual-guided cancellation search.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quandles import FiniteQuandle, QuandleError, dual, TAU_O6
-from .chains import Chain, ChainError, f_map, g_map, sigma_shift
-from . import chains
+from .quandles import QuandleError, TAU_O6, color_words
+from .chains import Chain, ChainError, f_map, g_map
 
 
 class StructureError(ValueError):
@@ -189,105 +191,150 @@ def connected_components(signed_terms, mode, q):
 
 
 # ---------------------------------------------------------------------------
+# the term table and the residual-guided cancellation search
+
+
+class TermTable:
+    """Every non-degenerate 3-term at one degree, with its face images.
+
+    Built once per quandle and degree from chains.f_map and chains.g_map.
+    ``terms`` lists the terms by index, then color word; ``f[t]`` and
+    ``g[t]`` hold the signed faces of t as ((face, sign), ...).
+    ``f_cancel[face]`` lists the (term, sign) pairs whose f-image contains
+    the face; f keeps the index, so they all sit at the face's index.  g moves
+    the index, so ``g_cancel[u][face]`` lists only the terms at index u.
+    With q None the table is symbolic: `symbols` colors at index 0 and f
+    only, which serves every quandle since f never consults the operation.
+    """
+
+    def __init__(self, q, degree=0, symbols=None):
+        size = symbols if q is None else q.size
+        indices = (0,) if q is None else range(size)
+        self.terms = [(degree, u, w) for u in indices for w in color_words(size, 3)]
+        self.f, self.g, self.f_cancel, self.g_cancel = {}, {}, {}, {}
+        for t in self.terms:
+            generator = Chain(3, True, {t: 1})
+            self.f[t] = tuple(f_map(generator).terms.items())
+            for face, s in self.f[t]:
+                self.f_cancel.setdefault(face, []).append((t, s))
+            if q is not None:
+                self.g[t] = tuple(g_map(generator, q).terms.items())
+                cancel = self.g_cancel.setdefault(t[1], {})
+                for face, s in self.g[t]:
+                    cancel.setdefault(face, []).append((t, s))
+
+    def image(self, family, images):
+        """The image {face: coefficient} of a list of (sign, term) pairs
+        under ``self.f`` or ``self.g``, summed from the table."""
+        total = {}
+        for sign, t in family:
+            _add_image(total, images[t], sign)
+        return total
+
+    def is_minimal_null(self, family):
+        """True when the family's f-image vanishes and that of no proper
+        nonempty subfamily does."""
+        return not self.image(family, self.f) and all(
+            self.image(sub, self.f)
+            for r in range(1, len(family))
+            for sub in itertools.combinations(family, r)
+        )
+
+
+def _add_image(total, image, sign):
+    """total += sign * image in place, dropping zero coefficients."""
+    for face, s in image:
+        v = total.get(face, 0) + sign * s
+        if v:
+            total[face] = v
+        else:
+            del total[face]
+    return total
+
+
+def cancel_search(table, size, on_close, anchors=(), residual=None, g_cancel=None, budget=None):
+    """Residual-guided cancellation search over a TermTable.
+
+    Grows signed families of at most `size` terms.  The f residual is the
+    family's f-image, plus `residual` when given.  While it is nonzero, each
+    step adds a term that cancels the least face of the first nonzero
+    residual, with the sign that moves that coefficient toward zero; no term
+    is added with both signs.  Once the f residual vanishes the search calls
+    on_close(family, g_residual) and backtracks.  It also backtracks when
+    `size` terms are used or a residual needs more than three faces per
+    remaining term.
+
+    Starts: with `residual`, from the empty family; and from each term t of
+    `anchors` taken positive, where later terms are no smaller than t and t
+    is never negated, so a family is found from its least term, once per
+    global sign.  With `g_cancel` (one index's part of ``table.g_cancel``)
+    the g residual is tracked too and cancelled first; otherwise
+    g_residual is None.  `budget`, when given, spends one probe per state.
+    """
+    f_img, g_img, f_cancel = table.f, table.g, table.f_cancel
+
+    def extend(family, fres, gres, anchor):
+        if budget is not None:
+            budget.spend()
+        if not fres:
+            on_close(family, gres)
+            return
+        rem = size - len(family)
+        if not rem or sum(map(abs, fres.values())) > 3 * rem:
+            return
+        if gres is not None and sum(map(abs, gres.values())) > 3 * rem:
+            return
+        res, cancel = (gres, g_cancel) if gres else (fres, f_cancel)
+        key = min(res)
+        need = 1 if res[key] > 0 else -1
+        for t, s in cancel.get(key, ()):
+            sign = -need * s
+            if anchor is not None and (t < anchor or (t == anchor and sign == -1)):
+                continue
+            if (-sign, t) in family:
+                continue
+            extend(
+                family + [(sign, t)],
+                _add_image(dict(fres), f_img[t], sign),
+                None if gres is None else _add_image(dict(gres), g_img[t], sign),
+                anchor,
+            )
+
+    if residual is not None:
+        extend([], dict(residual), None, None)
+    for t in anchors:
+        extend([(1, t)], dict(f_img[t]), None if g_cancel is None else dict(g_img[t]), t)
+
+
+# ---------------------------------------------------------------------------
 # symbolic census of f-connected families
 
 MAX_FAMILY_SIZE = 5
 _SYMBOLS = 5  # four distinct labels suffice for families of up to five terms
 
 
-def _sym_f_image(colors):
-    """Signed 2-faces of a symbolic color triple, degenerate faces dropped."""
-    a, b, c = colors
-    out = []
-    if b != c:
-        out.append(((b, c), -1))
-    if a != c:
-        out.append(((a, c), 1))
-    if a != b:
-        out.append(((a, b), -1))
-    return out
-
-
-def _family_f_sum(family):
-    total = {}
-    for sign, colors in family:
-        for pair, s in _sym_f_image(colors):
-            total[pair] = total.get(pair, 0) + sign * s
-            if total[pair] == 0:
-                del total[pair]
-    return total
+@lru_cache(maxsize=None)
+def _symbolic_table():
+    return TermTable(None, symbols=_SYMBOLS)
 
 
 def _is_minimal_null(family):
-    k = len(family)
-    idx = range(k)
-    for size in range(1, k):
-        for combo in itertools.combinations(idx, size):
-            if not _family_f_sum([family[i] for i in combo]):
-                return False
-    return True
+    """is_minimal_null for a family of (sign, colors) pairs."""
+    return _symbolic_table().is_minimal_null([(sign, (0, 0, colors)) for sign, colors in family])
 
 
-def _symbolic_triples(nsym):
-    return [
-        (a, b, c)
-        for a in range(nsym)
-        for b in range(nsym)
-        if b != a
-        for c in range(nsym)
-        if c != b
-    ]
-
-
-def _null_family_dfs(triples, size):
-    """All efficient symbolic multisets of `size` signed triples with zero
-    f-image and no null proper prefix.
-
-    Quotient by global sign: the term with lex-least colors is taken
-    positive and anchors the search; the remaining terms have colors no
-    smaller than the anchor's.  Each step cancels the least nonzero residual
-    face, which finds every minimal family at least once; results still need
-    dedup and a full minimality check.
-    """
-    cancel = {}
-    for colors in triples:
-        for pair, s in _sym_f_image(colors):
-            cancel.setdefault(pair, []).append((colors, s))
-
+def _null_families(size):
+    """All efficient symbolic families of `size` signed triples with
+    vanishing, subset-minimal f-image, up to global sign (the lex-least
+    triple is taken positive), by the cancellation search."""
+    table = _symbolic_table()
     results = set()
 
-    def extend(family, residual, anchor_colors):
+    def close(family, _):
         if len(family) == size:
-            if not residual:
-                results.add(tuple(sorted(family)))
-            return
-        if not residual:
-            return  # null proper prefix: cannot lead to a minimal family
-        budget = 3 * (size - len(family))
-        if sum(abs(v) for v in residual.values()) > budget:
-            return
-        pair = min(residual)
-        need = 1 if residual[pair] > 0 else -1
-        for colors, s in cancel.get(pair, ()):
-            if colors < anchor_colors:
-                continue
-            sign = -need * s  # adding sign*colors moves residual[pair] toward 0
-            if colors == anchor_colors and sign == -1:
-                continue
-            if (-sign, colors) in family:
-                continue
-            new_residual = dict(residual)
-            for p2, s2 in _sym_f_image(colors):
-                v = new_residual.get(p2, 0) + sign * s2
-                if v:
-                    new_residual[p2] = v
-                else:
-                    new_residual.pop(p2, None)
-            extend(family + [(sign, colors)], new_residual, anchor_colors)
+            results.add(tuple(sorted((sign, t[2]) for sign, t in family)))
 
-    for colors in triples:
-        residual = {p: s for p, s in _sym_f_image(colors)}
-        extend([(1, colors)], residual, colors)
+    cancel_search(table, size, close, anchors=table.terms)
     return [fam for fam in sorted(results) if _is_minimal_null(fam)]
 
 
@@ -347,7 +394,7 @@ def _family_is_valid(family):
         if (-sign, colors) in seen:
             return False
         seen.add((sign, colors))
-    return bool(family) and not _family_f_sum(family) and _is_minimal_null(family)
+    return bool(family) and _is_minimal_null(family)
 
 
 def _glue(family, mapping):
@@ -453,8 +500,8 @@ PATTERN_CATALOG = {
 def enumerate_f_connected(k):
     """Census of size-k families with vanishing, subset-minimal f-image.
 
-    Brute-force symbolic enumeration, canonicalized up to global sign,
-    symbol renaming and bigon shape; classes reachable from a larger class
+    Found by cancel_search on the symbolic table of five colors,
+    canonicalized up to global sign, symbol renaming and bigon shape; classes reachable from a larger class
     by a shape-preserving symbol identification are folded into it as a
     variant rather than counted separately.  Returns FamilyTemplates labelled
     against the catalogue above.  k = 1 yields nothing; sizes above
@@ -466,8 +513,7 @@ def enumerate_f_connected(k):
         raise StructureError(
             "size %d is above the supported census limit %d" % (k, MAX_FAMILY_SIZE)
         )
-    triples = _symbolic_triples(_SYMBOLS)
-    families = _null_family_dfs(triples, k)
+    families = _null_families(k)
     classes = {}
     for fam in families:
         classes.setdefault(canonical_family(fam), fam)
@@ -557,35 +603,40 @@ def enumerate_f_connected(k):
 # concrete instantiation over a quandle
 
 
-def instantiate_template(template, q, index, degree=0, signs=(1, -1)):
-    """Yield concrete minimal f-null families over q as sorted tuples of
-    (sign, term), one per admissible assignment, bigon shape and global sign.
+def instantiate_template(template, q, signs=(1, -1)):
+    """Yield concrete minimal f-null color families over q as sorted tuples
+    of (sign, colors), one per admissible assignment, bigon shape and global
+    sign.
 
     Instances may repeat when the pattern has internal symmetry; callers that
     need each family once should deduplicate on the yielded tuple.
     """
-    n = q.size
     for variant in template.variants:
         reps = sorted({min(b) for b in variant.merge})
-        for images in itertools.permutations(range(n), len(reps)):
+        for images in itertools.permutations(range(q.size), len(reps)):
             assign = dict(zip(reps, images))
             for gsign in signs:
                 yield tuple(
                     sorted(
-                        (
-                            gsign * sign,
-                            (degree, index, tuple(assign[x] for x in colors)),
-                        )
+                        (gsign * sign, tuple(assign[x] for x in colors))
                         for sign, colors in variant.entries
                     )
                 )
 
 
-def concrete_families(q, k, index, degree=0):
-    """All distinct minimal f-null families of size k at one degree and
-    index, instantiated from the symbolic census (k <= MAX_FAMILY_SIZE)."""
-    seen = set()
-    for template in enumerate_f_connected(k):
-        for fam in instantiate_template(template, q, index, degree):
-            seen.add(fam)
-    return sorted(seen)
+def concrete_families(q, k, index=None, degree=0):
+    """All distinct minimal f-null families of size k at one degree, at one
+    index or (index None) at every index in turn, instantiated from the
+    symbolic census (k <= MAX_FAMILY_SIZE).
+
+    f never consults the index, so the color families are instantiated once
+    and the index is stamped onto them; each index's block is sorted.
+    """
+    colored = sorted(
+        {fam for template in enumerate_f_connected(k) for fam in instantiate_template(template, q)}
+    )
+    out = []
+    for u in range(q.size) if index is None else (index,):
+        stamp = {w: (degree, u, w) for w in color_words(q.size, 3)}
+        out.extend(tuple((sign, stamp[w]) for sign, w in fam) for fam in colored)
+    return out

@@ -1,6 +1,12 @@
-"""Shared transcription fixtures used as independent oracles across tests."""
+"""Shared transcription fixtures used as independent oracles across tests,
+and one cached search report per configuration."""
+
+import functools
 
 from quandlehom.chains import Chain
+from quandlehom.cocycles import eta_octahedral, mochizuki
+from quandlehom.quandles import make_dihedral, make_octahedral
+from quandlehom.search import SearchConfig, search_min_cycles
 
 # Length-8 cycle over (R_7, Z x R_7) pairing to 6 with the mod-7 cocycle.
 ZETA8_TERMS = (
@@ -88,3 +94,17 @@ def random_chain(rng, q, arity, graded=True, nterms=6, degree_span=3, coeff_span
         if chain.terms[t] == 0:
             del chain.terms[t]
     return chain
+
+
+@functools.lru_cache(maxsize=None)
+def cached_search(quandle, max_length, window="single", profile="A"):
+    """The report of one search, run once per test session: quandle "o6"
+    pairs with eta, "r7" with the mod-7 cocycle.  Callers must not modify
+    the report."""
+    q, theta = {
+        "o6": (make_octahedral(), eta_octahedral()),
+        "r7": (make_dihedral(7), mochizuki(7)),
+    }[quandle]
+    return search_min_cycles(
+        SearchConfig(q, theta, max_length=max_length, window=window, profile=profile)
+    )

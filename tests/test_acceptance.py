@@ -58,11 +58,11 @@ from quandlehom.quandles import (
     make_octahedral,
     triple_action_table,
 )
-from quandlehom.search import SearchConfig, _sign_normal_chain, search_min_cycles
+from quandlehom.search import _sign_normal_chain
 from quandlehom.structure import canonical_family, enumerate_f_connected, reflection, reverse
 from quandlehom.tables import index_pattern_rows
 
-from common import ETA7_TERMS, random_chain
+from common import ETA7_TERMS, cached_search, random_chain
 
 FIX = "fixtures"
 
@@ -265,30 +265,24 @@ def test_criterion_10_symmetry_identities():
 
 def test_criterion_11_searches_attainable_clauses():
     with criterion("11a", 1800.0, "searches: dihedral exhaustion, octahedral finds, coverage"):
-        R7, O6 = make_dihedral(7), make_octahedral()
-        zeta, eta = mochizuki(7), eta_octahedral()
         # dihedral: single-degree exhaustion at length 7
-        rep = search_min_cycles(SearchConfig(R7, zeta, max_length=7, window="single"))
+        rep = cached_search("r7", 7)
         assert rep.exhausted and not rep.found
         assert "EXHAUSTED" in rep.certificate_text()
         # dihedral: two-degree windows complete with an exhaustion certificate
-        rep = search_min_cycles(
-            SearchConfig(R7, zeta, max_length=7, window="double", profile="BC")
-        )
+        rep = cached_search("r7", 7, "double", "BC")
         assert rep.refused is None and rep.exhausted
         assert any("bottom layer size" in line for line in rep.covered)
         # octahedral: a nonzero-pairing cycle is found at max length 8,
         # including the embedded length-8 witness itself
-        rep = search_min_cycles(SearchConfig(O6, eta, max_length=8, window="single"))
+        rep = cached_search("o6", 8)
         assert rep.found
         from quandlehom.kernels import named_cycle
 
         keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
         assert _sign_normal_chain(named_cycle("eta8")[0]) in keys
         # octahedral two-degree window completes (coverage stated), no refusal
-        rep = search_min_cycles(
-            SearchConfig(O6, eta, max_length=7, window="double", profile="BC")
-        )
+        rep = cached_search("o6", 7, "double", "BC")
         assert rep.refused is None
         assert any("bottom layer size" in line for line in rep.covered)
 
@@ -376,10 +370,8 @@ def test_criterion_11_published_exhaustion_claims():
     """
     with criterion("11b", 1800.0, "published length-7 exhaustion claims for the octahedral cocycle are refuted"):
         O6, eta = make_octahedral(), eta_octahedral()
-        single = search_min_cycles(SearchConfig(O6, eta, max_length=7, window="single"))
-        double = search_min_cycles(
-            SearchConfig(O6, eta, max_length=7, window="double", profile="BC")
-        )
+        single = cached_search("o6", 7)
+        double = cached_search("o6", 7, "double", "BC")
         p = eta.modulus
         image4 = _boundary_image_mod(O6, 4, p)
         dim_h3 = len(_words(O6, 3)) - len(_boundary_image_mod(O6, 3, p)) - len(image4)

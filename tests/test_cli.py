@@ -151,3 +151,36 @@ def test_byte_determinism(capsys):
     _, k1, _ = run(capsys, "kernel", "--quandle", "r7", "--index", "0", "--cell", "0")
     _, k2, _ = run(capsys, "kernel", "--quandle", "r7", "--index", "0", "--cell", "0")
     assert k1 == k2
+
+
+# A malformed number token in an input file is an input error (exit 2 with
+# "error: ..."), not a traceback.
+
+
+def test_quandle_table_file_with_bad_token(tmp_path, capsys):
+    path = tmp_path / "bad.table"
+    path.write_text("x 1\n0 1\n")
+    code, out, err = run(capsys, "quandle", "check", "--table", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'x' is not an integer" in err
+
+
+def test_quandle_spec_with_bad_size(capsys):
+    code, _, err = run(capsys, "quandle", "check", "--quandle", "dihedral:x")
+    assert code == 2 and err.startswith("error: ") and "'x'" in err
+
+
+def test_chain_file_with_bad_color(tmp_path, capsys):
+    path = tmp_path / "bad.chain"
+    path.write_text("arity 3 graded\n1 0 0 0 y 2\n")
+    code, out, err = run(capsys, "cocycle", "eval", "--cocycle", "eta", "--chain", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'y' is not an integer" in err
+
+
+def test_triple_point_file_with_bad_color(tmp_path, capsys):
+    path = tmp_path / "bad.tp"
+    path.write_text("+ a 1 2\n")
+    code, out, err = run(capsys, "weight", "--cocycle", "eta", "--modulus", "3", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "'a' is not an integer" in err

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from quandlehom.chains import Chain, boundary, degrees, length
@@ -5,13 +7,19 @@ from quandlehom.cocycles import eta_octahedral, evaluate, mochizuki
 from quandlehom.kernels import named_cycle
 from quandlehom.quandles import make_dihedral, make_octahedral
 from quandlehom.search import (
+    ProbeBudget,
     SearchConfig,
     SearchError,
+    SearchReport,
     _partitions_into_parts,
     _sign_normal_chain,
+    _top_layers,
     direct_single_degree_scan,
     search_min_cycles,
 )
+from quandlehom.structure import TermTable
+
+from common import cached_search
 
 O6 = make_octahedral()
 R7 = make_dihedral(7)
@@ -45,17 +53,28 @@ def test_join_matches_direct_scan_small():
     assert len(direct) == 120
 
 
+def _digest(report):
+    return hashlib.sha256(report.certificate_text().encode()).hexdigest()
+
+
+# The certificate digests below pin the census, the join, the size-6
+# component search (its probes are in the certificate) and the top layer.
+# A change that alters probe counts or coverage text must update them and
+# say why.
+
+
 def test_o6_single_degree_clean_below_seven():
-    rep = search_min_cycles(SearchConfig(O6, ETA, max_length=6, window="single"))
+    rep = cached_search("o6", 6)
     assert rep.exhausted
     assert rep.zero_value_cycles > 0
     assert "EXHAUSTED" in rep.certificate_text()
+    assert _digest(rep) == "e81df26dbdf0b9d2a8a8eee3a8a1bcfbf91db30b9a5ed07597d656cafb270851"
 
 
 def test_o6_single_degree_witnesses_at_seven():
     # The published case analysis claims none of these exist; the search
     # finds 96 of them (up to global sign), all of length exactly 7.
-    rep = search_min_cycles(SearchConfig(O6, ETA, max_length=7, window="single"))
+    rep = cached_search("o6", 7)
     assert len(rep.found) == 96
     for fc in rep.found:
         assert length(fc.chain) == 7
@@ -68,27 +87,76 @@ def test_o6_single_degree_witnesses_at_seven():
 
 
 def test_r7_single_degree_is_empty_to_seven():
-    rep = search_min_cycles(SearchConfig(R7, ZETA, max_length=7, window="single"))
+    rep = cached_search("r7", 7)
     assert rep.exhausted
     assert rep.zero_value_cycles == 0
     assert len(rep.found) == 0
 
 
 def test_o6_double_window_clean_at_six():
-    rep = search_min_cycles(SearchConfig(O6, ETA, max_length=6, window="double", profile="B"))
+    rep = cached_search("o6", 6, "double", "B")
     assert rep.exhausted
     assert rep.zero_value_cycles == 480
+    assert _digest(rep) == "e7cc489d377c966d149a5c9e0f3877fd197bc8aa1d1d62b067cfa0830a3363c2"
 
 
 def test_double_window_threads_agree():
-    serial = search_min_cycles(
-        SearchConfig(O6, ETA, max_length=6, window="double", profile="B")
-    )
+    serial = cached_search("o6", 6, "double", "B")
     parallel = search_min_cycles(
         SearchConfig(O6, ETA, max_length=6, window="double", profile="B", threads=2)
     )
     assert [f.key() for f in serial.found] == [f.key() for f in parallel.found]
     assert serial.zero_value_cycles == parallel.zero_value_cycles
+    # The budget bounds the probes of the whole run, whatever the number of
+    # worker processes: P probes complete and P - 1 are refused, for k = 1, 2.
+    total = search_min_cycles(SearchConfig(O6, ETA, max_length=6, window="double", profile="BC"))
+    assert total.refused is None
+    for budget in (total.probes, total.probes - 1):
+        reports = [
+            search_min_cycles(
+                SearchConfig(
+                    O6, ETA, max_length=6, window="double", profile="BC",
+                    threads=k, budget=budget,
+                )
+            )
+            for k in (1, 2)
+        ]
+        outcomes = {
+            (rep.refused is None, tuple(f.key() for f in rep.found), rep.zero_value_cycles, rep.probes)
+            for rep in reports
+        }
+        assert len(outcomes) == 1, outcomes
+        assert reports[0].refused is None if budget == total.probes else reports[0].refused
+    # A cycle and its negative come from opposite bases, which two workers
+    # may hold; the certificate keeps the same sign either way.
+    parallel = search_min_cycles(
+        SearchConfig(O6, ETA, max_length=7, window="double", profile="B", threads=2)
+    )
+    assert parallel.certificate_text() == cached_search("o6", 7, "double", "B").certificate_text()
+
+
+def test_top_layer_counts_covers_with_four_terms_to_spare():
+    # A target that one term covers exactly.  In a five-term top layer that
+    # cover leaves four terms to spare, which the top layer does not search:
+    # it must be counted, not dropped.  In a three-term layer the two spare
+    # terms are an appended null family (none are offered here).
+    table = TermTable(O6, 1)
+    term = (1, 2, (0, 1, 3))
+    residual = {face: -s for face, s in table.f[term]}
+    tops = []
+    budget = ProbeBudget(10**6, "top layer")
+    assert _top_layers(table, residual, 5, {}, budget, tops.append) == 1
+    assert _top_layers(table, residual, 3, {}, budget, tops.append) == 0
+    assert tops == []
+
+
+def test_report_with_gap_is_not_exhausted():
+    rep = SearchReport("O6", "eta", 3, "double", "B", 8, gaps=["top layer: 1 cover"])
+    assert not rep.found and rep.refused is None
+    assert not rep.exhausted
+    text = rep.certificate_text()
+    assert "gap top layer: 1 cover" in text
+    assert "EXHAUSTED" not in text
 
 
 def test_budget_refusal():
@@ -109,7 +177,7 @@ def test_certificate_mentions_coverage():
 def test_found_cycles_are_two_layered_in_double_window():
     from quandlehom.chains import degree_bucket
 
-    rep = search_min_cycles(SearchConfig(O6, ETA, max_length=7, window="double", profile="B"))
+    rep = cached_search("o6", 7, "double", "B")
     assert len(rep.found) == 48
     for fc in rep.found:
         assert degrees(fc.chain) == [0, 1]
