@@ -46,6 +46,11 @@ def build_slice(q, degree=0, index=None, cell=None):
     full color word sends their index to the given element (the class every
     same-cell g-connected family must share).
     """
+    for name, value in (("index", index), ("cell", cell)):
+        if value is not None and not 0 <= value < q.size:
+            raise QuandleError(
+                "%s %d is not an element of a quandle of size %d" % (name, value, q.size)
+            )
     gens = []
     indices = range(q.size) if index is None else (index,)
     for u in indices:

@@ -304,6 +304,8 @@ def parse_ints(tokens, error, where):
 
 def triple_action_table(q, base=0):
     """Map (a, b, c) -> base^{a b c} over all triples with b != a and b != c."""
+    if not 0 <= base < q.size:
+        raise QuandleError("base %d is not an element of a quandle of size %d" % (base, q.size))
     return {word: q.act_word(base, word) for word in color_words(q.size, 3)}
 
 

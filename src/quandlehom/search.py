@@ -9,9 +9,14 @@ that also derives the family census:
 * single degree: every cycle supported at one degree splits its terms, per
   index, into minimal families with vanishing f-image.  Families of sizes 2
   to 5 come from the symbolic census and are joined across indices by
-  hashing their g-images, summed from the table; a cycle consisting of one
-  larger family (sizes 6 up; a smaller cofactor is impossible below length
-  9) is found by the cancellation search at each index, g residual first.
+  hashing their g-images, summed from the table: the largest part is looked
+  up by g-key.  A size s with 2s > max_length is only ever that largest
+  part; its color families are bucketed once by the index-free projection
+  of their g-images, the same at every index, and a bucket is stamped at
+  every index and keyed exactly when a lookup first lands in it.  A cycle
+  consisting of one larger family (sizes 6 up; a smaller cofactor is
+  impossible below length 9) is found by the cancellation search at each
+  index, g residual first.
 
 * two adjacent degrees: the bottom layer is a single minimal family of size
   2 (profile B) or 3 (profile C); the top layer solves f(T1) = -g(T0) by the
@@ -251,29 +256,74 @@ class _Cycles:
 # single-degree window
 
 
-def _join_partition(partition, comps_by_size, budget, on_cycle):
+def _project_key(faces):
+    """The index-free projection of (face, coefficient) pairs as a key: each
+    face's index dropped and the coefficients of equal reduced colors summed."""
+    total = {}
+    for (_, _, colors), c in faces:
+        total[colors] = total.get(colors, 0) + c
+    return tuple(sorted((w, c) for w, c in total.items() if c))
+
+
+class _ProjectedIndex:
+    """The families of one size that are only ever the largest part of a
+    join, looked up by g-key like a dict of g-key -> sorted families.
+
+    The index enters a g-face only as the face's own index, so the projected
+    g-image of a color family is the same at every index it is stamped at.
+    The color families are bucketed by that projection once; a bucket is
+    stamped at every index and keyed exactly from the table the first time a
+    lookup lands in it.
+    """
+
+    def __init__(self, table, q, size):
+        self.table, self.indices = table, range(q.size)
+        self.buckets = {}
+        colored = concrete_families(q, size, index=0)
+        for fam in colored:
+            key = _project_key(table.image(fam, table.g).items())
+            self.buckets.setdefault(key, []).append(fam)
+        self.count = q.size * len(colored)
+        self.exact = {}  # projected key -> {g-key: sorted families}
+
+    def get(self, gkey, default=()):
+        pkey = _project_key(gkey)
+        exact = self.exact.get(pkey)
+        if exact is None:
+            exact = self.exact[pkey] = {}
+            for fam in self.buckets.get(pkey, ()):
+                for u in self.indices:
+                    stamped = tuple((sign, (n, u, w)) for sign, (n, _, w) in fam)
+                    exact.setdefault(_g_key(self.table.image(stamped, self.table.g)), []).append(
+                        stamped
+                    )
+            for fams in exact.values():
+                fams.sort()
+        return exact.get(gkey, default)
+
+
+def _join_partition(partition, comps_by_size, hashed, counts, budget, on_cycle):
     """Enumerate unions of minimal families over one size partition with
     vanishing total g-image.
 
     Parts are chosen in ascending size order with the largest part resolved
-    through a hash of its g-images; equal-size parts are kept non-decreasing
-    to list each multiset of families once.
+    through `hashed`, its g-key -> sorted families lookup; equal-size parts
+    are kept non-decreasing to list each multiset of families once.  Prefix
+    parts are read from the (family, g-key) lists of `comps_by_size`.
     """
     parts = sorted(partition)  # ascending; hash the largest size
     hash_size = parts[-1]
     prefix_sizes = parts[:-1]
-    table = {}
-    for fam, gkey in comps_by_size[hash_size]:
-        table.setdefault(gkey, []).append(fam)
+    table = hashed[hash_size]
 
-    # For single-part partitions scan the g-null families directly.
+    # A single-part partition probes every family once and keeps the g-null
+    # ones.
     if not prefix_sizes:
-        for fam, gkey in comps_by_size[hash_size]:
-            budget.probes += 1
-            if not gkey:
-                counter2 = {}
-                if _merge_terms(counter2, fam, []):
-                    on_cycle(dict(counter2))
+        budget.probes += counts[hash_size]
+        for fam in table.get((), ()):
+            counter2 = {}
+            if _merge_terms(counter2, fam, []):
+                on_cycle(dict(counter2))
         return
 
     counter = {}
@@ -334,11 +384,21 @@ def _search_single_degree(cfg, report):
     q = cfg.quandle
     budget = ProbeBudget(cfg.budget, "single-degree join")
     table = TermTable(q, 0)
-    comps_by_size = {}
+    # A size s with 2s > max_length is never a prefix part, only the hashed
+    # one: it is looked up through its projected g-images.  Smaller sizes are
+    # listed in full and hashed by g-key.
+    comps_by_size, hashed = {}, {}
     for size in range(2, min(JOIN_PART_MAX, cfg.max_length) + 1):
+        if 2 * size > cfg.max_length:
+            hashed[size] = _ProjectedIndex(table, q, size)
+            report.component_counts[size] = hashed[size].count
+            continue
         comps_by_size[size] = sorted(
             (fam, _g_key(table.image(fam, table.g))) for fam in concrete_families(q, size)
         )
+        hashed[size] = {}
+        for fam, gkey in comps_by_size[size]:
+            hashed[size].setdefault(gkey, []).append(fam)
         report.component_counts[size] = len(comps_by_size[size])
 
     cycles = _Cycles(q, cfg.cocycle, cfg.collect_all)
@@ -352,6 +412,8 @@ def _search_single_degree(cfg, report):
         _join_partition(
             partition,
             comps_by_size,
+            hashed,
+            report.component_counts,
             budget,
             lambda counter, shape=shape: cycles.add(Chain(3, True, counter), shape),
         )

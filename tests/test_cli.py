@@ -96,6 +96,31 @@ def test_kernel_command(capsys):
     assert code == 0 and "rank=0" in out
 
 
+# An element outside 0..size-1 is an input error: a too-large one must not
+# surface as a traceback, nor a negative one wrap round as a Python index.
+
+
+@pytest.mark.parametrize("value", ["9", "-1"])
+def test_kernel_index_out_of_range(capsys, value):
+    code, out, err = run(capsys, "kernel", "--quandle", "o6", "--index", value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "index %s" % value in err
+
+
+@pytest.mark.parametrize("value", ["9", "-1"])
+def test_kernel_cell_out_of_range(capsys, value):
+    code, out, err = run(capsys, "kernel", "--quandle", "o6", "--index", "0", "--cell", value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "cell %s" % value in err
+
+
+@pytest.mark.parametrize("value", ["9", "-1"])
+def test_quandle_table1_base_out_of_range(capsys, value):
+    code, out, err = run(capsys, "quandle", "table1", "--family", "octahedral", "--base", value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "base %s" % value in err
+
+
 def test_verify_commands(capsys):
     code, out, _ = run(capsys, "verify", "cycles")
     assert code == 0 and out.count("cycle ok") == 3

@@ -53,6 +53,16 @@ def test_join_matches_direct_scan_small():
     assert len(direct) == 120
 
 
+def test_join_matches_direct_scan_at_six():
+    # At length 6 the sizes 4 and 5 are only ever the largest part, looked
+    # up through their projected g-images, under [4], [5] and [4, 2].
+    rep = search_min_cycles(SearchConfig(O6, ETA, max_length=6, window="single", collect_all=True))
+    join_keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
+    direct = direct_single_degree_scan(O6, 6)
+    assert join_keys == direct
+    assert len(direct) == 1010
+
+
 def _digest(report):
     return hashlib.sha256(report.certificate_text().encode()).hexdigest()
 
@@ -84,6 +94,7 @@ def test_o6_single_degree_witnesses_at_seven():
     keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
     assert _sign_normal_chain(witness) in keys
     assert value == 2
+    assert _digest(rep) == "f2689c95929a4cac57e965f2e0e9ee1d5d742d0d5ec2c394c8779109b3fd4666"
 
 
 def test_r7_single_degree_is_empty_to_seven():
@@ -91,6 +102,7 @@ def test_r7_single_degree_is_empty_to_seven():
     assert rep.exhausted
     assert rep.zero_value_cycles == 0
     assert len(rep.found) == 0
+    assert _digest(rep) == "7a2628e8646b4d51381fce7aec9f909abec573ab98aadbe9b12df8283a3175ab"
 
 
 def test_o6_double_window_clean_at_six():
