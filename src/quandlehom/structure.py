@@ -9,9 +9,10 @@ quandles.
 A set of same-degree 3-terms is f-connected when its f-image vanishes and no
 proper nonempty subset has vanishing f-image (g-connected likewise).  Since
 f never consults the quandle operation, the f-connected families of a given
-size admit a quandle-independent symbolic census; it is re-derived here and
-deduplicated up to global sign, symbol renaming and the two concrete shapes
-of a bigon term (a, b, a) ~ (b, a, b).
+size admit a quandle-independent symbolic census; it is re-derived here over
+four symbols, once per orbit under global sign and symbol renaming, and
+deduplicated up to those and the two concrete shapes of a bigon term
+(a, b, a) ~ (b, a, b).
 
 The census and the cycle searches share two tools defined here: TermTable,
 every 3-term of one degree with its f- and g-images and per-face cancel
@@ -310,7 +311,7 @@ def cancel_search(table, size, on_close, anchors=(), residual=None, g_cancel=Non
 # symbolic census of f-connected families
 
 MAX_FAMILY_SIZE = 5
-_SYMBOLS = 5  # four distinct labels suffice for families of up to five terms
+_SYMBOLS = 4  # four distinct labels suffice for families of up to five terms
 
 
 @lru_cache(maxsize=None)
@@ -324,9 +325,13 @@ def _is_minimal_null(family):
 
 
 def _null_families(size):
-    """All efficient symbolic families of `size` signed triples with
-    vanishing, subset-minimal f-image, up to global sign (the lex-least
-    triple is taken positive), by the cancellation search."""
+    """Efficient symbolic families of `size` signed triples with vanishing
+    f-image, sorted, by the cancellation search from +(0,1,0) and +(0,1,2).
+
+    Every orbit under renaming and global sign is met.  A family with a bigon
+    renames and signs it to +(0,1,0), the least word, so the anchor's rule
+    that later terms are no smaller cuts nothing; a bigon-free family holds
+    no (0,1,0) and renames a triangle to +(0,1,2).  Minimality is not tested."""
     table = _symbolic_table()
     results = set()
 
@@ -334,8 +339,15 @@ def _null_families(size):
         if len(family) == size:
             results.add(tuple(sorted((sign, t[2]) for sign, t in family)))
 
-    cancel_search(table, size, close, anchors=table.terms)
-    return [fam for fam in sorted(results) if _is_minimal_null(fam)]
+    cancel_search(table, size, close, anchors=table.terms[:2])
+    return sorted(results)
+
+
+def _relabellings(family):
+    """Every image of a symbolic family under symbol renaming and global sign."""
+    for perm in itertools.permutations(range(_SYMBOLS)):
+        for g in (1, -1):
+            yield tuple(sorted((g * s, tuple(perm[x] for x in w)) for s, w in family))
 
 
 def _bigon_normal_entry(sign, colors):
@@ -500,12 +512,13 @@ PATTERN_CATALOG = {
 def enumerate_f_connected(k):
     """Census of size-k families with vanishing, subset-minimal f-image.
 
-    Found by cancel_search on the symbolic table of five colors,
-    canonicalized up to global sign, symbol renaming and bigon shape; classes reachable from a larger class
-    by a shape-preserving symbol identification are folded into it as a
-    variant rather than counted separately.  Returns FamilyTemplates labelled
-    against the catalogue above.  k = 1 yields nothing; sizes above
-    MAX_FAMILY_SIZE are refused (the census cost grows steeply).
+    Found by _null_families on four symbols, one family per orbit under
+    global sign and symbol renaming, canonicalized up to those and bigon
+    shape; classes reachable from a larger class by a shape-preserving symbol
+    identification are folded into it as a variant rather than counted
+    separately.  Returns FamilyTemplates labelled against the catalogue
+    above.  k = 1 yields nothing; sizes above MAX_FAMILY_SIZE are refused
+    (the census cost grows steeply).
     """
     if k < 1:
         raise StructureError("family size must be positive")
@@ -513,10 +526,12 @@ def enumerate_f_connected(k):
         raise StructureError(
             "size %d is above the supported census limit %d" % (k, MAX_FAMILY_SIZE)
         )
-    families = _null_families(k)
-    classes = {}
-    for fam in families:
-        classes.setdefault(canonical_family(fam), fam)
+    seen, classes = set(), set()
+    for fam in _null_families(k):  # minimality and canonical form are orbit invariants
+        if fam not in seen:
+            seen.update(_relabellings(fam))
+            if _is_minimal_null(fam):
+                classes.add(canonical_family(fam))
     if not classes:
         return ()
 

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from quandlehom.chains import Chain, boundary, degrees, length
+from quandlehom.chains import Chain, boundary, degree_bucket, degrees, length, sigma_shift
 from quandlehom.cocycles import eta_octahedral, evaluate, mochizuki
 from quandlehom.kernels import named_cycle
 from quandlehom.quandles import make_dihedral, make_octahedral
@@ -17,7 +17,7 @@ from quandlehom.search import (
     direct_single_degree_scan,
     search_min_cycles,
 )
-from quandlehom.structure import TermTable
+from quandlehom.structure import TermTable, reverse_o6
 
 from common import cached_search
 
@@ -187,8 +187,6 @@ def test_certificate_mentions_coverage():
 
 
 def test_found_cycles_are_two_layered_in_double_window():
-    from quandlehom.chains import degree_bucket
-
     rep = cached_search("o6", 7, "double", "B")
     assert len(rep.found) == 48
     for fc in rep.found:
@@ -197,3 +195,22 @@ def test_found_cycles_are_two_layered_in_double_window():
         assert length(degree_bucket(fc.chain, 1)) == 5
         assert not boundary(fc.chain, O6)
         assert fc.value != 0
+
+
+def test_double_window_witness_reverses_lie_outside_the_window():
+    # Reversing a two-degree witness of O6 swaps its layers: each of the 48
+    # becomes a distinct witness whose 5-term layer lies below its 2-term
+    # layer, so the double window (2- or 3-term bottom layer) never lists it.
+    rep = cached_search("o6", 7, "double", "BC")
+    assert len(rep.found) == 48
+    keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
+    reverses = [reverse_o6(fc.chain, O6) for fc in rep.found]
+    assert len({_sign_normal_chain(c) for c in reverses}) == 48
+    for c in reverses:
+        assert degrees(c) == [-1, 0]
+        assert [length(degree_bucket(c, d)) for d in (-1, 0)] == [5, 2]
+        assert not boundary(c, O6)
+        assert evaluate(ETA, c) != 0
+        shifted = sigma_shift(c, 1)
+        assert not boundary(shifted, O6)
+        assert _sign_normal_chain(shifted) not in keys

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -9,6 +10,8 @@ from quandlehom.structure import (
     MAX_FAMILY_SIZE,
     PATTERN_CATALOG,
     StructureError,
+    TermTable,
+    cancel_search,
     canonical_family,
     classify_type,
     concrete_families,
@@ -235,6 +238,39 @@ def test_f_connected_families_share_index():
 
 def test_census_counts():
     assert [len(enumerate_f_connected(k)) for k in range(1, 6)] == [0, 1, 2, 5, 10]
+
+
+def test_census_bytes_are_pinned():
+    # Templates, variants and their order: concrete_families instantiates
+    # exactly these, so any change to them changes every search.
+    census = repr([enumerate_f_connected(k) for k in range(1, 6)]).encode()
+    assert (
+        hashlib.sha256(census).hexdigest()
+        == "7f63189535b9eb70d9c5d98e393c6ebc793c34781f81839adda11080ac06661f"
+    )
+
+
+def test_census_matches_five_symbol_search_from_every_anchor():
+    # The census searches four symbols from two anchors, once per orbit.
+    # Reference: five symbols, every term an anchor, every family tested.
+    table = TermTable(None, symbols=5)
+    for k in range(2, 6):
+        found = set()
+
+        def close(family, _):
+            if len(family) == k:
+                found.add(tuple(sorted((s, t[2]) for s, t in family)))
+
+        cancel_search(table, k, close, anchors=table.terms)
+        minimal = [
+            fam for fam in found if table.is_minimal_null([(s, (0, 0, w)) for s, w in fam])
+        ]
+        assert all(len({x for _, w in fam for x in w}) <= 4 for fam in minimal)
+        classes = {canonical_family(fam) for fam in minimal}
+        assert len(classes) == [1, 2, 6, 11][k - 2]
+        assert classes == {
+            canonical_family(v.entries) for t in enumerate_f_connected(k) for v in t.variants
+        }
 
 
 def test_census_rejects_large_k():
