@@ -312,7 +312,3 @@ def chain_from_file(path):
     with open(path) as fh:
         return chain_from_text(fh.read())
 
-
-def chain_to_file(chain, path):
-    with open(path, "w") as fh:
-        fh.write(chain_to_text(chain))

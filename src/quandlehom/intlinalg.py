@@ -4,51 +4,14 @@ Everything here works on dense lists of Python ints or Fractions; no
 floating point is used anywhere.  The integer kernel routine returns a basis
 of the full lattice {x in Z^n : M x = 0} (automatically saturated, being the
 integer points of a rational subspace), obtained by tracking unimodular row
-operations while reducing the transpose to row echelon form over Z.
+operations while reducing the transpose to row echelon form over Z.  The
+rank over Q, by Fraction elimination, cross-checks it: the rank plus the
+lattice rank is the number of columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def rational_kernel_basis(rows, ncols):
-    """Basis of the right kernel over Q, via Gauss elimination on Fractions.
-
-    Returns one vector per free column, in increasing free-column order, with
-    the free coordinate set to 1.  Deterministic for a fixed input.
-    """
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
-    pivot_of_col = {}
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivot_of_col[c] = r
-        r += 1
-    basis = []
-    for c in range(ncols):
-        if c in pivot_of_col:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[c] = Fraction(1)
-        for pc, pr in pivot_of_col.items():
-            vec[pc] = -m[pr][c]
-        basis.append(vec)
-    return basis
 
 
 def integer_kernel_basis(rows, ncols):

@@ -3,9 +3,9 @@
 A slice collects the arity-3 generators at one degree, optionally filtered
 by index and by the value of u^{a b c} (the index every g-image of the
 generator's full word reaches; g-null families are constrained to a single
-such class).  The kernel of (f, g) on a slice is computed exactly: a
-rational basis by Fraction elimination and an integer lattice basis by
-unimodular reduction, then cross-checked through the chain maps themselves.
+such class).  The kernel of (f, g) on a slice is computed exactly: an
+integer lattice basis by unimodular reduction, cross-checked against the
+rank over Q and through the chain maps themselves.
 
 Also houses the two named length-8 cycles, the explicit boundary identities
 used as regression anchors, and the push-forward of trivial-coefficient
@@ -77,7 +77,6 @@ def _map_matrix(generators, image):
 @dataclass
 class KernelResult:
     slice: SliceBasis
-    rational_basis: list
     lattice_basis: list
 
     @property
@@ -109,16 +108,16 @@ def chain_to_vector(slice_basis, chain):
 def kernel_fg(slice_basis):
     """Exact kernel of f and g together on the slice.
 
-    Every lattice basis vector is re-verified through the chain maps, not
-    the matrices.
+    The lattice rank plus the matrix rank over Q must be the number of
+    generators, and every lattice basis vector is re-verified through the
+    chain maps, not the matrices.
     """
     rows = slice_basis.f_rows + slice_basis.g_rows
     ncols = len(slice_basis.generators)
-    rational = intlinalg.rational_kernel_basis(rows, ncols)
     lattice = intlinalg.integer_kernel_basis(rows, ncols)
-    if len(rational) != len(lattice):
+    if intlinalg.rational_rank(rows) + len(lattice) != ncols:
         raise AssertionError("rational and integer kernel ranks disagree")
-    result = KernelResult(slice_basis, rational, lattice)
+    result = KernelResult(slice_basis, lattice)
     q = slice_basis.quandle
     for chain in result.chains():
         if f_map(chain) or g_map(chain, q):

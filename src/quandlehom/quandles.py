@@ -243,13 +243,6 @@ def compose_perms(p, s):
     return tuple(p[s[x]] for x in range(len(p)))
 
 
-def invert_perm(p):
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 def inner_subgroup(q, generator):
     """The cyclic group generated by the translation x -> x^generator,
     as a list of distinct permutations starting with the identity."""

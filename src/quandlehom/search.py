@@ -9,14 +9,15 @@ that also derives the family census:
 * single degree: every cycle supported at one degree splits its terms, per
   index, into minimal families with vanishing f-image.  Families of sizes 2
   to 5 come from the symbolic census and are joined across indices by
-  hashing their g-images, summed from the table: the largest part is looked
-  up by g-key.  A size s with 2s > max_length is only ever that largest
-  part; its color families are bucketed once by the index-free projection
-  of their g-images, the same at every index, and a bucket is stamped at
-  every index and keyed exactly when a lookup first lands in it.  A cycle
-  consisting of one larger family (sizes 6 up; a smaller cofactor is
-  impossible below length 9) is found by the cancellation search at each
-  index, g residual first.
+  hashing their g-images, summed from the table: the smaller parts are
+  listed and the largest part is looked up by g-key.  One store per size
+  buckets the color families once by the index-free projection of their
+  g-images, the same at every index.  A bucket is stamped at every index
+  and keyed exactly when a lookup first lands in it; all of them are when
+  the size is listed as a smaller part, which only a size s with
+  2s <= max_length ever is.  A cycle consisting of one larger family
+  (sizes 6 up; a smaller cofactor is impossible below length 9) is found by
+  the cancellation search at each index, g residual first.
 
 * two adjacent degrees: the bottom layer is a single minimal family of size
   2 (profile B) or 3 (profile C); the top layer solves f(T1) = -g(T0) by the
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 from .chains import Chain, boundary, chain_to_text, f_map, g_map, length
 from .cocycles import ThreeCocycle, evaluate
 from .quandles import FiniteQuandle, color_words
-from .structure import TermTable, cancel_search, concrete_families
+from .structure import TermTable, _add_image, cancel_search, concrete_families
 
 
 class SearchError(ValueError):
@@ -265,77 +266,93 @@ def _project_key(faces):
     return tuple(sorted((w, c) for w, c in total.items() if c))
 
 
-class _ProjectedIndex:
-    """The families of one size that are only ever the largest part of a
-    join, looked up by g-key like a dict of g-key -> sorted families.
+class _FamilyIndex:
+    """The minimal f-null families of one size at degree 0, over every index,
+    looked up by g-key.
 
     The index enters a g-face only as the face's own index, so the projected
     g-image of a color family is the same at every index it is stamped at.
     The color families are bucketed by that projection once; a bucket is
     stamped at every index and keyed exactly from the table the first time a
-    lookup lands in it.
+    lookup lands in it.  families() stamps every bucket and lists them all,
+    for the sizes that are prefix parts of a join.
     """
 
     def __init__(self, table, q, size):
         self.table, self.indices = table, range(q.size)
+        self.terms = {t[1:]: t for t in table.terms}  # (index, word) -> shared term
         self.buckets = {}
         colored = concrete_families(q, size, index=0)
         for fam in colored:
             key = _project_key(table.image(fam, table.g).items())
             self.buckets.setdefault(key, []).append(fam)
         self.count = q.size * len(colored)
-        self.exact = {}  # projected key -> {g-key: sorted families}
+        self.by_gkey = {}  # g-key -> sorted families, over the stamped buckets
+        self.stamped = set()
+        self.listing = None
 
-    def get(self, gkey, default=()):
-        pkey = _project_key(gkey)
-        exact = self.exact.get(pkey)
-        if exact is None:
-            exact = self.exact[pkey] = {}
-            for fam in self.buckets.get(pkey, ()):
-                for u in self.indices:
-                    stamped = tuple((sign, (n, u, w)) for sign, (n, _, w) in fam)
-                    exact.setdefault(_g_key(self.table.image(stamped, self.table.g)), []).append(
-                        stamped
-                    )
-            for fams in exact.values():
-                fams.sort()
-        return exact.get(gkey, default)
+    def _stamp(self, pkey):
+        if pkey in self.stamped:
+            return
+        self.stamped.add(pkey)
+        keys = set()
+        for fam in self.buckets.get(pkey, ()):
+            for u in self.indices:
+                stamped = tuple((sign, self.terms[u, w]) for sign, (_, _, w) in fam)
+                gkey = _g_key(self.table.image(stamped, self.table.g))
+                self.by_gkey.setdefault(gkey, []).append(stamped)
+                keys.add(gkey)
+        for gkey in keys:
+            self.by_gkey[gkey].sort()
+
+    def get(self, gkey):
+        if self.listing is None:  # once listed, every bucket is stamped
+            self._stamp(_project_key(gkey))
+        return self.by_gkey.get(gkey, ())
+
+    def families(self):
+        """Every (family, g-key) pair, sorted."""
+        if self.listing is None:
+            for pkey in self.buckets:
+                self._stamp(pkey)
+            self.listing = sorted(
+                (fam, gkey) for gkey, fams in self.by_gkey.items() for fam in fams
+            )
+        return self.listing
 
 
-def _join_partition(partition, comps_by_size, hashed, counts, budget, on_cycle):
+def _join_partition(partition, index, budget, on_cycle):
     """Enumerate unions of minimal families over one size partition with
     vanishing total g-image.
 
-    Parts are chosen in ascending size order with the largest part resolved
-    through `hashed`, its g-key -> sorted families lookup; equal-size parts
-    are kept non-decreasing to list each multiset of families once.  Prefix
-    parts are read from the (family, g-key) lists of `comps_by_size`.
+    Parts are chosen in ascending size order from `index`, size ->
+    _FamilyIndex: prefix parts from its sorted listing, the largest part
+    looked up by the g-key that cancels the prefix.  Equal-size parts are
+    kept non-decreasing to list each multiset of families once.
     """
-    parts = sorted(partition)  # ascending; hash the largest size
+    parts = sorted(partition)  # ascending; look up the largest size
     hash_size = parts[-1]
     prefix_sizes = parts[:-1]
-    table = hashed[hash_size]
+    largest = index[hash_size]
 
     # A single-part partition probes every family once and keeps the g-null
     # ones.
     if not prefix_sizes:
-        budget.probes += counts[hash_size]
-        for fam in table.get((), ()):
+        budget.probes += largest.count
+        for fam in largest.get(()):
             counter2 = {}
             if _merge_terms(counter2, fam, []):
                 on_cycle(dict(counter2))
         return
 
     counter = {}
+    listings = [index[size].families() for size in prefix_sizes]
 
-    def neg_key(acc_g):
-        return tuple(sorted((t, -c) for t, c in acc_g.items()))
-
-    def rec(level, last_fam, acc_g):
+    def rec(level, last_fam, neg_g):
         budget.spend()
         if level == len(prefix_sizes):
             same_size = prefix_sizes[-1] == hash_size
-            for fam in table.get(neg_key(acc_g), ()):
+            for fam in largest.get(_g_key(neg_g)):
                 if same_size and fam < last_fam:
                     continue
                 budget.probes += 1
@@ -344,22 +361,15 @@ def _join_partition(partition, comps_by_size, hashed, counts, budget, on_cycle):
                     on_cycle(dict(counter))
                 _unmerge(counter, undo)
             return
-        size = prefix_sizes[level]
-        lower = last_fam if (level and prefix_sizes[level - 1] == size) else None
-        for fam, gkey in comps_by_size[size]:
+        lower = last_fam if (level and prefix_sizes[level - 1] == prefix_sizes[level]) else None
+        for fam, gkey in listings[level]:
             if lower is not None and fam < lower:
                 continue
             undo = []
             if _merge_terms(counter, fam, undo):
-                for t, c in gkey:
-                    acc_g[t] = acc_g.get(t, 0) + c
-                    if acc_g[t] == 0:
-                        del acc_g[t]
-                rec(level + 1, fam, acc_g)
-                for t, c in gkey:
-                    acc_g[t] = acc_g.get(t, 0) - c
-                    if acc_g[t] == 0:
-                        del acc_g[t]
+                _add_image(neg_g, gkey, -1)
+                rec(level + 1, fam, neg_g)
+                _add_image(neg_g, gkey, 1)
             _unmerge(counter, undo)
 
     rec(0, (), {})
@@ -384,22 +394,10 @@ def _search_single_degree(cfg, report):
     q = cfg.quandle
     budget = ProbeBudget(cfg.budget, "single-degree join")
     table = TermTable(q, 0)
-    # A size s with 2s > max_length is never a prefix part, only the hashed
-    # one: it is looked up through its projected g-images.  Smaller sizes are
-    # listed in full and hashed by g-key.
-    comps_by_size, hashed = {}, {}
+    index = {}
     for size in range(2, min(JOIN_PART_MAX, cfg.max_length) + 1):
-        if 2 * size > cfg.max_length:
-            hashed[size] = _ProjectedIndex(table, q, size)
-            report.component_counts[size] = hashed[size].count
-            continue
-        comps_by_size[size] = sorted(
-            (fam, _g_key(table.image(fam, table.g))) for fam in concrete_families(q, size)
-        )
-        hashed[size] = {}
-        for fam, gkey in comps_by_size[size]:
-            hashed[size].setdefault(gkey, []).append(fam)
-        report.component_counts[size] = len(comps_by_size[size])
+        index[size] = _FamilyIndex(table, q, size)
+        report.component_counts[size] = index[size].count
 
     cycles = _Cycles(q, cfg.cocycle, cfg.collect_all)
     partitions = []
@@ -411,9 +409,7 @@ def _search_single_degree(cfg, report):
         shape = "degree0 parts %s" % (list(partition),)
         _join_partition(
             partition,
-            comps_by_size,
-            hashed,
-            report.component_counts,
+            index,
             budget,
             lambda counter, shape=shape: cycles.add(Chain(3, True, counter), shape),
         )

@@ -441,6 +441,19 @@ def _partitions_of(symbols):
             yield part[:i] + ((head,) + block,) + part[i + 1 :]
 
 
+def identifications(pattern):
+    """Each shape-preserving identification of a bigon-collapsed pattern's
+    symbols, the identity first, as (blocks, families): the partition into
+    sorted blocks, every symbol glued to the least of its block, and the
+    valid families that the pattern's concrete expansions glue to."""
+    for part in _partitions_of(sorted(_family_symbols(pattern))):
+        blocks = tuple(tuple(sorted(b)) for b in sorted(part))
+        mapping = {s: b[0] for b in blocks for s in b}
+        if _shape_preserving(pattern, mapping):
+            glued = (_glue(f, mapping) for f in _expand_pattern(pattern))
+            yield blocks, [f for f in glued if _family_is_valid(f)]
+
+
 @dataclass(frozen=True)
 class TemplateVariant:
     """One instantiable concrete shape of a family template: a symbol
@@ -535,32 +548,21 @@ def enumerate_f_connected(k):
     if not classes:
         return ()
 
-    # Valid concrete expansions per class, keyed by canonical pattern.
-    expansions = {}
+    # Valid concrete expansions per class, and its shape-preserving
+    # degenerations: pattern -> {smaller pattern: variants}.
+    expansions, degenerations = {}, {}
     for pattern in classes:
-        expansions[pattern] = [f for f in _expand_pattern(pattern) if _family_is_valid(f)]
-        if not expansions[pattern]:
+        found = identifications(pattern)
+        identity, families = next(found)
+        if not families:
             raise StructureError("census class %r has no valid expansion" % (pattern,))
-
-    # Shape-preserving degenerations: pattern -> {smaller pattern: variants}.
-    degenerations = {p: {} for p in classes}
-    for pattern in classes:
-        syms = sorted(_family_symbols(pattern))
-        for part in _partitions_of(syms):
-            if len(part) == len(syms):
-                continue
-            blocks = tuple(tuple(sorted(b)) for b in sorted(part))
-            mapping = {s: min(b) for b in blocks for s in b}
-            if not _shape_preserving(pattern, mapping):
-                continue
-            variants = []
-            for concrete in _expand_pattern(pattern):
-                glued = _glue(concrete, mapping)
-                if _family_is_valid(glued):
-                    variants.append(TemplateVariant(blocks, glued))
-            if variants:
-                target = canonical_family(variants[0].entries)
-                degenerations[pattern].setdefault(target, []).extend(variants)
+        expansions[pattern] = [TemplateVariant(identity, f) for f in families]
+        degenerations[pattern] = {}
+        for blocks, families in found:
+            if families:
+                degenerations[pattern].setdefault(canonical_family(families[0]), []).extend(
+                    TemplateVariant(blocks, f) for f in families
+                )
 
     folded = set()
     for pattern in classes:
@@ -570,9 +572,7 @@ def enumerate_f_connected(k):
     for pattern in sorted(classes):
         if pattern in folded:
             continue
-        syms = sorted(_family_symbols(pattern))
-        identity = tuple((s,) for s in syms)
-        variants = [TemplateVariant(identity, f) for f in expansions[pattern]]
+        variants = list(expansions[pattern])
         for target_variants in degenerations[pattern].values():
             variants.extend(target_variants)
         templates.append((pattern, tuple(variants)))

@@ -23,15 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .quandles import make_octahedral
-from .structure import (
-    PATTERN_CATALOG,
-    StructureError,
-    _expand_pattern,
-    _family_is_valid,
-    _glue,
-    _partitions_of,
-    _shape_preserving,
-)
+from .structure import PATTERN_CATALOG, StructureError, identifications
 
 _SYMBOL_NAMES = "abcd"
 
@@ -56,18 +48,13 @@ def _expressions(pattern):
 
 @lru_cache(maxsize=None)
 def _case_variants(k, case_id):
-    """Valid symbol identifications of a catalogued pattern, as mappings."""
-    pattern = PATTERN_CATALOG[k][case_id]
-    syms = sorted({s for _, _, colors in pattern for s in colors})
-    variants = []
-    for part in _partitions_of(syms):
-        blocks = tuple(tuple(sorted(b)) for b in sorted(part))
-        mapping = {s: min(b) for b in blocks for s in b}
-        if not _shape_preserving(pattern, mapping):
-            continue
-        if any(_family_is_valid(_glue(f, mapping)) for f in _expand_pattern(pattern)):
-            variants.append(tuple(sorted(mapping.items())))
-    return tuple(variants)
+    """Symbol identifications of a catalogued pattern with a valid glued
+    family, as mappings from each symbol to the least of its block."""
+    return tuple(
+        {s: block[0] for block in blocks for s in block}
+        for blocks, families in identifications(PATTERN_CATALOG[k][case_id])
+        if families
+    )
 
 
 @dataclass(frozen=True)
@@ -154,8 +141,7 @@ def index_pattern_rows(k, shape):
         has_d = 3 in symbols
         exprs = _expressions(pattern)
         nslots = len(pattern)
-        for mapping_items in _case_variants(k, case_id):
-            mapping = dict(mapping_items)
+        for mapping in _case_variants(k, case_id):
             for b_val in (1, 3):
                 for assign in _assignments(symbols, mapping, b_val) or ():
                     elem = {s: assign[mapping[s]] for s in symbols}

@@ -112,6 +112,26 @@ def test_o6_double_window_clean_at_six():
     assert _digest(rep) == "e7cc489d377c966d149a5c9e0f3877fd197bc8aa1d1d62b067cfa0830a3363c2"
 
 
+# Single-window certificates at L = 2..5.  A family size s with 2s > L is
+# only ever looked up as the largest part of the join, never listed as a
+# smaller one; these are the lengths at which sizes cross that line.
+@pytest.mark.parametrize(
+    "quandle, max_length, digest",
+    [
+        ("o6", 2, "265e9de8690a6de97bd527c36ca2bb7c7f5c992c0068be0935dcb9dd16880eab"),
+        ("o6", 3, "73727b78f2a02540bd0bda53002e7d548c8b2a18e2780c849a6ba9a71278ee4f"),
+        ("o6", 4, "bbd265c270dc62b16eb7c7ced7f08646c7b81dfce03a2d21000cc45ecfa320d8"),
+        ("o6", 5, "c449ae60d1c1969e64923308c6933c8265a9891655222e5cd7f36fc0e241fa93"),
+        ("r7", 2, "b515f93a67b7d659f07dcb68f29ccfc7de78215c71d7bd9ca8351d1f4d54b171"),
+        ("r7", 3, "30e97ab0367ca15764e86c12a00ebd8ea9aa01b83119ec41088313aa6f214eea"),
+        ("r7", 4, "ffe7b45b291b037acf13d1a9acfb892ef6d1d13d7b7c0fc626718060ab61af07"),
+        ("r7", 5, "ea5189332f15d25593ed33d5d29233902360e5c64b1ebb3b319b4aa1bd59c913"),
+    ],
+)
+def test_single_degree_certificates_at_the_lookup_edges(quandle, max_length, digest):
+    assert _digest(cached_search(quandle, max_length)) == digest
+
+
 def test_double_window_threads_agree():
     serial = cached_search("o6", 6, "double", "B")
     parallel = search_min_cycles(
