@@ -9,11 +9,15 @@ graded one Z x X on which a generator acts by (n, u)^a = (n + 1, u^a).
 The color-deletion map f and the action-twisted deletion map g both drop any
 output term whose colors have two equal adjacent entries.  Their sum is the
 boundary; boundary o boundary = 0.
+
+A stored coefficient is never zero: `Chain.__bool__`, `__eq__` and `length`
+rely on it.  Every sum of coefficients into a term dict, here and in the
+modules above, goes through the one writer `_accumulate`.
 """
 
 from __future__ import annotations
 
-from .quandles import FiniteQuandle, QuandleError, parse_ints
+from .quandles import FiniteQuandle, QuandleError, _is_degenerate, parse_ints
 
 
 class ChainError(ValueError):
@@ -22,14 +26,21 @@ class ChainError(ValueError):
 
 def term(degree, index, colors):
     colors = tuple(colors)
-    for i in range(len(colors) - 1):
-        if colors[i] == colors[i + 1]:
-            raise ChainError("adjacent equal colors in %r" % (colors,))
+    if _is_degenerate(colors):
+        raise ChainError("adjacent equal colors in %r" % (colors,))
     return (degree, index, colors)
 
 
-def _is_degenerate(colors):
-    return any(colors[i] == colors[i + 1] for i in range(len(colors) - 1))
+def _accumulate(store, pairs, sign=1):
+    """store += sign * pairs in place, for (key, nonzero coefficient) pairs;
+    a key whose coefficient reaches 0 is deleted.  Returns store."""
+    for key, c in pairs:
+        v = store.get(key, 0) + sign * c
+        if v:
+            store[key] = v
+        else:
+            del store[key]
+    return store
 
 
 class Chain:
@@ -44,11 +55,10 @@ class Chain:
     def __init__(self, arity, graded, terms=None):
         self.arity = arity
         self.graded = graded
-        store = {}
+        self.terms = {}
         if terms:
-            for t, coeff in terms.items() if isinstance(terms, dict) else terms:
-                if coeff == 0:
-                    continue
+            pairs = [(t, c) for t, c in (terms.items() if isinstance(terms, dict) else terms) if c]
+            for t, coeff in pairs:
                 degree, index, colors = t
                 if len(colors) != arity:
                     raise ChainError("term %r has wrong arity, expected %d" % (t, arity))
@@ -56,10 +66,7 @@ class Chain:
                     raise ChainError("degenerate colors in %r" % (t,))
                 if not graded and (degree != 0 or index != 0):
                     raise ChainError("trivial coefficients require degree=index=0")
-                store[t] = store.get(t, 0) + coeff
-                if store[t] == 0:
-                    del store[t]
-        self.terms = store
+            _accumulate(self.terms, pairs)
 
     @classmethod
     def zero(cls, arity, graded=True):
@@ -71,12 +78,9 @@ class Chain:
 
     @classmethod
     def from_signed_terms(cls, signed_terms, arity, graded=True):
-        """Build from an iterable of (sign, term) pairs."""
+        """Build from an iterable of (sign, term) pairs, signs nonzero."""
         c = cls(arity, graded)
-        for sign, t in signed_terms:
-            c.terms[t] = c.terms.get(t, 0) + sign
-            if c.terms[t] == 0:
-                del c.terms[t]
+        _accumulate(c.terms, ((t, sign) for sign, t in signed_terms))
         return c
 
     def _check_compatible(self, other):
@@ -85,13 +89,8 @@ class Chain:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, 0) + c
-            if out[t] == 0:
-                del out[t]
         result = Chain(self.arity, self.graded)
-        result.terms = out
+        result.terms = _accumulate(dict(self.terms), other.terms.items())
         return result
 
     def __sub__(self, other):
@@ -169,19 +168,16 @@ def f_map(chain):
     Preserves degree and index, and never consults the quandle operation."""
     if chain.arity < 1:
         raise ChainError("f needs arity >= 1")
-    out = {}
+    faces = []
     for (n, u, colors), coeff in chain.terms.items():
         sign = -1
         for i in range(len(colors)):
             reduced = colors[:i] + colors[i + 1 :]
             if not _is_degenerate(reduced):
-                t = (n, u, reduced)
-                out[t] = out.get(t, 0) + sign * coeff
-                if out[t] == 0:
-                    del out[t]
+                faces.append(((n, u, reduced), sign * coeff))
             sign = -sign
     result = Chain(chain.arity - 1, chain.graded)
-    result.terms = out
+    result.terms = _accumulate({}, faces)
     return result
 
 
@@ -194,7 +190,7 @@ def g_map(chain, q):
     if not isinstance(q, FiniteQuandle):
         raise QuandleError("g needs a quandle")
     table = q.table
-    out = {}
+    faces = []
     graded = chain.graded
     for (n, u, colors), coeff in chain.terms.items():
         sign = 1
@@ -202,16 +198,11 @@ def g_map(chain, q):
             ai = colors[i]
             reduced = tuple(table[colors[j]][ai] for j in range(i)) + colors[i + 1 :]
             if not _is_degenerate(reduced):
-                if graded:
-                    t = (n + 1, table[u][ai], reduced)
-                else:
-                    t = (0, 0, reduced)
-                out[t] = out.get(t, 0) + sign * coeff
-                if out[t] == 0:
-                    del out[t]
+                t = (n + 1, table[u][ai], reduced) if graded else (0, 0, reduced)
+                faces.append((t, sign * coeff))
             sign = -sign
     result = Chain(chain.arity - 1, graded)
-    result.terms = out
+    result.terms = _accumulate({}, faces)
     return result
 
 
@@ -221,15 +212,7 @@ def boundary(chain, q):
 
 def project_pi(chain):
     """Forget degree and index, accumulating coefficients."""
-    out = {}
-    for (n, u, colors), coeff in chain.terms.items():
-        t = (0, 0, colors)
-        out[t] = out.get(t, 0) + coeff
-        if out[t] == 0:
-            del out[t]
-    result = Chain(chain.arity, False)
-    result.terms = out
-    return result
+    return Chain(chain.arity, False, (((0, 0, t[2]), c) for t, c in chain.terms.items()))
 
 
 def sigma_shift(chain, delta=1):
@@ -292,7 +275,7 @@ def chain_from_text(text):
         raise ChainError("bad chain header %r" % rows[0])
     arity = int(head[1])
     graded = head[2] == "graded"
-    chain = Chain(arity, graded)
+    pairs = []
     for ln in rows[1:]:
         parts = parse_ints(ln.split(), ChainError, "chain line %r" % ln)
         if len(parts) != 3 + arity:
@@ -301,11 +284,8 @@ def chain_from_text(text):
         colors = tuple(parts[3:])
         if not graded:
             n, u = 0, 0
-        t = term(n, u, colors)
-        chain.terms[t] = chain.terms.get(t, 0) + coeff
-        if chain.terms[t] == 0:
-            del chain.terms[t]
-    return chain
+        pairs.append((term(n, u, colors), coeff))
+    return Chain(arity, graded, pairs)
 
 
 def chain_from_file(path):

@@ -62,8 +62,11 @@ def cmd_quandle_print_table(args):
 
 
 def cmd_quandle_check(args):
-    q = _quandle_from_args(args)
-    report = quandles.check_axioms(q)
+    # A table file that fails an axiom is reported on here, not refused.
+    try:
+        report = quandles.check_axioms(_quandle_from_args(args))
+    except quandles.AxiomError as exc:
+        report = exc.report
     payload = {
         "ok": report.ok,
         "idempotence": report.idempotence,

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quandles import (
-    FiniteQuandle,
-    QuandleError,
     color_words,
     inner_subgroup,
     make_dihedral,

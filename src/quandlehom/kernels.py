@@ -268,7 +268,7 @@ def verify_boundary_identity(four_term, expected, sign, q):
 
 
 def _chain3(pairs):
-    return Chain.from_signed_terms([(s, t) for s, t in pairs], arity=3, graded=True)
+    return Chain.from_signed_terms(pairs, arity=3, graded=True)
 
 
 def boundary_identity_catalog():
@@ -380,11 +380,8 @@ def push_forward(chain, word, q):
     acting as x -> x^w) entry-wise to a trivial-coefficient arity-3 chain."""
     if chain.graded:
         raise ChainError("push-forward acts on trivial-coefficient chains")
-    result = Chain(chain.arity, False)
-    for (_, _, colors), coeff in chain.terms.items():
-        new_colors = tuple(q.act_word(x, word) for x in colors)
-        t = (0, 0, new_colors)
-        result.terms[t] = result.terms.get(t, 0) + coeff
-        if result.terms[t] == 0:
-            del result.terms[t]
-    return result
+    pairs = [
+        ((0, 0, tuple(q.act_word(x, word) for x in colors)), coeff)
+        for (_, _, colors), coeff in chain.terms.items()
+    ]
+    return Chain(chain.arity, False, pairs)

@@ -22,6 +22,14 @@ class QuandleError(ValueError):
     """Raised for malformed tables, bad parameters or failed axioms."""
 
 
+class AxiomError(QuandleError):
+    """A well-formed table file that fails an axiom; ``report`` says where."""
+
+    def __init__(self, path, report):
+        super().__init__("table in %s is not a quandle: %s" % (path, report.summary()))
+        self.report = report
+
+
 @dataclass
 class AxiomReport:
     """Outcome of an exhaustive axiom check.
@@ -102,9 +110,6 @@ class FiniteQuandle:
         if inv is None:
             raise QuandleError("column %d is not a permutation" % b)
         return inv
-
-    def elements(self):
-        return range(self.size)
 
     def __eq__(self, other):
         return isinstance(other, FiniteQuandle) and self.table == other.table
@@ -276,11 +281,16 @@ def inner_group(q):
     return sorted(seen)
 
 
+def _is_degenerate(colors):
+    """True when two adjacent colors are equal."""
+    return any(colors[i] == colors[i + 1] for i in range(len(colors) - 1))
+
+
 def color_words(n, length):
     """Every word of `length` colors from 0..n-1 with adjacent colors
     distinct, in lexicographic order."""
     for word in itertools.product(range(n), repeat=length):
-        if all(x != y for x, y in zip(word, word[1:])):
+        if not _is_degenerate(word):
             yield word
 
 
@@ -303,7 +313,7 @@ def triple_action_table(q, base=0):
 
 
 def quandle_from_file(path):
-    """Load a quandle table; axioms are re-checked and must pass.
+    """Load a quandle table; a failed axiom raises AxiomError with its report.
 
     Format: first line n, then n lines of n integers (row a lists a^0..a^{n-1}).
     """
@@ -321,7 +331,7 @@ def quandle_from_file(path):
     q = FiniteQuandle(table, name=path)
     report = check_axioms(q)
     if not report.ok:
-        raise QuandleError("table in %s is not a quandle: %s" % (path, report.summary()))
+        raise AxiomError(path, report)
     return q
 
 

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chains import Chain, boundary, chain_to_text, f_map, g_map, length
+from .chains import Chain, _accumulate, boundary, chain_to_text, f_map, g_map, length
 from .cocycles import ThreeCocycle, evaluate
 from .quandles import FiniteQuandle, color_words
-from .structure import TermTable, _add_image, cancel_search, concrete_families
+from .structure import TermTable, cancel_search, concrete_families
 
 
 class SearchError(ValueError):
@@ -367,9 +367,9 @@ def _join_partition(partition, index, budget, on_cycle):
                 continue
             undo = []
             if _merge_terms(counter, fam, undo):
-                _add_image(neg_g, gkey, -1)
+                _accumulate(neg_g, gkey, -1)
                 rec(level + 1, fam, neg_g)
-                _add_image(neg_g, gkey, 1)
+                _accumulate(neg_g, gkey, 1)
             _unmerge(counter, undo)
 
     rec(0, (), {})

@@ -25,8 +25,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quandles import QuandleError, TAU_O6, color_words
-from .chains import Chain, ChainError, f_map, g_map
+from .quandles import QuandleError, TAU_O6, _is_degenerate, color_words
+from .chains import Chain, ChainError, _accumulate, f_map, g_map
 
 
 class StructureError(ValueError):
@@ -57,13 +57,11 @@ def classify_type(t, q):
 
 def relabel_chain(chain, perm):
     """Apply an element relabelling to every index and color."""
-    result = Chain(chain.arity, chain.graded)
-    for (n, u, colors), coeff in chain.terms.items():
-        t = (n, perm[u] if chain.graded else 0, tuple(perm[x] for x in colors))
-        result.terms[t] = result.terms.get(t, 0) + coeff
-        if result.terms[t] == 0:
-            del result.terms[t]
-    return result
+    pairs = [
+        ((n, perm[u] if chain.graded else 0, tuple(perm[x] for x in colors)), coeff)
+        for (n, u, colors), coeff in chain.terms.items()
+    ]
+    return Chain(chain.arity, chain.graded, pairs)
 
 
 def reverse(chain, q, pullback=None):
@@ -76,15 +74,13 @@ def reverse(chain, q, pullback=None):
     """
     if not chain.graded:
         raise ChainError("reverse needs a graded chain")
-    result = Chain(chain.arity, True)
+    pairs = []
     for (n, u, colors), coeff in chain.terms.items():
         new_colors = tuple(
             q.act_word(colors[i], colors[i + 1 :]) for i in range(len(colors))
         )
-        t = (-n, q.act_word(u, colors), new_colors)
-        result.terms[t] = result.terms.get(t, 0) + coeff
-        if result.terms[t] == 0:
-            del result.terms[t]
+        pairs.append(((-n, q.act_word(u, colors), new_colors), coeff))
+    result = Chain(chain.arity, True, pairs)
     if pullback is not None:
         result = relabel_chain(result, pullback)
     return result
@@ -112,16 +108,12 @@ def reflection(chain, q):
     size = _dihedral_check(q)
     if not chain.graded:
         raise ChainError("reflection needs a graded chain")
-    result = Chain(chain.arity, True)
+    pairs = []
     for (n, w, colors), coeff in chain.terms.items():
         s = -1 if n % 2 else 1
-        new_w = (-s * w) % size
         new_colors = tuple((s * (x - w)) % size for x in reversed(colors))
-        t = (n, new_w, new_colors)
-        result.terms[t] = result.terms.get(t, 0) + coeff
-        if result.terms[t] == 0:
-            del result.terms[t]
-    return result
+        pairs.append(((n, (-s * w) % size, new_colors), coeff))
+    return Chain(chain.arity, True, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +221,7 @@ class TermTable:
         under ``self.f`` or ``self.g``, summed from the table."""
         total = {}
         for sign, t in family:
-            _add_image(total, images[t], sign)
+            _accumulate(total, images[t], sign)
         return total
 
     def is_minimal_null(self, family):
@@ -240,17 +232,6 @@ class TermTable:
             for r in range(1, len(family))
             for sub in itertools.combinations(family, r)
         )
-
-
-def _add_image(total, image, sign):
-    """total += sign * image in place, dropping zero coefficients."""
-    for face, s in image:
-        v = total.get(face, 0) + sign * s
-        if v:
-            total[face] = v
-        else:
-            del total[face]
-    return total
 
 
 def cancel_search(table, size, on_close, anchors=(), residual=None, g_cancel=None, budget=None):
@@ -296,8 +277,8 @@ def cancel_search(table, size, on_close, anchors=(), residual=None, g_cancel=Non
                 continue
             extend(
                 family + [(sign, t)],
-                _add_image(dict(fres), f_img[t], sign),
-                None if gres is None else _add_image(dict(gres), g_img[t], sign),
+                _accumulate(dict(fres), f_img[t], sign),
+                None if gres is None else _accumulate(dict(gres), g_img[t], sign),
                 anchor,
             )
 
@@ -401,7 +382,7 @@ def _expand_pattern(pattern):
 def _family_is_valid(family):
     seen = set()
     for sign, colors in family:
-        if any(colors[i] == colors[i + 1] for i in range(2)):
+        if _is_degenerate(colors):
             return False
         if (-sign, colors) in seen:
             return False

@@ -163,6 +163,26 @@ def test_project_pi_accumulates():
     assert out == 2 * single(1, 0, 0, (0, 6, 1), graded=False)
 
 
+TERM = (0, 0, (0, 6, 1))
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: chain_from_text("arity 3 graded\n1 0 0 0 6 1\n-1 0 0 0 6 1\n"), {}),
+        (lambda: chain_from_text("arity 3 graded\n0 0 0 0 6 1\n"), {}),
+        (lambda: chain_from_text("arity 3 graded\n1 0 0 0 6 1\n1 0 0 0 6 1\n"), {TERM: 2}),
+        (lambda: Chain.from_signed_terms([(1, TERM), (-1, TERM)], 3), {}),
+        (lambda: Chain(3, True, [(TERM, 1), (TERM, -1)]), {}),
+        (lambda: single(1, *TERM) - single(1, *TERM), {}),
+        (lambda: project_pi(single(1, *TERM) - single(1, 1, 5, TERM[2])), {}),
+    ],
+    ids=["text-cancel", "text-zero", "text-repeat", "signed", "init", "sub", "project-pi"],
+)
+def test_no_zero_coefficient_is_stored(build, expected):
+    assert build().terms == expected
+
+
 def test_project_pi_kills_degree_shift_differences():
     rng = random.Random(13)
     c = random_chain(rng, O6, arity=3)

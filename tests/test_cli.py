@@ -190,6 +190,29 @@ def test_quandle_table_file_with_bad_token(tmp_path, capsys):
     assert err.startswith("error: ") and "'x' is not an integer" in err
 
 
+# A well-formed table that fails an axiom is what `quandle check` reports on
+# (exit 1); every other command refuses it as an input error (exit 2).
+NOT_A_QUANDLE = "3\n0 0 0\n0 1 1\n2 2 2\n"
+
+
+def test_quandle_check_reports_a_failing_table(tmp_path, capsys):
+    path = tmp_path / "fail.table"
+    path.write_text(NOT_A_QUANDLE)
+    code, out, err = run(capsys, "quandle", "check", "--table", str(path))
+    assert code == 1 and out == "columns not bijective: [0]\n" and err == ""
+    code, out, _ = run(capsys, "quandle", "check", "--quandle", str(path), "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "idempotence": [], "bijectivity": [0], "distributivity": []}
+
+
+def test_other_commands_refuse_a_failing_table(tmp_path, capsys):
+    path = tmp_path / "fail.table"
+    path.write_text(NOT_A_QUANDLE)
+    code, out, err = run(capsys, "quandle", "dual", "--table", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not a quandle: columns not bijective: [0]" in err
+
+
 def test_quandle_spec_with_bad_size(capsys):
     code, _, err = run(capsys, "quandle", "check", "--quandle", "dihedral:x")
     assert code == 2 and err.startswith("error: ") and "'x'" in err
