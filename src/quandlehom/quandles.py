@@ -15,6 +15,7 @@ looking at the centre).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 
@@ -282,8 +283,8 @@ def inner_group(q):
 
 
 def _is_degenerate(colors):
-    """True when two adjacent colors are equal."""
-    return any(colors[i] == colors[i + 1] for i in range(len(colors) - 1))
+    """True when two adjacent colors are equal (never for 0 or 1 colors)."""
+    return any(map(operator.eq, colors, colors[1:]))
 
 
 def color_words(n, length):

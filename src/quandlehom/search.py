@@ -8,16 +8,18 @@ that also derives the family census:
 
 * single degree: every cycle supported at one degree splits its terms, per
   index, into minimal families with vanishing f-image.  Families of sizes 2
-  to 5 come from the symbolic census and are joined across indices by
-  hashing their g-images, summed from the table: the smaller parts are
-  listed and the largest part is looked up by g-key.  One store per size
-  buckets the color families once by the index-free projection of their
-  g-images, the same at every index.  A bucket is stamped at every index
-  and keyed exactly when a lookup first lands in it; all of them are when
-  the size is listed as a smaller part, which only a size s with
-  2s <= max_length ever is.  A cycle consisting of one larger family
-  (sizes 6 up; a smaller cofactor is impossible below length 9) is found by
-  the cancellation search at each index, g residual first.
+  to 5 come from the symbolic census and are joined across indices by the
+  exact integer codes of their g-images, each the sum over its terms of a
+  per-term code with one balanced base-2**6 digit per g-face: the smaller
+  parts are listed and the largest part is looked up by the g-code that
+  cancels them.  One store per size buckets the color families once by the
+  code of their index-free projected g-images, the same at every index.  A
+  bucket is stamped at every index and keyed by g-code when a lookup first
+  lands in it; all of them are when the size is listed as a smaller part,
+  which only a size s with 2s <= max_length ever is.  A cycle consisting of
+  one larger family (sizes 6 up; a smaller cofactor is impossible below
+  length 9) is found by the cancellation search at each index, g residual
+  first.
 
 * two adjacent degrees: the bottom layer is a single minimal family of size
   2 (profile B) or 3 (profile C); the top layer solves f(T1) = -g(T0) by the
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chains import Chain, _accumulate, boundary, chain_to_text, f_map, g_map, length
+from .chains import Chain, boundary, chain_to_text, f_map, g_map, length
 from .cocycles import ThreeCocycle, evaluate
 from .quandles import FiniteQuandle, color_words
 from .structure import TermTable, cancel_search, concrete_families
@@ -73,6 +75,11 @@ class ProbeBudget:
 
 MAX_SEARCH_LENGTH = 8
 JOIN_PART_MAX = 5
+# A term has at most 3 g-faces, each with coefficient +-1, so the g-image of
+# at most MAX_SEARCH_LENGTH terms has coefficients below 2**(_DIGIT_BITS-1)
+# in size, the bound under which _code is exact.
+_DIGIT_BITS = 6
+assert 3 * MAX_SEARCH_LENGTH < 2 ** (_DIGIT_BITS - 1)
 
 
 @dataclass
@@ -180,8 +187,12 @@ def _chain_of(parts):
     return Chain.from_signed_terms(parts, arity=3, graded=True)
 
 
-def _g_key(image):
-    return tuple(sorted(image.items()))
+def _code(pairs, digits):
+    """The integer code of (face, coefficient) pairs: face i of `digits`
+    (numbered as met) is the balanced base-2**_DIGIT_BITS digit at place i.
+    Sums of codes are equal exactly when the summed images are, while every
+    summed coefficient stays below 2**(_DIGIT_BITS-1) in size."""
+    return sum(c << _DIGIT_BITS * digits.setdefault(face, len(digits)) for face, c in pairs)
 
 
 def _sign_normal_chain(chain):
@@ -257,66 +268,68 @@ class _Cycles:
 # single-degree window
 
 
-def _project_key(faces):
-    """The index-free projection of (face, coefficient) pairs as a key: each
-    face's index dropped and the coefficients of equal reduced colors summed."""
-    total = {}
-    for (_, _, colors), c in faces:
-        total[colors] = total.get(colors, 0) + c
-    return tuple(sorted((w, c) for w, c in total.items() if c))
+def _g_codes(table):
+    """gcode[t], the code of g(t) for every term t of a degree-0 table, and
+    pcode[w], the same with each face's index dropped, per color word w."""
+    gdigits, pdigits = {}, {}
+    gcode = {t: _code(table.g[t], gdigits) for t in table.terms}
+    pcode = {
+        t[2]: _code(((f[2], c) for f, c in table.g[t]), pdigits) for t in table.terms if t[1] == 0
+    }
+    return gcode, pcode
 
 
 class _FamilyIndex:
     """The minimal f-null families of one size at degree 0, over every index,
-    looked up by g-key.
+    looked up by g-code.
 
     The index enters a g-face only as the face's own index, so the projected
-    g-image of a color family is the same at every index it is stamped at.
-    The color families are bucketed by that projection once; a bucket is
-    stamped at every index and keyed exactly from the table the first time a
-    lookup lands in it.  families() stamps every bucket and lists them all,
-    for the sizes that are prefix parts of a join.
+    code of a color family (``pcode``: its g-faces with the index dropped) is
+    the same at every index it is stamped at.  The color families are
+    bucketed by that code once; a bucket is stamped at every index and keyed
+    by g-code (``gcode``) the first time a lookup lands in it.  families()
+    stamps every bucket and lists them all, for the sizes that are prefix
+    parts of a join.
     """
 
-    def __init__(self, table, q, size):
-        self.table, self.indices = table, range(q.size)
+    def __init__(self, table, q, size, gcode, pcode):
+        self.gcode, self.indices = gcode, range(q.size)
         self.terms = {t[1:]: t for t in table.terms}  # (index, word) -> shared term
         self.buckets = {}
         colored = concrete_families(q, size, index=0)
         for fam in colored:
-            key = _project_key(table.image(fam, table.g).items())
+            key = sum(sign * pcode[w] for sign, (_, _, w) in fam)
             self.buckets.setdefault(key, []).append(fam)
         self.count = q.size * len(colored)
-        self.by_gkey = {}  # g-key -> sorted families, over the stamped buckets
-        self.stamped = set()
+        self.stamped = {}  # projected code -> {g-code: sorted families}
         self.listing = None
 
     def _stamp(self, pkey):
-        if pkey in self.stamped:
-            return
-        self.stamped.add(pkey)
-        keys = set()
-        for fam in self.buckets.get(pkey, ()):
-            for u in self.indices:
-                stamped = tuple((sign, self.terms[u, w]) for sign, (_, _, w) in fam)
-                gkey = _g_key(self.table.image(stamped, self.table.g))
-                self.by_gkey.setdefault(gkey, []).append(stamped)
-                keys.add(gkey)
-        for gkey in keys:
-            self.by_gkey[gkey].sort()
+        """Bucket pkey's families at every index, by g-code."""
+        by_gcode = self.stamped.get(pkey)
+        if by_gcode is None:
+            by_gcode = self.stamped[pkey] = {}
+            for fam in self.buckets[pkey]:
+                for u in self.indices:
+                    stamped = tuple((sign, self.terms[u, w]) for sign, (_, _, w) in fam)
+                    key = sum(sign * self.gcode[t] for sign, t in stamped)
+                    by_gcode.setdefault(key, []).append(stamped)
+            for fams in by_gcode.values():
+                fams.sort()
+        return by_gcode
 
-    def get(self, gkey):
-        if self.listing is None:  # once listed, every bucket is stamped
-            self._stamp(_project_key(gkey))
-        return self.by_gkey.get(gkey, ())
+    def get(self, gkey, pkey):
+        """The sorted families with g-code gkey; pkey is its projection."""
+        return self._stamp(pkey).get(gkey, ()) if pkey in self.buckets else ()
 
     def families(self):
-        """Every (family, g-key) pair, sorted."""
+        """Every (family, g-code, projected code) triple, sorted."""
         if self.listing is None:
-            for pkey in self.buckets:
-                self._stamp(pkey)
             self.listing = sorted(
-                (fam, gkey) for gkey, fams in self.by_gkey.items() for fam in fams
+                (fam, gkey, pkey)
+                for pkey in self.buckets
+                for gkey, fams in self._stamp(pkey).items()
+                for fam in fams
             )
         return self.listing
 
@@ -327,8 +340,9 @@ def _join_partition(partition, index, budget, on_cycle):
 
     Parts are chosen in ascending size order from `index`, size ->
     _FamilyIndex: prefix parts from its sorted listing, the largest part
-    looked up by the g-key that cancels the prefix.  Equal-size parts are
-    kept non-decreasing to list each multiset of families once.
+    looked up by the g-code that cancels the prefix, carried down as the
+    integers neg_g and neg_p (its projection).  Equal-size parts are kept
+    non-decreasing to list each multiset of families once.
     """
     parts = sorted(partition)  # ascending; look up the largest size
     hash_size = parts[-1]
@@ -336,10 +350,10 @@ def _join_partition(partition, index, budget, on_cycle):
     largest = index[hash_size]
 
     # A single-part partition probes every family once and keeps the g-null
-    # ones.
+    # ones: the empty image has code 0.
     if not prefix_sizes:
         budget.probes += largest.count
-        for fam in largest.get(()):
+        for fam in largest.get(0, 0):
             counter2 = {}
             if _merge_terms(counter2, fam, []):
                 on_cycle(dict(counter2))
@@ -348,11 +362,11 @@ def _join_partition(partition, index, budget, on_cycle):
     counter = {}
     listings = [index[size].families() for size in prefix_sizes]
 
-    def rec(level, last_fam, neg_g):
+    def rec(level, last_fam, neg_g, neg_p):
         budget.spend()
         if level == len(prefix_sizes):
             same_size = prefix_sizes[-1] == hash_size
-            for fam in largest.get(_g_key(neg_g)):
+            for fam in largest.get(neg_g, neg_p):
                 if same_size and fam < last_fam:
                     continue
                 budget.probes += 1
@@ -362,17 +376,15 @@ def _join_partition(partition, index, budget, on_cycle):
                 _unmerge(counter, undo)
             return
         lower = last_fam if (level and prefix_sizes[level - 1] == prefix_sizes[level]) else None
-        for fam, gkey in listings[level]:
+        for fam, gkey, pkey in listings[level]:
             if lower is not None and fam < lower:
                 continue
             undo = []
             if _merge_terms(counter, fam, undo):
-                _accumulate(neg_g, gkey, -1)
-                rec(level + 1, fam, neg_g)
-                _accumulate(neg_g, gkey, 1)
+                rec(level + 1, fam, neg_g - gkey, neg_p - pkey)
             _unmerge(counter, undo)
 
-    rec(0, (), {})
+    rec(0, (), 0, 0)
 
 
 def _single_components(table, size, index, budget):
@@ -394,9 +406,10 @@ def _search_single_degree(cfg, report):
     q = cfg.quandle
     budget = ProbeBudget(cfg.budget, "single-degree join")
     table = TermTable(q, 0)
+    gcode, pcode = _g_codes(table)
     index = {}
     for size in range(2, min(JOIN_PART_MAX, cfg.max_length) + 1):
-        index[size] = _FamilyIndex(table, q, size)
+        index[size] = _FamilyIndex(table, q, size, gcode, pcode)
         report.component_counts[size] = index[size].count
 
     cycles = _Cycles(q, cfg.cocycle, cfg.collect_all)

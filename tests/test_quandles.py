@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from quandlehom.quandles import (
     TAU_O6,
     FiniteQuandle,
     QuandleError,
+    _is_degenerate,
     check_axioms,
     check_isomorphism,
     dual,
@@ -171,3 +174,12 @@ def test_quandle_file_rejects_non_quandle(tmp_path):
     path.write_text("2\n0 0\n0 1\n")
     with pytest.raises(QuandleError):
         quandle_from_file(str(path))
+
+
+def test_is_degenerate_matches_adjacent_pair_definition():
+    # Words of length 0 and 1 occur: f of an arity-1 chain deletes to ().
+    for n in range(5):
+        for word in itertools.product(range(4), repeat=n):
+            expected = any(word[i] == word[i + 1] for i in range(len(word) - 1))
+            assert _is_degenerate(word) is expected
+            assert _is_degenerate(list(word)) is expected

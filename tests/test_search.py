@@ -7,10 +7,14 @@ from quandlehom.cocycles import eta_octahedral, evaluate, mochizuki
 from quandlehom.kernels import named_cycle
 from quandlehom.quandles import make_dihedral, make_octahedral
 from quandlehom.search import (
+    _DIGIT_BITS,
+    MAX_SEARCH_LENGTH,
     ProbeBudget,
     SearchConfig,
     SearchError,
     SearchReport,
+    _FamilyIndex,
+    _g_codes,
     _partitions_into_parts,
     _sign_normal_chain,
     _top_layers,
@@ -55,12 +59,47 @@ def test_join_matches_direct_scan_small():
 
 def test_join_matches_direct_scan_at_six():
     # At length 6 the sizes 4 and 5 are only ever the largest part, looked
-    # up through their projected g-images, under [4], [5] and [4, 2].
+    # up through their projected codes, under [4], [5] and [4, 2].
     rep = search_min_cycles(SearchConfig(O6, ETA, max_length=6, window="single", collect_all=True))
     join_keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
     direct = direct_single_degree_scan(O6, 6)
     assert join_keys == direct
     assert len(direct) == 1010
+
+
+def test_join_matches_direct_scan_on_r3():
+    # A second quandle with single-degree cycles below length 8 (R7 has none).
+    r3 = make_dihedral(3)
+    rep = search_min_cycles(SearchConfig(r3, mochizuki(3), max_length=7, collect_all=True))
+    join_keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
+    direct = direct_single_degree_scan(r3, 7)
+    assert join_keys == direct
+    assert len(direct) == 18
+
+
+@pytest.mark.parametrize("q", [O6, R7], ids=["o6", "r7"])
+def test_g_codes_are_exact(q):
+    # The codes are exact while every coefficient stays below 2**(D-1):
+    # each term has at most 3 g-faces, each with coefficient +-1.
+    assert 3 * MAX_SEARCH_LENGTH < 2 ** (_DIGIT_BITS - 1)
+    table = TermTable(q, 0)
+    assert all(len(faces) <= 3 and all(abs(c) == 1 for _, c in faces) for faces in table.g.values())
+    gcode, pcode = _g_codes(table)
+    by_gcode, by_pcode = {}, {}
+    for size in range(2, 6):
+        for fam, gkey, pkey in _FamilyIndex(table, q, size, gcode, pcode).families():
+            image = table.image(fam, table.g)
+            projected = {}
+            for (_, _, word), c in image.items():
+                projected[word] = projected.get(word, 0) + c
+            by_gcode.setdefault(gkey, set()).add(frozenset(image.items()))
+            by_pcode.setdefault(pkey, set()).add(frozenset((w, c) for w, c in projected.items() if c))
+    for by_code in (by_gcode, by_pcode):
+        assert all(len(found) == 1 for found in by_code.values())  # equal codes => equal images
+        images = {code: found.pop() for code, found in by_code.items()}
+        assert len(set(images.values())) == len(images)  # equal images => equal codes
+        # a g-null family, if any, has code 0: the key a single-part join looks up
+        assert all((code == 0) == (not image) for code, image in images.items())
 
 
 def _digest(report):
