@@ -282,6 +282,32 @@ def inner_group(q):
     return sorted(seen)
 
 
+def automorphisms(q):
+    """Every automorphism of q, as sorted permutation tuples.
+
+    Backtracks over the image of the least unplaced element; each placement
+    is closed under phi(a^b) = phi(a)^phi(b), and a clash with the table or a
+    repeated image prunes the branch.  Past a generating set every image is
+    forced, so S_n is never enumerated."""
+    n, table = q.size, q.table
+
+    def grow(phi, todo):
+        while todo:
+            a, image = todo.pop()
+            if phi.get(a, image) != image or a not in phi and image in phi.values():
+                return []
+            if a not in phi:
+                phi[a] = image
+                for b, pb in list(phi.items()):
+                    todo += [(table[a][b], table[image][pb]), (table[b][a], table[pb][image])]
+        if len(phi) == n:
+            return [tuple(phi[a] for a in range(n))]
+        a = min(set(range(n)) - set(phi))
+        return [p for image in range(n) for p in grow(dict(phi), [(a, image)])]
+
+    return sorted(grow({}, []))
+
+
 def _is_degenerate(colors):
     """True when two adjacent colors are equal (never for 0 or 1 colors)."""
     return any(map(operator.eq, colors, colors[1:]))

@@ -21,12 +21,12 @@ that also derives the family census:
   length 9) is found by the cancellation search at each index, g residual
   first.
 
-* two adjacent degrees: the bottom layer is a single minimal family of size
-  2 (profile B) or 3 (profile C); the top layer solves f(T1) = -g(T0) by the
-  cancellation search started from g(T0), plus an optional appended null
-  family of size 2 or 3, and must itself have vanishing g-image.  The bases
-  are dealt into `threads` chunks that run the same code, in this process
-  for one chunk and in worker processes otherwise.
+* two adjacent degrees: one boundary scan lists every cycle over degrees 0
+  and 1 with at most 2 (profile B) or 3 terms at degree 0: cancel_search on
+  f + g from each Aut(Q)-orbit of degree-0 terms, past every closure.  A fixed
+  filter keeps the window, a 2-term (profile B) or 3-term (profile C)
+  bottom layer T0 with g(T0) != 0 and length 6 or more, and every kept
+  cycle is expanded over Aut(Q).
 
 Every candidate is re-verified through the boundary map before being
 reported.  Searches are deterministic; reports record exactly what was
@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 
 from .chains import Chain, boundary, chain_to_text, f_map, g_map, length
 from .cocycles import ThreeCocycle, evaluate
-from .quandles import FiniteQuandle, color_words
-from .structure import TermTable, cancel_search, concrete_families
+from .quandles import FiniteQuandle, automorphisms, color_words
+from .structure import TermTable, cancel_search, concrete_families, relabel_chain
 
 
 class SearchError(ValueError):
@@ -52,9 +52,6 @@ class BudgetExceeded(SearchError):
     def __init__(self, message, probes=0):
         super().__init__(message)
         self.probes = probes
-
-    def __reduce__(self):
-        return (BudgetExceeded, (self.args[0], self.probes))
 
 
 class ProbeBudget:
@@ -89,7 +86,7 @@ class SearchConfig:
     max_length: int = 7
     window: str = "single"  # single | double
     profile: str = "A"  # A | B | C | BC
-    threads: int = 1
+    threads: int = 1  # validated; every search runs in this process
     budget: int = 10**9
     collect_all: bool = False  # keep zero-pairing cycles too (testing aid)
 
@@ -398,7 +395,10 @@ def _single_components(table, size, index, budget):
             results.add(tuple(sorted(family)))
 
     anchors = [t for t in table.terms if t[1] == index]
-    cancel_search(table, size, close, anchors, g_cancel=table.g_cancel[index], budget=budget)
+    cancel_search(
+        table.f, table.f_cancel, size, close, anchors,
+        g=(table.g, table.g_cancel[index]), budget=budget,
+    )
     return sorted(results)
 
 
@@ -453,118 +453,72 @@ def _search_single_degree(cfg, report):
 # two-degree window (profiles B and C)
 
 
-def _top_layers(table, residual, m, suffixes, budget, on_top):
-    """The m-term top layers T1 with f(T1) + residual = 0 and g(T1) = 0
-    that the cancellation search reaches: a cover closed with no term to
-    spare or with one f-null family of size 2 or 3 from `suffixes` appended.
-    Calls on_top(chain) for each; returns how many covers closed with 4 or
-    more terms to spare, which are left unsearched."""
-    uncovered = 0
+def _search_double_window(cfg, report, group=None):
+    """Every cycle over degrees 0 and 1, by one boundary scan, filtered to
+    the window's shape; `group` (default Aut(Q)) is the symmetry the scan is
+    reduced by, the trivial group giving the unreduced scan."""
+    q = cfg.quandle
+    sizes = {"B": (2,), "C": (3,), "BC": (2, 3)}[cfg.profile]
+    group = automorphisms(q) if group is None else group
+    bottom, top = TermTable(q, 0), TermTable(q, 1)
+    # The boundary f + g of each term: f keeps the degree, g raises it by one.
+    images = {t: table.f[t] + table.g[t] for table in (bottom, top) for t in table.terms}
+    cancel = {}
+    for t, faces in images.items():
+        for face, s in faces:
+            cancel.setdefault(face, []).append((t, s))
+    restarts = sorted(images)
+    orbits = {}
+    for t in bottom.terms:
+        rep = min((0, p[t[1]], tuple(p[x] for x in t[2])) for p in group)
+        orbits.setdefault(rep, []).append(t)
+
+    cycles = _Cycles(q, cfg.cocycle, cfg.collect_all)
+    handed = set()  # the window's shape but g(T0) = 0, so T0 and T1 are cycles each
 
     def close(family, _):
-        nonlocal uncovered
-        rest = m - len(family)  # one spare term is never f-null
-        if rest >= 4:
-            uncovered += 1
+        layer = [(s, t) for s, t in family if t[0] == 0]
+        if len(family) < 6 or len(layer) not in sizes or len(layer) == len(family):
             return
-        tops = [family] if rest == 0 else [family + list(s) for s in suffixes.get(rest, ())]
-        for top in tops:
-            chain = _chain_of(top)
-            if length(chain) == m and not table.image(top, table.g):
-                on_top(chain)
+        chain = _chain_of(family)
+        key = _sign_normal_chain(chain)
+        if key in cycles.seen or key in handed:
+            return  # its orbit is in already
+        shape = "degrees 0+1 split %d+%d" % (len(layer), len(family) - len(layer))
+        orbit = [relabel_chain(chain, p) for p in group]
+        if bottom.image(layer, bottom.g):
+            for image in orbit:
+                cycles.add(image, shape)
+        else:
+            handed.update(map(_sign_normal_chain, orbit))
 
-    cancel_search(table, m, close, residual=residual, budget=budget)
-    return uncovered
-
-
-def _double_worker(job):
-    """The two-degree window over one chunk of bottom layers."""
-    q, theta, bases, max_length, limit, collect_all = job
-    table = TermTable(q, 1)
-    suffixes = {r: concrete_families(q, r, degree=1) for r in (2, 3)}
-    budget = ProbeBudget(limit, "two-degree window")
-    cycles = _Cycles(q, theta, collect_all)
-    skipped = uncovered = 0
-    for base_size, base in bases:
-        base_chain = _chain_of(base)
-        gimage = g_map(base_chain, q)
-        if not gimage:
-            skipped += 1
-            continue
-        for l in range(max(6, base_size + 2), max_length + 1):
-            shape = "degrees 0+1 split %d+%d" % (base_size, l - base_size)
-
-            def on_top(top_chain, base_chain=base_chain, shape=shape):
-                cycles.add(base_chain + top_chain, shape)
-
-            uncovered += _top_layers(table, gimage.terms, l - base_size, suffixes, budget, on_top)
-    return cycles.found, cycles.zero, skipped, uncovered, budget.probes
-
-
-def _base_of(fc):
-    """The bottom layer of a two-degree cycle, keyed as the bases are sorted."""
-    base = sorted((c, t) for t, c in fc.chain.terms.items() if t[0] == 0)
-    return (len(base), base)
-
-
-def _search_double_window(cfg, report):
-    q = cfg.quandle
-    base_sizes = {"B": (2,), "C": (3,), "BC": (2, 3)}[cfg.profile]
-    bases = sorted((size, fam) for size in base_sizes for fam in concrete_families(q, size))
-    for base_size in base_sizes:
-        report.component_counts["degree0-base-%d" % base_size] = sum(
-            1 for s, _ in bases if s == base_size
+    # A cycle is met from an anchor in the first orbit its degree-0 terms
+    # reach, moved onto that orbit's least term by an automorphism (McKay's
+    # orbit argument); the earlier orbits' terms are then left out.
+    budget = ProbeBudget(cfg.budget, "two-degree window")
+    for rep in sorted(orbits):
+        cancel_search(
+            images, cancel, cfg.max_length, close, [rep],
+            restarts=restarts, cap=(0, max(sizes)), budget=budget,
         )
+        for t in orbits[rep]:
+            restarts.remove(t)
+            for face, s in images[t]:
+                cancel[face].remove((t, s))
 
-    # Every chunk may spend the whole budget; the run is refused when the
-    # chunks together spend more, so the verdict does not depend on threads.
-    jobs = [
-        (q, cfg.cocycle, bases[i :: cfg.threads], cfg.max_length, cfg.budget, cfg.collect_all)
-        for i in range(cfg.threads)
+    bottoms = " or ".join(map(str, sizes))
+    report.covered += [
+        "every cycle of length 6..%d with degrees exactly {0, 1}, bottom layer size"
+        " |T0| = %s at degree 0 and g(T0) != 0, up to sign" % (cfg.max_length, bottoms),
+        "by one boundary scan over degrees 0..1 with |T0| <= %d, anchored at the %d"
+        " Aut(Q)-orbits of degree-0 terms, each cycle expanded over Aut(Q) (order %d)"
+        % (max(sizes), len(orbits), len(group)),
+        "cycles of that shape with g(T0) = 0, left to the single-degree window: %d"
+        % len(handed),
     ]
-    jobs = [job for job in jobs if job[2]]
-    if len(jobs) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(len(jobs)) as pool:
-            parts = pool.map(_double_worker, jobs)
-    else:
-        parts = [_double_worker(job) for job in jobs]
-    probes = sum(part[4] for part in parts)
-    if probes > cfg.budget:
-        raise BudgetExceeded("two-degree window exceeded the probe budget", probes)
-    # A cycle and its negative come from opposite bases, perhaps in two
-    # chunks; keep the one from the earlier base, as one chunk would.
-    merged = {}
-    for found, _, _, _, _ in parts:
-        for key, fc in found.items():
-            if key not in merged or _base_of(fc) < _base_of(merged[key]):
-                merged[key] = fc
-    zero_keys = set().union(*(part[1] for part in parts))
-    skipped = sum(part[2] for part in parts)
-    uncovered = sum(part[3] for part in parts)
-
-    for base_size in base_sizes:
-        report.covered.append(
-            "bottom layer size %d at degree 0 (all indices, both signs), top layer"
-            " sizes %s at degree 1, top g-image zero enforced"
-            % (
-                base_size,
-                [l - base_size for l in range(max(6, base_size + 2), cfg.max_length + 1)],
-            )
-        )
-    report.covered.append(
-        "bases with vanishing g-image handed to the single-degree window: %d"
-        % skipped
-    )
-    if uncovered:
-        report.gaps.append(
-            "top layer: %d covers of -g(T0) with 4 or more terms to spare"
-            " (f-null remainders of that size are not searched)" % uncovered
-        )
-    report.zero_value_cycles = len(zero_keys)
-    report.probes = probes
-    report.found = sorted(merged.values(), key=lambda fc: fc.key())
+    report.probes = budget.probes
+    report.zero_value_cycles = len(cycles.zero)
+    report.found = sorted(cycles.found.values(), key=lambda fc: fc.key())
 
 
 def search_min_cycles(cfg):

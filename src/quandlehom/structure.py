@@ -21,6 +21,7 @@ indexes, and cancel_search, the one residual-guided cancellation search.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -234,58 +235,78 @@ class TermTable:
         )
 
 
-def cancel_search(table, size, on_close, anchors=(), residual=None, g_cancel=None, budget=None):
-    """Residual-guided cancellation search over a TermTable.
+def cancel_search(
+    images, cancel, size, on_close, anchors=(), *, g=None, restarts=None, cap=None, budget=None
+):
+    """Residual-guided cancellation search over one image table.
 
-    Grows signed families of at most `size` terms.  The f residual is the
-    family's f-image, plus `residual` when given.  While it is nonzero, each
-    step adds a term that cancels the least face of the first nonzero
-    residual, with the sign that moves that coefficient toward zero; no term
-    is added with both signs.  Once the f residual vanishes the search calls
-    on_close(family, g_residual) and backtracks.  It also backtracks when
-    `size` terms are used or a residual needs more than three faces per
-    remaining term.
+    `images[t]` holds the signed faces ((face, sign), ...) of term t and
+    `cancel[face]` the (term, sign) pairs whose image holds the face.  From
+    each anchor taken positive it grows signed families of at most `size`
+    terms: while the residual (the family's image) is nonzero it adds a term
+    cancelling the least face of the first nonzero residual, with the sign
+    that moves it toward zero, never a term with both signs; once it vanishes
+    it calls on_close(family, g_residual).  It backtracks when a residual
+    needs more faces per remaining term than any term of its table has.
 
-    Starts: with `residual`, from the empty family; and from each term t of
-    `anchors` taken positive, where later terms are no smaller than t and t
-    is never negated, so a family is found from its least term, once per
-    global sign.  With `g_cancel` (one index's part of ``table.g_cancel``)
-    the g residual is tracked too and cancelled first; otherwise
-    g_residual is None.  `budget`, when given, spends one probe per state.
+    Later terms are no smaller than the anchor, so a family is found from
+    its least term, once per global sign.  `g` = (images, cancel): the g
+    residual is tracked too and cancelled first (else it is None).
+    `restarts`, sorted terms: any term of `cancel` may follow the anchor, and
+    every closure goes on from each restart term s, either sign, no smaller
+    than the last, with later terms no smaller than s; a cycle through an
+    anchor is the anchor's closed part plus parts met from their least
+    terms.  `cap` = (degree, k): at most k terms of that degree.  `budget`:
+    one probe per state.
     """
-    f_img, g_img, f_cancel = table.f, table.g, table.f_cancel
+    g_img, g_cancel = g or (None, None)
+    bound = _faces_per_term(images)
+    g_bound = g and _faces_per_term(g_img)
+    cap_degree, cap_room = cap or (None, 0)
 
-    def extend(family, fres, gres, anchor):
+    def extend(family, res, gres, lo, room):
         if budget is not None:
             budget.spend()
-        if not fres:
-            on_close(family, gres)
-            return
         rem = size - len(family)
-        if not rem or sum(map(abs, fres.values())) > 3 * rem:
+        if not res:
+            on_close(family, gres)
+            if restarts is None or rem < 2:  # one term never closes
+                return
+            for s in restarts[0 if lo is None else bisect.bisect_left(restarts, lo) :]:
+                for sign in (1, -1):
+                    if (-sign, s) not in family and (s[0] != cap_degree or room):
+                        step(family, res, gres, sign, s, s, room)
             return
-        if gres is not None and sum(map(abs, gres.values())) > 3 * rem:
+        if not rem or sum(map(abs, res.values())) > bound * rem:
             return
-        res, cancel = (gres, g_cancel) if gres else (fres, f_cancel)
-        key = min(res)
-        need = 1 if res[key] > 0 else -1
-        for t, s in cancel.get(key, ()):
+        if gres is not None and sum(map(abs, gres.values())) > g_bound * rem:
+            return
+        key_res, key_cancel = (gres, g_cancel) if gres else (res, cancel)
+        key = min(key_res)
+        need = 1 if key_res[key] > 0 else -1
+        for t, s in key_cancel.get(key, ()):
             sign = -need * s
-            if anchor is not None and (t < anchor or (t == anchor and sign == -1)):
+            if lo is not None and t < lo or (-sign, t) in family:
                 continue
-            if (-sign, t) in family:
-                continue
-            extend(
-                family + [(sign, t)],
-                _accumulate(dict(fres), f_img[t], sign),
-                None if gres is None else _accumulate(dict(gres), g_img[t], sign),
-                anchor,
-            )
+            if t[0] != cap_degree or room:
+                step(family, res, gres, sign, t, lo, room)
 
-    if residual is not None:
-        extend([], dict(residual), None, None)
+    def step(family, res, gres, sign, t, lo, room):
+        extend(
+            family + [(sign, t)],
+            _accumulate(dict(res), images[t], sign),
+            None if gres is None else _accumulate(dict(gres), g_img[t], sign),
+            lo,
+            room - (t[0] == cap_degree),
+        )
+
     for t in anchors:
-        extend([(1, t)], dict(f_img[t]), None if g_cancel is None else dict(g_img[t]), t)
+        step([], {}, None if g is None else {}, 1, t, t if restarts is None else None, cap_room)
+
+
+def _faces_per_term(images):
+    """The most faces, with multiplicity, in the image of one term."""
+    return max(sum(abs(c) for _, c in faces) for faces in images.values())
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +341,7 @@ def _null_families(size):
         if len(family) == size:
             results.add(tuple(sorted((sign, t[2]) for sign, t in family)))
 
-    cancel_search(table, size, close, anchors=table.terms[:2])
+    cancel_search(table.f, table.f_cancel, size, close, anchors=table.terms[:2])
     return sorted(results)
 
 
@@ -620,19 +641,13 @@ def instantiate_template(template, q, signs=(1, -1)):
                 )
 
 
-def concrete_families(q, k, index=None, degree=0):
-    """All distinct minimal f-null families of size k at one degree, at one
-    index or (index None) at every index in turn, instantiated from the
-    symbolic census (k <= MAX_FAMILY_SIZE).
-
-    f never consults the index, so the color families are instantiated once
-    and the index is stamped onto them; each index's block is sorted.
-    """
+def concrete_families(q, k, index):
+    """All distinct minimal f-null families of size k at degree 0 and one
+    index, instantiated from the symbolic census (k <= MAX_FAMILY_SIZE),
+    sorted.  f never consults the index, so it is stamped onto the color
+    families."""
     colored = sorted(
         {fam for template in enumerate_f_connected(k) for fam in instantiate_template(template, q)}
     )
-    out = []
-    for u in range(q.size) if index is None else (index,):
-        stamp = {w: (degree, u, w) for w in color_words(q.size, 3)}
-        out.extend(tuple((sign, stamp[w]) for sign, w in fam) for fam in colored)
-    return out
+    stamp = {w: (0, index, w) for w in color_words(q.size, 3)}
+    return [tuple((sign, stamp[w]) for sign, w in fam) for fam in colored]

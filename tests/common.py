@@ -97,7 +97,7 @@ def random_chain(rng, q, arity, graded=True, nterms=6, degree_span=3, coeff_span
 
 
 @functools.lru_cache(maxsize=None)
-def cached_search(quandle, max_length, window="single", profile="A"):
+def cached_search(quandle, max_length, window="single", profile="A", collect_all=False):
     """The report of one search, run once per test session: quandle "o6"
     pairs with eta, "r7" with the mod-7 cocycle.  Callers must not modify
     the report."""
@@ -106,5 +106,7 @@ def cached_search(quandle, max_length, window="single", profile="A"):
         "r7": (make_dihedral(7), mochizuki(7)),
     }[quandle]
     return search_min_cycles(
-        SearchConfig(q, theta, max_length=max_length, window=window, profile=profile)
+        SearchConfig(
+            q, theta, max_length=max_length, window=window, profile=profile, collect_all=collect_all
+        )
     )

@@ -7,6 +7,7 @@ from quandlehom.quandles import (
     FiniteQuandle,
     QuandleError,
     _is_degenerate,
+    automorphisms,
     check_axioms,
     check_isomorphism,
     dual,
@@ -16,6 +17,7 @@ from quandlehom.quandles import (
     make_octahedral,
     quandle_from_file,
     quandle_to_text,
+    resolve_quandle,
     triple_action_table,
 )
 
@@ -147,6 +149,21 @@ def test_inner_subgroup_orbit_hits_rotated_triple():
 
 def test_inner_group_of_o6_is_the_rotation_group():
     assert len(inner_group(make_octahedral())) == 24
+
+
+@pytest.mark.parametrize(
+    "spec, order", [("o6", 24), ("r7", 42), ("dihedral:11", 110)]
+)
+def test_automorphisms(spec, order):
+    q = resolve_quandle(spec)
+    group = automorphisms(q)
+    assert len(group) == len(set(group)) == order
+    assert tuple(range(q.size)) in group
+    for p in group:
+        assert sorted(p) == list(range(q.size))
+        assert all(
+            p[q.table[a][b]] == q.table[p[a]][p[b]] for a in range(q.size) for b in range(q.size)
+        )
 
 
 def test_triple_action_table_shape_and_group_sizes():

@@ -5,11 +5,11 @@ import pytest
 from quandlehom.chains import Chain, boundary, degree_bucket, degrees, length, sigma_shift
 from quandlehom.cocycles import eta_octahedral, evaluate, mochizuki
 from quandlehom.kernels import named_cycle
-from quandlehom.quandles import make_dihedral, make_octahedral
+from quandlehom.quandles import make_dihedral, make_octahedral, resolve_quandle
 from quandlehom.search import (
+    _search_double_window,
     _DIGIT_BITS,
     MAX_SEARCH_LENGTH,
-    ProbeBudget,
     SearchConfig,
     SearchError,
     SearchReport,
@@ -17,7 +17,6 @@ from quandlehom.search import (
     _g_codes,
     _partitions_into_parts,
     _sign_normal_chain,
-    _top_layers,
     direct_single_degree_scan,
     search_min_cycles,
 )
@@ -107,9 +106,9 @@ def _digest(report):
 
 
 # The certificate digests below pin the census, the join, the size-6
-# component search (its probes are in the certificate) and the top layer.
-# A change that alters probe counts or coverage text must update them and
-# say why.
+# component search (its probes are in the certificate) and the two-degree
+# boundary scan.  A change that alters probe counts or coverage text must
+# update them and say why.
 
 
 def test_o6_single_degree_clean_below_seven():
@@ -148,7 +147,7 @@ def test_o6_double_window_clean_at_six():
     rep = cached_search("o6", 6, "double", "B")
     assert rep.exhausted
     assert rep.zero_value_cycles == 480
-    assert _digest(rep) == "e7cc489d377c966d149a5c9e0f3877fd197bc8aa1d1d62b067cfa0830a3363c2"
+    assert _digest(rep) == "c5ac2a3823ce36498763fea1ee1913b9b19d9d6ca0080d4a6d943a4f7a5a6ed4"
 
 
 # Single-window certificates at L = 2..5.  A family size s with 2s > L is
@@ -172,53 +171,76 @@ def test_single_degree_certificates_at_the_lookup_edges(quandle, max_length, dig
 
 
 def test_double_window_threads_agree():
-    serial = cached_search("o6", 6, "double", "B")
-    parallel = search_min_cycles(
-        SearchConfig(O6, ETA, max_length=6, window="double", profile="B", threads=2)
-    )
-    assert [f.key() for f in serial.found] == [f.key() for f in parallel.found]
-    assert serial.zero_value_cycles == parallel.zero_value_cycles
-    # The budget bounds the probes of the whole run, whatever the number of
-    # worker processes: P probes complete and P - 1 are refused, for k = 1, 2.
-    total = search_min_cycles(SearchConfig(O6, ETA, max_length=6, window="double", profile="BC"))
-    assert total.refused is None
-    for budget in (total.probes, total.probes - 1):
-        reports = [
-            search_min_cycles(
-                SearchConfig(
-                    O6, ETA, max_length=6, window="double", profile="BC",
-                    threads=k, budget=budget,
-                )
-            )
-            for k in (1, 2)
-        ]
-        outcomes = {
-            (rep.refused is None, tuple(f.key() for f in rep.found), rep.zero_value_cycles, rep.probes)
-            for rep in reports
-        }
-        assert len(outcomes) == 1, outcomes
-        assert reports[0].refused is None if budget == total.probes else reports[0].refused
-    # A cycle and its negative come from opposite bases, which two workers
-    # may hold; the certificate keeps the same sign either way.
-    parallel = search_min_cycles(
-        SearchConfig(O6, ETA, max_length=7, window="double", profile="B", threads=2)
-    )
-    assert parallel.certificate_text() == cached_search("o6", 7, "double", "B").certificate_text()
+    # --threads is validated but selects nothing: one scan runs in this process.
+    cert = cached_search("o6", 6, "double", "B").certificate_text()
+    for threads in (2, 4):
+        rep = search_min_cycles(
+            SearchConfig(O6, ETA, max_length=6, window="double", profile="B", threads=threads)
+        )
+        assert rep.certificate_text() == cert
+    # The budget bounds the probes of the whole run: P complete, P - 1 are refused.
+    total = cached_search("o6", 6, "double", "B").probes
+    for budget, refused in ((total, False), (total - 1, True)):
+        rep = search_min_cycles(
+            SearchConfig(O6, ETA, max_length=6, window="double", profile="B", budget=budget)
+        )
+        assert bool(rep.refused) == refused
+        assert ("after %d probes" % total in rep.refused) if refused else rep.probes == total
 
 
-def test_top_layer_counts_covers_with_four_terms_to_spare():
-    # A target that one term covers exactly.  In a five-term top layer that
-    # cover leaves four terms to spare, which the top layer does not search:
-    # it must be counted, not dropped.  In a three-term layer the two spare
-    # terms are an appended null family (none are offered here).
-    table = TermTable(O6, 1)
-    term = (1, 2, (0, 1, 3))
-    residual = {face: -s for face, s in table.f[term]}
-    tops = []
-    budget = ProbeBudget(10**6, "top layer")
-    assert _top_layers(table, residual, 5, {}, budget, tops.append) == 1
-    assert _top_layers(table, residual, 3, {}, budget, tops.append) == 0
-    assert tops == []
+def _key_set_digest(rep, theta):
+    """The sha256 of the sorted (key, value) list of a collect_all report: each
+    cycle in its sign-normal form, paired with the cocycle in that form."""
+    pairs = sorted(
+        (key, evaluate(theta, Chain(3, True, dict(key))))
+        for key in (_sign_normal_chain(fc.chain) for fc in rep.found)
+    )
+    return hashlib.sha256(repr(pairs).encode()).hexdigest()
+
+
+# The collect_all key sets of the two-degree window, pinned from the engine
+# it replaced (a top-layer cancellation search per 2- or 3-term bottom layer,
+# with null families appended): the boundary scan must list the same cycles.
+@pytest.mark.parametrize(
+    "quandle, max_length, profile, cycles, digest",
+    [
+        ("o6", 6, "B", 480, "aab8eef135595ba1fa1f43d2234f3d53e4a2711155daaacf0bfc9dfe410a69fc"),
+        ("o6", 7, "BC", 3504, "bb7183aaa6a9470569522d732fe07ebd61269ef29930952b3c068e520fcfb218"),
+        ("r7", 7, "BC", 3234, "754c1b681cb67c8aeabaf31087fa7b2fc51caace0e005d7899b5e6fe8a3794e5"),
+    ],
+)
+def test_double_window_key_sets_match_the_top_layer_engine(quandle, max_length, profile, cycles, digest):
+    rep = cached_search(quandle, max_length, "double", profile, collect_all=True)
+    theta = ETA if quandle == "o6" else ZETA
+    assert len(rep.found) == cycles
+    assert _key_set_digest(rep, theta) == digest
+
+
+def test_double_window_scan_is_the_same_under_the_trivial_group():
+    # The scan reduced by Aut(Q) against the unreduced scan, on a third quandle.
+    q = resolve_quandle("dihedral:5")
+    keys = []
+    for group in (None, [tuple(range(q.size))]):
+        cfg = SearchConfig(q, mochizuki(5), max_length=6, window="double", profile="BC", collect_all=True)
+        rep = SearchReport("R5", "zeta5", 5, "double", "BC", 6)
+        _search_double_window(cfg, rep, group)
+        keys.append({_sign_normal_chain(fc.chain) for fc in rep.found})
+    assert keys[0] == keys[1]
+    assert len(keys[0]) == 300
+
+
+def test_o6_double_window_has_no_gap_at_eight():
+    # The top-layer engine left covers with four terms to spare unsearched at
+    # L = 8, a gap; the scan has none, and finds the (2,6) and (3,5) cycles too.
+    rep = cached_search("o6", 8, "double", "BC")
+    assert not rep.gaps and rep.refused is None
+    assert "gap" not in rep.certificate_text()
+    split = {}
+    for fc in rep.found:
+        layers = tuple(length(degree_bucket(fc.chain, d)) for d in (0, 1))
+        split[layers] = split.get(layers, 0) + 1
+        assert not boundary(fc.chain, O6) and fc.value
+    assert split == {(2, 5): 48, (2, 6): 192, (3, 5): 96}
 
 
 def test_report_with_gap_is_not_exhausted():
