@@ -38,9 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chains import Chain, boundary, chain_to_text, f_map, g_map, length
+from .chains import Chain, boundary, chain_to_text, length
 from .cocycles import ThreeCocycle, evaluate
-from .quandles import FiniteQuandle, automorphisms, color_words
+from .quandles import FiniteQuandle, automorphisms
 from .structure import TermTable, cancel_search, concrete_families, relabel_chain
 
 
@@ -99,6 +99,8 @@ class SearchConfig:
             raise SearchError("the single-degree window is profile A")
         if self.window == "double" and self.profile not in ("B", "C", "BC"):
             raise SearchError("two-degree windows use profile B, C or BC")
+        if self.window == "double" and self.max_length < 6:
+            raise SearchError("the two-degree window needs max_length 6 or more")
         if self.threads < 1:
             raise SearchError("threads must be positive")
         if self.budget < 1:
@@ -453,13 +455,12 @@ def _search_single_degree(cfg, report):
 # two-degree window (profiles B and C)
 
 
-def _search_double_window(cfg, report, group=None):
-    """Every cycle over degrees 0 and 1, by one boundary scan, filtered to
-    the window's shape; `group` (default Aut(Q)) is the symmetry the scan is
-    reduced by, the trivial group giving the unreduced scan."""
+def _search_double_window(cfg, report):
+    """Every cycle over degrees 0 and 1, by one boundary scan reduced by
+    Aut(Q), filtered to the window's shape."""
     q = cfg.quandle
     sizes = {"B": (2,), "C": (3,), "BC": (2, 3)}[cfg.profile]
-    group = automorphisms(q) if group is None else group
+    group = automorphisms(q)
     bottom, top = TermTable(q, 0), TermTable(q, 1)
     # The boundary f + g of each term: f keeps the degree, g raises it by one.
     images = {t: table.f[t] + table.g[t] for table in (bottom, top) for t in table.terms}
@@ -543,78 +544,3 @@ def search_min_cycles(cfg):
         report.found = []
     return report
 
-
-# ---------------------------------------------------------------------------
-# independent small-length scan (cross-check for the join machinery)
-
-
-def direct_single_degree_scan(q, max_len):
-    """Every single-degree cycle of length <= max_len, by a joint-residual
-    scan over all indices with restarts at closed sub-cycles.  Exponential;
-    intended for small lengths as an independent check of the join search."""
-    terms = [(0, u, word) for u in range(q.size) for word in color_words(q.size, 3)]
-    f_img = {}
-    g_img = {}
-    f_cancel = {}
-    g_cancel = {}
-    for t in terms:
-        f_img[t] = tuple(f_map(Chain(3, True, {t: 1})).terms.items())
-        g_img[t] = tuple(g_map(Chain(3, True, {t: 1}), q).terms.items())
-        for key, s in f_img[t]:
-            f_cancel.setdefault(key, []).append((t, s))
-        for key, s in g_img[t]:
-            g_cancel.setdefault(key, []).append((t, s))
-
-    results = set()
-
-    def note(family):
-        chain = _chain_of(family)
-        if length(chain) == len(family):
-            results.add(_sign_normal_chain(chain))
-
-    def extend(family, fres, gres, anchor):
-        depth = len(family)
-        if not fres and not gres and depth >= 2:
-            note(family)
-        if depth == max_len:
-            return
-        rem = max_len - depth
-        if fres and sum(map(abs, fres.values())) > 3 * rem:
-            return
-        if gres and sum(map(abs, gres.values())) > 3 * rem:
-            return
-        if fres:
-            key = min(fres)
-            need = 1 if fres[key] > 0 else -1
-            choices = [(-need * s, t) for t, s in f_cancel.get(key, ())]
-        elif gres:
-            key = min(gres)
-            need = 1 if gres[key] > 0 else -1
-            choices = [(-need * s, t) for t, s in g_cancel.get(key, ())]
-        else:
-            # residuals closed: start another component at or above the anchor
-            choices = [(1, t) for t in terms] + [(-1, t) for t in terms]
-        for sign, t in choices:
-            if t < anchor or (t == anchor and sign == -1):
-                continue
-            if (-sign, t) in family:
-                continue
-            nf = dict(fres)
-            for k2, s2 in f_img[t]:
-                v = nf.get(k2, 0) + sign * s2
-                if v:
-                    nf[k2] = v
-                else:
-                    nf.pop(k2, None)
-            ng = dict(gres)
-            for k2, s2 in g_img[t]:
-                v = ng.get(k2, 0) + sign * s2
-                if v:
-                    ng[k2] = v
-                else:
-                    ng.pop(k2, None)
-            extend(family + [(sign, t)], nf, ng, anchor)
-
-    for t in terms:
-        extend([(1, t)], dict(f_img[t]), dict(g_img[t]), t)
-    return results

@@ -1,7 +1,9 @@
 """Shared transcription fixtures used as independent oracles across tests,
-and one cached search report per configuration."""
+a cycle-scan oracle written from the quandle table alone, and one cached
+search report per configuration."""
 
 import functools
+import itertools
 
 from quandlehom.chains import Chain
 from quandlehom.cocycles import eta_octahedral, mochizuki
@@ -110,3 +112,120 @@ def cached_search(quandle, max_length, window="single", profile="A", collect_all
             q, theta, max_length=max_length, window=window, profile=profile, collect_all=collect_all
         )
     )
+
+
+# Oracles written from the definitions over q.table alone: they call no
+# quandlehom function (no chains.boundary, f_map, g_map, automorphisms or
+# cancel_search).  A chain is a dict {(degree, index, colors): coeff} over the
+# coefficient set Z x X, on which a color a acts by (n, u)^a = (n + 1, u^a).
+
+
+def _nondegenerate(colors):
+    return all(x != y for x, y in zip(colors, colors[1:]))
+
+
+def _oracle_boundary(terms, table):
+    """Sum over positions i = 1..m of (-1)^i times the term with a_i deleted,
+    minus (-1)^i times the term acted on by a_i: the index and the colors
+    left of i go to x^{a_i}, the degree goes up by one.  Faces with two equal
+    adjacent colors are dropped."""
+    out = {}
+    for (n, u, colors), coeff in terms.items():
+        for i, a in enumerate(colors):
+            sign = -1 if i % 2 == 0 else 1
+            deleted = colors[:i] + colors[i + 1 :]
+            acted = tuple(table[x][a] for x in colors[:i]) + colors[i + 1 :]
+            for t, s in (((n, u, deleted), sign), ((n + 1, table[u][a], acted), -sign)):
+                if _nondegenerate(t[2]):
+                    out[t] = out.get(t, 0) + s * coeff
+    return {t: c for t, c in out.items() if c}
+
+
+def oracle_automorphisms(table):
+    """Aut(Q) by brute force over S_n."""
+    n = len(table)
+    return [
+        p
+        for p in itertools.permutations(range(n))
+        if all(p[table[a][b]] == table[p[a]][p[b]] for a in range(n) for b in range(n))
+    ]
+
+
+def _act(p, term):
+    n, u, colors = term
+    return n, p[u], tuple(p[x] for x in colors)
+
+
+def _sign_normal(family):
+    """A cycle up to global sign, as search._sign_normal_chain keys it."""
+    items = tuple(sorted(family.items()))
+    neg = tuple((t, -c) for t, c in items)
+    return min(items, neg)
+
+
+def oracle_cycles(table, max_length, top=0, group=None, cap=None):
+    """Sign-normal keys of every cycle of length (sum of |coeff|) at most
+    max_length over the 3-terms of degrees 0..top that has a degree-0 term
+    and, when `cap` is set, at most `cap` of them; closed under `group`
+    (default Aut(Q)).
+
+    One anchor per group orbit of degree-0 terms, its least term, with the
+    terms of earlier orbits left out: a cycle is moved onto the anchor of
+    the first orbit it meets.  Each step cancels the least face of the
+    residual, pruned once it holds more faces than the remaining terms can
+    (6 per term).  After each closure the scan goes on from a restart term
+    no smaller than the last one, and every later term is no smaller than
+    its restart term, so a cycle is met as its closed part through the
+    anchor plus parts met from their least terms.  Every closure is then
+    expanded over the group."""
+    n = len(table)
+    group = oracle_automorphisms(table) if group is None else group
+    words = [w for w in itertools.product(range(n), repeat=3) if _nondegenerate(w)]
+    terms = [(d, u, w) for d in range(top + 1) for u in range(n) for w in words]
+    images = {t: _oracle_boundary({t: 1}, table) for t in terms}
+    bound = max(sum(map(abs, image.values())) for image in images.values())
+    cancel = {}
+    for t in terms:
+        for face, s in images[t].items():
+            cancel.setdefault(face, []).append((t, s))
+    orbits = {}
+    for t in terms:
+        if t[0] == 0:
+            orbits.setdefault(min(_act(p, t) for p in group), []).append(t)
+    closures, excluded = set(), set()
+
+    def extend(family, res, size, bottom, floor):
+        if not res:
+            closures.add(_sign_normal(family))
+            if size + 2 > max_length:  # one more term never closes
+                return
+            steps = [(sign, s, s) for s in terms if floor is None or s >= floor for sign in (1, -1)]
+        elif sum(map(abs, res.values())) > bound * (max_length - size):
+            return
+        else:
+            face = min(res)
+            need = 1 if res[face] > 0 else -1
+            steps = [(-need * s, t, floor) for t, s in cancel[face] if floor is None or t >= floor]
+        for sign, t, low in steps:
+            if t in excluded or family.get(t, 0) * sign < 0:
+                continue
+            if cap is not None and t[0] == 0 and bottom == cap:
+                continue
+            grown = dict(family)
+            grown[t] = grown.get(t, 0) + sign
+            moved = dict(res)
+            for face, s in images[t].items():
+                moved[face] = moved.get(face, 0) + sign * s
+                if not moved[face]:
+                    del moved[face]
+            extend(grown, moved, size + 1, bottom + (t[0] == 0), low)
+
+    for anchor in sorted(orbits):
+        extend({anchor: 1}, dict(images[anchor]), 1, 1, None)
+        excluded.update(orbits[anchor])
+
+    out = set()
+    for key in closures:
+        if key not in out:
+            out.update(_sign_normal({_act(p, t): c for t, c in key}) for p in group)
+    return out

@@ -62,7 +62,7 @@ from quandlehom.search import _sign_normal_chain
 from quandlehom.structure import canonical_family, enumerate_f_connected, reflection, reverse
 from quandlehom.tables import index_pattern_rows
 
-from common import ETA7_TERMS, cached_search, random_chain
+from common import ETA7_TERMS, _nondegenerate, _oracle_boundary, cached_search, random_chain
 
 FIX = "fixtures"
 
@@ -288,30 +288,8 @@ def test_criterion_11_searches_attainable_clauses():
 
 
 # Oracles for criterion 11b, written from the definitions over q.table alone
-# (no chains.boundary, f_map or g_map).  A chain is a dict
-# {(degree, index, colors): coeff} over the coefficient set Z x X, on which
-# a color a acts by (n, u)^a = (n + 1, u^a).
-
-
-def _nondegenerate(colors):
-    return all(x != y for x, y in zip(colors, colors[1:]))
-
-
-def _oracle_boundary(terms, table):
-    """Sum over positions i = 1..m of (-1)^i times the term with a_i deleted,
-    minus (-1)^i times the term acted on by a_i: the index and the colors
-    left of i go to x^{a_i}, the degree goes up by one.  Faces with two equal
-    adjacent colors are dropped."""
-    out = {}
-    for (n, u, colors), coeff in terms.items():
-        for i, a in enumerate(colors):
-            sign = -1 if i % 2 == 0 else 1
-            deleted = colors[:i] + colors[i + 1 :]
-            acted = tuple(table[x][a] for x in colors[:i]) + colors[i + 1 :]
-            for t, s in (((n, u, deleted), sign), ((n + 1, table[u][a], acted), -sign)):
-                if _nondegenerate(t[2]):
-                    out[t] = out.get(t, 0) + s * coeff
-    return {t: c for t, c in out.items() if c}
+# (no chains.boundary, f_map or g_map); the boundary is the shared one in
+# tests/common.py.
 
 
 def _project_mod(terms, p):

@@ -164,6 +164,11 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "weight", "--cocycle", "eta", "no-such-file.tp")
     assert code == 2
+    code, out, err = run(
+        capsys, "search", "--quandle", "o6", "--cocycle", "eta", "--max-length", "5",
+        "--window", "double", "--profile", "BC",
+    )
+    assert code == 2 and not out and "max_length 6" in err  # the window starts at length 6
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2

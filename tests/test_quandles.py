@@ -21,6 +21,8 @@ from quandlehom.quandles import (
     triple_action_table,
 )
 
+from common import oracle_automorphisms
+
 
 def test_dihedral_formula():
     q = make_dihedral(7)
@@ -164,6 +166,8 @@ def test_automorphisms(spec, order):
         assert all(
             p[q.table[a][b]] == q.table[p[a]][p[b]] for a in range(q.size) for b in range(q.size)
         )
+    if q.size <= 7:  # against brute force over S_n
+        assert group == oracle_automorphisms(q.table)
 
 
 def test_triple_action_table_shape_and_group_sizes():

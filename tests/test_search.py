@@ -7,7 +7,6 @@ from quandlehom.cocycles import eta_octahedral, evaluate, mochizuki
 from quandlehom.kernels import named_cycle
 from quandlehom.quandles import make_dihedral, make_octahedral, resolve_quandle
 from quandlehom.search import (
-    _search_double_window,
     _DIGIT_BITS,
     MAX_SEARCH_LENGTH,
     SearchConfig,
@@ -17,12 +16,11 @@ from quandlehom.search import (
     _g_codes,
     _partitions_into_parts,
     _sign_normal_chain,
-    direct_single_degree_scan,
     search_min_cycles,
 )
 from quandlehom.structure import TermTable, reverse_o6
 
-from common import cached_search
+from common import ETA7_TERMS, _oracle_boundary, _sign_normal, cached_search, oracle_cycles
 
 O6 = make_octahedral()
 R7 = make_dihedral(7)
@@ -46,34 +44,74 @@ def test_config_validation():
         search_min_cycles(SearchConfig(O6, ETA, window="single", profile="B"))
     with pytest.raises(SearchError):
         search_min_cycles(SearchConfig(O6, ETA, window="double", profile="A"))
+    with pytest.raises(SearchError):  # the window holds lengths 6 and up only
+        search_min_cycles(SearchConfig(O6, ETA, max_length=5, window="double", profile="BC"))
+
+
+# The join against oracle_cycles (tests/common.py), a scan written from the
+# quandle table alone: equal key sets, not just equal counts.
+
+
+def _join_keys(q, theta, max_length):
+    rep = search_min_cycles(SearchConfig(q, theta, max_length=max_length, collect_all=True))
+    return {_sign_normal_chain(fc.chain) for fc in rep.found}
 
 
 def test_join_matches_direct_scan_small():
-    rep = search_min_cycles(SearchConfig(O6, ETA, max_length=5, window="single", collect_all=True))
-    join_keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
-    direct = direct_single_degree_scan(O6, 5)
-    assert join_keys == direct
-    assert len(direct) == 120
+    oracle = oracle_cycles(O6.table, 5)
+    assert _join_keys(O6, ETA, 5) == oracle
+    assert len(oracle) == 120
 
 
 def test_join_matches_direct_scan_at_six():
     # At length 6 the sizes 4 and 5 are only ever the largest part, looked
     # up through their projected codes, under [4], [5] and [4, 2].
-    rep = search_min_cycles(SearchConfig(O6, ETA, max_length=6, window="single", collect_all=True))
-    join_keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
-    direct = direct_single_degree_scan(O6, 6)
-    assert join_keys == direct
-    assert len(direct) == 1010
+    oracle = oracle_cycles(O6.table, 6)
+    assert _join_keys(O6, ETA, 6) == oracle
+    assert len(oracle) == 1010
 
 
 def test_join_matches_direct_scan_on_r3():
     # A second quandle with single-degree cycles below length 8 (R7 has none).
     r3 = make_dihedral(3)
-    rep = search_min_cycles(SearchConfig(r3, mochizuki(3), max_length=7, collect_all=True))
-    join_keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
-    direct = direct_single_degree_scan(r3, 7)
-    assert join_keys == direct
-    assert len(direct) == 18
+    oracle = oracle_cycles(r3.table, 7)
+    assert _join_keys(r3, mochizuki(3), 7) == oracle
+    assert len(oracle) == 18
+
+
+def test_join_matches_the_oracle_at_seven():
+    # The headline length: every single-degree cycle of O6 up to length 7,
+    # of which eta pairs nonzero with 96, the transcribed eta7 among them.
+    oracle = oracle_cycles(O6.table, 7)
+    assert _join_keys(O6, ETA, 7) == oracle
+    assert len(oracle) == 2258
+    nonzero = {key for key in oracle if sum(c * ETA.value(*t[2]) for t, c in key) % ETA.modulus}
+    assert len(nonzero) == 96
+    assert _sign_normal({t: c for c, t in ETA7_TERMS}) in nonzero
+
+
+def _oracle_window(keys, table, sizes, max_length):
+    """The two-degree window among oracle keys: degrees exactly {0, 1}, a
+    bottom layer T0 of `sizes` terms with g(T0) != 0 (the degree-1 part of
+    its boundary), length 6..max_length."""
+    kept = set()
+    for key in keys:
+        bottom = {t: c for t, c in key if t[0] == 0}
+        if (
+            {t[0] for t, _ in key} == {0, 1}
+            and sum(map(abs, bottom.values())) in sizes
+            and 6 <= sum(abs(c) for _, c in key) <= max_length
+            and any(face[0] == 1 for face in _oracle_boundary(bottom, table))
+        ):
+            kept.add(key)
+    return kept
+
+
+def test_double_window_matches_the_oracle_at_six():
+    rep = cached_search("o6", 6, "double", "B", collect_all=True)
+    oracle = _oracle_window(oracle_cycles(O6.table, 6, top=1, cap=2), O6.table, (2,), 6)
+    assert {_sign_normal_chain(fc.chain) for fc in rep.found} == oracle
+    assert len(oracle) == 480
 
 
 @pytest.mark.parametrize("q", [O6, R7], ids=["o6", "r7"])
@@ -217,16 +255,17 @@ def test_double_window_key_sets_match_the_top_layer_engine(quandle, max_length, 
 
 
 def test_double_window_scan_is_the_same_under_the_trivial_group():
-    # The scan reduced by Aut(Q) against the unreduced scan, on a third quandle.
+    # The library's window on a third quandle against the oracle's, reduced
+    # by Aut(Q) and unreduced.
     q = resolve_quandle("dihedral:5")
-    keys = []
+    rep = search_min_cycles(
+        SearchConfig(q, mochizuki(5), max_length=6, window="double", profile="BC", collect_all=True)
+    )
+    keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
+    assert len(keys) == 300
     for group in (None, [tuple(range(q.size))]):
-        cfg = SearchConfig(q, mochizuki(5), max_length=6, window="double", profile="BC", collect_all=True)
-        rep = SearchReport("R5", "zeta5", 5, "double", "BC", 6)
-        _search_double_window(cfg, rep, group)
-        keys.append({_sign_normal_chain(fc.chain) for fc in rep.found})
-    assert keys[0] == keys[1]
-    assert len(keys[0]) == 300
+        oracle = oracle_cycles(q.table, 6, top=1, group=group, cap=3)
+        assert _oracle_window(oracle, q.table, (2, 3), 6) == keys
 
 
 def test_o6_double_window_has_no_gap_at_eight():
