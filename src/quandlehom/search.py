@@ -18,8 +18,8 @@ that also derives the family census:
   lands in it; all of them are when the size is listed as a smaller part,
   which only a size s with 2s <= max_length ever is.  A cycle consisting of
   one larger family (sizes 6 up; a smaller cofactor is impossible below
-  length 9) is found by the cancellation search at each index, g residual
-  first.
+  length 9) is found by the cancellation search, g residual first, at the
+  least index of each Aut(Q)-orbit, and expanded over Aut(Q).
 
 * two adjacent degrees: one boundary scan lists every cycle over degrees 0
   and 1 with at most 2 (profile B) or 3 terms at degree 0: cancel_search on
@@ -284,9 +284,10 @@ class _FamilyIndex:
 
     The index enters a g-face only as the face's own index, so the projected
     code of a color family (``pcode``: its g-faces with the index dropped) is
-    the same at every index it is stamped at.  The color families are
-    bucketed by that code once; a bucket is stamped at every index and keyed
-    by g-code (``gcode``) the first time a lookup lands in it.  families()
+    the same at every index it is stamped at.  The census color families,
+    (sign, color word) tuples from concrete_families, are bucketed by that
+    code once; a bucket is stamped at every index and keyed by g-code
+    (``gcode``) the first time a lookup lands in it.  families()
     stamps every bucket and lists them all, for the sizes that are prefix
     parts of a join.
     """
@@ -295,9 +296,9 @@ class _FamilyIndex:
         self.gcode, self.indices = gcode, range(q.size)
         self.terms = {t[1:]: t for t in table.terms}  # (index, word) -> shared term
         self.buckets = {}
-        colored = concrete_families(q, size, index=0)
+        colored = concrete_families(q, size)
         for fam in colored:
-            key = sum(sign * pcode[w] for sign, (_, _, w) in fam)
+            key = sum(sign * pcode[w] for sign, w in fam)
             self.buckets.setdefault(key, []).append(fam)
         self.count = q.size * len(colored)
         self.stamped = {}  # projected code -> {g-code: sorted families}
@@ -310,7 +311,7 @@ class _FamilyIndex:
             by_gcode = self.stamped[pkey] = {}
             for fam in self.buckets[pkey]:
                 for u in self.indices:
-                    stamped = tuple((sign, self.terms[u, w]) for sign, (_, _, w) in fam)
+                    stamped = tuple((sign, self.terms[u, w]) for sign, w in fam)
                     key = sum(sign * self.gcode[t] for sign, t in stamped)
                     by_gcode.setdefault(key, []).append(stamped)
             for fams in by_gcode.values():
@@ -388,8 +389,9 @@ def _join_partition(partition, index, budget, on_cycle):
 
 def _single_components(table, size, index, budget):
     """Minimal f-null families at one index that are also g-null: the single
-    components that alone form a one-degree cycle.  The family anchor is its
-    least term, taken positive."""
+    components that alone form a one-degree cycle, as sorted tuples.  The
+    family anchor is its least term, taken positive.  The search runs it
+    once per Aut(Q)-orbit of indices, through _orbit_components."""
     results = set()
 
     def close(family, gres):
@@ -402,6 +404,21 @@ def _single_components(table, size, index, budget):
         g=(table.g, table.g_cancel[index]), budget=budget,
     )
     return sorted(results)
+
+
+def _orbit_components(table, size, group, budget):
+    """_single_components at every index, from one scan per Aut(Q)-orbit of
+    indices: f and g commute with automorphisms, so the families at index
+    p(u) are p of those at u.  Each image is put back in the scan's form,
+    least term positive; returns the distinct families, sorted."""
+    hits = set()
+    for u in sorted({min(p[v] for p in group) for v in range(len(group[0]))}):
+        for fam in _single_components(table, size, u, budget):
+            for p in group:
+                image = [(s, (d, p[v], tuple([p[x] for x in w]))) for s, (d, v, w) in fam]
+                flip = min((t, s) for s, t in image)[1]
+                hits.add(tuple(sorted([(flip * s, t) for s, t in image])))
+    return sorted(hits)
 
 
 def _search_single_degree(cfg, report):
@@ -434,13 +451,12 @@ def _search_single_degree(cfg, report):
     # other part needs length >= 6 + 2 > 7, so below length 8 this closes
     # the census.  At length 8 the split 6+2 is left open: a gap.
     budget.phase = "component search"
+    group = automorphisms(q)
     for size in range(JOIN_PART_MAX + 1, cfg.max_length + 1):
-        count = 0
-        for u in range(q.size):
-            for fam in _single_components(table, size, u, budget):
-                count += 1
-                cycles.add(_chain_of(fam), "degree0 single family of %d" % size)
-        report.covered.append("length %d as one family (index scan, %d hits)" % (size, count))
+        hits = _orbit_components(table, size, group, budget)
+        for fam in hits:
+            cycles.add(_chain_of(fam), "degree0 single family of %d" % size)
+        report.covered.append("length %d as one family (index scan, %d hits)" % (size, len(hits)))
     if cfg.max_length >= JOIN_PART_MAX + 3:
         report.gaps.append(
             "length %d split 6+2 (outside the certified window)" % cfg.max_length

@@ -620,34 +620,27 @@ def enumerate_f_connected(k):
 # concrete instantiation over a quandle
 
 
-def instantiate_template(template, q, signs=(1, -1)):
+def instantiate_template(template, q):
     """Yield concrete minimal f-null color families over q as sorted tuples
-    of (sign, colors), one per admissible assignment, bigon shape and global
-    sign.
+    of (sign, color word): per admissible assignment and bigon shape, the
+    family and its negative.  Families share one pair per sign and word.
 
     Instances may repeat when the pattern has internal symmetry; callers that
     need each family once should deduplicate on the yielded tuple.
     """
+    pairs = {(s, w): (s, w) for w in color_words(q.size, 3) for s in (1, -1)}
     for variant in template.variants:
         reps = sorted({min(b) for b in variant.merge})
         for images in itertools.permutations(range(q.size), len(reps)):
             assign = dict(zip(reps, images))
-            for gsign in signs:
-                yield tuple(
-                    sorted(
-                        (gsign * sign, tuple(assign[x] for x in colors))
-                        for sign, colors in variant.entries
-                    )
-                )
+            family = [pairs[s, tuple([assign[x] for x in colors])] for s, colors in variant.entries]
+            yield tuple(sorted(family))
+            yield tuple(sorted([pairs[-s, w] for s, w in family]))
 
 
-def concrete_families(q, k, index):
-    """All distinct minimal f-null families of size k at degree 0 and one
-    index, instantiated from the symbolic census (k <= MAX_FAMILY_SIZE),
-    sorted.  f never consults the index, so it is stamped onto the color
-    families."""
-    colored = sorted(
-        {fam for template in enumerate_f_connected(k) for fam in instantiate_template(template, q)}
-    )
-    stamp = {w: (0, index, w) for w in color_words(q.size, 3)}
-    return [tuple((sign, stamp[w]) for sign, w in fam) for fam in colored]
+def concrete_families(q, k):
+    """The set of distinct minimal f-null color families of size k over q,
+    instantiated from the symbolic census (k <= MAX_FAMILY_SIZE), each a
+    sorted tuple of (sign, color word).  f never consults the index, so each
+    is such a family at degree 0 and any one index its words are given."""
+    return {fam for template in enumerate_f_connected(k) for fam in instantiate_template(template, q)}

@@ -3,19 +3,28 @@ import hashlib
 import pytest
 
 from quandlehom.chains import Chain, boundary, degree_bucket, degrees, length, sigma_shift
-from quandlehom.cocycles import eta_octahedral, evaluate, mochizuki
+from quandlehom.cocycles import ThreeCocycle, eta_octahedral, evaluate, mochizuki
 from quandlehom.kernels import named_cycle
-from quandlehom.quandles import make_dihedral, make_octahedral, resolve_quandle
+from quandlehom.quandles import (
+    FiniteQuandle,
+    automorphisms,
+    make_dihedral,
+    make_octahedral,
+    resolve_quandle,
+)
 from quandlehom.search import (
     _DIGIT_BITS,
     MAX_SEARCH_LENGTH,
+    ProbeBudget,
     SearchConfig,
     SearchError,
     SearchReport,
     _FamilyIndex,
     _g_codes,
+    _orbit_components,
     _partitions_into_parts,
     _sign_normal_chain,
+    _single_components,
     search_min_cycles,
 )
 from quandlehom.structure import TermTable, reverse_o6
@@ -26,6 +35,9 @@ O6 = make_octahedral()
 R7 = make_dihedral(7)
 ETA = eta_octahedral()
 ZETA = mochizuki(7)
+# R3 plus a point 3 that every element fixes and that fixes every element:
+# Aut(Q) has order 6 and two orbits of indices, {0, 1, 2} and {3}.
+R3_PLUS_POINT = FiniteQuandle([[0, 2, 1, 0], [2, 1, 0, 1], [1, 0, 2, 2], [3, 3, 3, 3]])
 
 
 def test_partitions_into_parts():
@@ -88,6 +100,37 @@ def test_join_matches_the_oracle_at_seven():
     nonzero = {key for key in oracle if sum(c * ETA.value(*t[2]) for t, c in key) % ETA.modulus}
     assert len(nonzero) == 96
     assert _sign_normal({t: c for c, t in ETA7_TERMS}) in nonzero
+
+
+def test_join_matches_the_oracle_with_two_index_orbits():
+    # The single families of sizes 6 and 7 are scanned at indices 0 and 3
+    # only and expanded over Aut(Q); a zero cocycle keeps every cycle.
+    zero = ThreeCocycle(R3_PLUS_POINT, 3, {}, name="zero")
+    for max_length, cycles, hits in ((6, 1438, (50,)), (7, 4828, (50, 150))):
+        rep = search_min_cycles(
+            SearchConfig(R3_PLUS_POINT, zero, max_length=max_length, collect_all=True)
+        )
+        oracle = oracle_cycles(R3_PLUS_POINT.table, max_length)
+        assert {_sign_normal_chain(fc.chain) for fc in rep.found} == oracle
+        assert len(oracle) == cycles
+        for size, count in zip((6, 7), hits):
+            assert "length %d as one family (index scan, %d hits)" % (size, count) in rep.covered
+
+
+@pytest.mark.parametrize(
+    "q, sizes",
+    [(O6, (6, 7)), (R7, (6, 7)), (R3_PLUS_POINT, (6, 7, 8))],
+    ids=["o6", "r7", "r3+point"],
+)
+def test_orbit_components_are_the_scan_at_every_index(q, sizes):
+    table = TermTable(q, 0)
+    group = automorphisms(q)
+    budget = ProbeBudget(10**9, "test")
+    for size in sizes:
+        every = set()
+        for u in range(q.size):
+            every.update(_single_components(table, size, u, budget))
+        assert set(_orbit_components(table, size, group, budget)) == every
 
 
 def _oracle_window(keys, table, sizes, max_length):
@@ -154,7 +197,7 @@ def test_o6_single_degree_clean_below_seven():
     assert rep.exhausted
     assert rep.zero_value_cycles > 0
     assert "EXHAUSTED" in rep.certificate_text()
-    assert _digest(rep) == "e81df26dbdf0b9d2a8a8eee3a8a1bcfbf91db30b9a5ed07597d656cafb270851"
+    assert _digest(rep) == "ab98535e8dc766b5107147cd4e9c1ebc902b5219a284c857653c808fbb8fec50"
 
 
 def test_o6_single_degree_witnesses_at_seven():
@@ -170,7 +213,7 @@ def test_o6_single_degree_witnesses_at_seven():
     keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
     assert _sign_normal_chain(witness) in keys
     assert value == 2
-    assert _digest(rep) == "f2689c95929a4cac57e965f2e0e9ee1d5d742d0d5ec2c394c8779109b3fd4666"
+    assert _digest(rep) == "eee1a58ff560fd9c765e0a26602482061f2b55f9768087bd0d29648eb221801d"
 
 
 def test_r7_single_degree_is_empty_to_seven():
@@ -178,7 +221,7 @@ def test_r7_single_degree_is_empty_to_seven():
     assert rep.exhausted
     assert rep.zero_value_cycles == 0
     assert len(rep.found) == 0
-    assert _digest(rep) == "7a2628e8646b4d51381fce7aec9f909abec573ab98aadbe9b12df8283a3175ab"
+    assert _digest(rep) == "f061761236286df76af24484e6052bd6aad25f5355d1cf7c90983c0bb4af09b7"
 
 
 def test_o6_double_window_clean_at_six():
@@ -186,6 +229,23 @@ def test_o6_double_window_clean_at_six():
     assert rep.exhausted
     assert rep.zero_value_cycles == 480
     assert _digest(rep) == "c5ac2a3823ce36498763fea1ee1913b9b19d9d6ca0080d4a6d943a4f7a5a6ed4"
+
+
+# The single window's probes: the join, then the scan of sizes 6 and up at
+# one index per Aut(Q)-orbit (O6 and R7 have one orbit each).
+@pytest.mark.parametrize(
+    "quandle, max_length, probes",
+    [
+        ("o6", 6, 131044),
+        ("o6", 7, 157318),
+        ("o6", 8, 1755725),
+        ("r7", 6, 326808),
+        ("r7", 7, 377948),
+        ("r7", 8, 6487545),
+    ],
+)
+def test_single_degree_probes(quandle, max_length, probes):
+    assert cached_search(quandle, max_length).probes == probes
 
 
 # Single-window certificates at L = 2..5.  A family size s with 2s > L is

@@ -30,6 +30,11 @@ R7 = make_dihedral(7)
 O6 = make_octahedral()
 
 
+def _families_at(q, k, index):
+    """The census families of size k stamped at one degree-0 index, sorted."""
+    return [tuple((sign, (0, index, w)) for sign, w in fam) for fam in sorted(concrete_families(q, k))]
+
+
 # -- types -----------------------------------------------------------------
 
 
@@ -160,7 +165,7 @@ def test_reflection_commutes_with_face_maps():
 
 def test_reflection_preserves_f_connectedness():
     rng = random.Random(37)
-    fams = concrete_families(R7, 3, index=2)
+    fams = _families_at(R7, 3, 2)
     for fam in rng.sample(fams, 40):
         chain = Chain.from_signed_terms(fam, arity=3, graded=True)
         mirrored = reflection(chain, R7)
@@ -216,7 +221,7 @@ def test_g_connected_iff_reverses_f_connected():
     rng = random.Random(38)
     for q in (R7, O6):
         dq = dual(q)
-        fams = concrete_families(dq, 3, index=1)
+        fams = _families_at(dq, 3, 1)
         for fam in rng.sample(fams, 25):
             # Reverse each dual-quandle term back over q; the reversed family
             # must be g-connected there.
@@ -229,7 +234,7 @@ def test_g_connected_iff_reverses_f_connected():
 
 def test_f_connected_families_share_index():
     for k in (2, 3):
-        for fam in concrete_families(O6, k, index=4)[:50]:
+        for fam in _families_at(O6, k, 4)[:50]:
             assert {t[1] for _, t in fam} == {4}
 
 
@@ -304,7 +309,7 @@ def test_instances_are_minimal_f_null_over_both_quandles():
     rng = random.Random(39)
     for q in (R7, O6):
         for k in (2, 3, 4, 5):
-            fams = concrete_families(q, k, index=0)
+            fams = _families_at(q, k, 0)
             assert fams
             for fam in rng.sample(fams, min(30, len(fams))):
                 chain = Chain.from_signed_terms(fam, arity=3, graded=True)
@@ -344,5 +349,5 @@ def test_census_instances_match_direct_search():
                 chain = Chain.from_signed_terms([(s1, t1), (s2, t2)], 3, graded=True)
                 if length(chain) == 2 and not f(chain):
                     direct2.add(sign_normal(tuple(sorted([(s1, t1), (s2, t2)]))))
-    census2 = {sign_normal(fam) for fam in concrete_families(O6, 2, index=2)}
+    census2 = {sign_normal(fam) for fam in _families_at(O6, 2, 2)}
     assert direct2 == census2
