@@ -1,17 +1,18 @@
-"""Exact integer and rational linear algebra for kernel computations.
+"""Exact integer linear algebra for kernel computations.
 
-Everything here works on dense lists of Python ints or Fractions; no
-floating point is used anywhere.  The integer kernel routine returns a basis
-of the full lattice {x in Z^n : M x = 0} (automatically saturated, being the
-integer points of a rational subspace), obtained by tracking unimodular row
+Everything here works on dense lists of Python ints; no floating point is
+used anywhere.  The integer kernel routine returns a basis of the full
+lattice {x in Z^n : M x = 0} (automatically saturated, being the integer
+points of a rational subspace), obtained by tracking unimodular row
 operations while reducing the transpose to row echelon form over Z.  The
-rank over Q, by Fraction elimination, cross-checks it: the rank plus the
-lattice rank is the number of columns.
+rank modulo the prime 2^61 - 1 cross-checks it: that rank is never above
+the rank over Q, so it plus the number of independent kernel vectors is at
+most the number of columns, with equality only when they span the kernel.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+P = (1 << 61) - 1
 
 
 def integer_kernel_basis(rows, ncols):
@@ -71,37 +72,24 @@ def _normalize_sign(vec):
     return list(vec)
 
 
-def rational_rank(rows):
-    """Rank over Q of a list of integer vectors."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
+def rank_mod_p(rows):
+    """Rank over Z/P of a list of integer vectors, P = 2^61 - 1.
+
+    Never above the rank over Q: a prime dividing a minor can only lower it.
+    """
+    m = [[x % P for x in row] for row in rows]
     ncols = len(rows[0]) if rows else 0
+    rank = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(rank, len(m)):
-            if m[i][c] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        inv = pow(m[rank][c], -1, P)
+        top = [x * inv % P for x in m[rank]]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            if f:
+                m[i] = [(x - f * y) % P for x, y in zip(m[i], top)]
         rank += 1
     return rank
-
-
-def in_lattice_span(basis, vec):
-    """Whether an integer vector lies in the saturated lattice with this basis.
-
-    A kernel lattice equals the integer points of its rational span, so an
-    integer vector belongs to it exactly when it lies in the rational span.
-    """
-    if not basis:
-        return all(x == 0 for x in vec)
-    base_rank = rational_rank(basis)
-    return rational_rank(list(basis) + [list(vec)]) == base_rank

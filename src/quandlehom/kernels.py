@@ -5,7 +5,7 @@ by index and by the value of u^{a b c} (the index every g-image of the
 generator's full word reaches; g-null families are constrained to a single
 such class).  The kernel of (f, g) on a slice is computed exactly: an
 integer lattice basis by unimodular reduction, cross-checked against the
-rank over Q and through the chain maps themselves.
+rank modulo the prime 2^61 - 1 and through the chain maps themselves.
 
 Also houses the two named length-8 cycles, the explicit boundary identities
 used as regression anchors, and the push-forward of trivial-coefficient
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg
-from .chains import Chain, ChainError, boundary, f_map, g_map, is_cycle, length
+from .chains import Chain, ChainError, _accumulate, boundary, f_map, g_map, is_cycle, length
 from .cocycles import evaluate
 from .quandles import FiniteQuandle, QuandleError, color_words
 
@@ -108,19 +108,28 @@ def chain_to_vector(slice_basis, chain):
 def kernel_fg(slice_basis):
     """Exact kernel of f and g together on the slice.
 
-    The lattice rank plus the matrix rank over Q must be the number of
-    generators, and every lattice basis vector is re-verified through the
-    chain maps, not the matrices.
+    The lattice rank plus the matrix rank modulo a prime must be the number
+    of generators, and every lattice basis vector is re-verified through the
+    chain maps, not the matrices, as the sum of its generators' f- and
+    g-images (one fresh chain-map call per generator, keyed by its term).
     """
     rows = slice_basis.f_rows + slice_basis.g_rows
     ncols = len(slice_basis.generators)
     lattice = intlinalg.integer_kernel_basis(rows, ncols)
-    if intlinalg.rational_rank(rows) + len(lattice) != ncols:
-        raise AssertionError("rational and integer kernel ranks disagree")
-    result = KernelResult(slice_basis, lattice)
+    if intlinalg.rank_mod_p(rows) + len(lattice) != ncols:
+        raise AssertionError("modular and integer kernel ranks disagree")
     q = slice_basis.quandle
+    images = {}
+    for gen in slice_basis.generators:
+        single = Chain(3, True, {gen: 1})
+        images[gen] = (f_map(single).terms.items(), g_map(single, q).terms.items())
+    result = KernelResult(slice_basis, lattice)
     for chain in result.chains():
-        if f_map(chain) or g_map(chain, q):
+        f_sum, g_sum = {}, {}
+        for gen, c in chain.terms.items():
+            _accumulate(f_sum, images[gen][0], c)
+            _accumulate(g_sum, images[gen][1], c)
+        if f_sum or g_sum:
             raise AssertionError("kernel vector fails the chain-map re-check")
     return result
 

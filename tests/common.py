@@ -4,6 +4,7 @@ search report per configuration."""
 
 import functools
 import itertools
+from fractions import Fraction
 
 from quandlehom.chains import Chain
 from quandlehom.cocycles import eta_octahedral, mochizuki
@@ -96,6 +97,43 @@ def random_chain(rng, q, arity, graded=True, nterms=6, degree_span=3, coeff_span
         if chain.terms[t] == 0:
             del chain.terms[t]
     return chain
+
+
+# Exact linear algebra over Q by Fraction elimination, written here so that
+# the kernel tests do not rest on quandlehom.intlinalg.
+
+
+def _fraction_echelon(rows, reduced=False):
+    """Row echelon form over Q (reduced when asked) and its pivot columns."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)) if reduced else range(r + 1, len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def fraction_rank(rows):
+    """Rank over Q of a list of integer vectors."""
+    return len(_fraction_echelon(rows)[1])
+
+
+def in_lattice(basis, vec):
+    """Whether vec is an integer combination of the independent vectors in
+    basis: the combination is solved over Q from the reduced echelon form of
+    the columns [basis | vec], and its coefficients must be integers."""
+    m, pivots = _fraction_echelon([list(col) for col in zip(*basis, vec)], reduced=True)
+    k = len(basis)
+    return pivots == list(range(k)) and all(m[i][k].denominator == 1 for i in range(k))
 
 
 @functools.lru_cache(maxsize=None)

@@ -22,7 +22,6 @@ import random
 import time
 from contextlib import contextmanager
 
-from quandlehom import intlinalg
 from quandlehom.chains import (
     Chain,
     boundary,
@@ -62,7 +61,7 @@ from quandlehom.search import _sign_normal_chain
 from quandlehom.structure import canonical_family, enumerate_f_connected, reflection, reverse
 from quandlehom.tables import index_pattern_rows
 
-from common import ETA7_TERMS, _nondegenerate, _oracle_boundary, cached_search, random_chain
+from common import ETA7_TERMS, _nondegenerate, _oracle_boundary, cached_search, in_lattice, random_chain
 
 FIX = "fixtures"
 
@@ -205,9 +204,7 @@ def test_criterion_07_kernel_structure():
         for alpha, beta in ((1, 0), (0, 1), (2, 3)):
             member = r7_member(alpha, beta)
             assert not f_map(member) and not g_map(member, make_dihedral(7))
-            assert intlinalg.in_lattice_span(
-                ker.lattice_basis, chain_to_vector(sl, member)
-            )
+            assert in_lattice(ker.lattice_basis, chain_to_vector(sl, member))
         q6 = make_octahedral()
         eta = eta_octahedral()
         ranks = {}

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from quandlehom import intlinalg
@@ -18,7 +20,7 @@ from quandlehom.kernels import (
 )
 from quandlehom.quandles import make_dihedral, make_octahedral
 
-from common import eta8_chain, zeta8_chain
+from common import eta8_chain, fraction_rank, in_lattice, zeta8_chain
 
 R7 = make_dihedral(7)
 O6 = make_octahedral()
@@ -80,11 +82,11 @@ def test_r7_cell_kernel_rank_two_with_block_basis():
     assert ker.rank == 2
     for alpha, beta in ((1, 0), (0, 1)):
         vec = chain_to_vector(sl, r7_member(alpha, beta))
-        assert intlinalg.in_lattice_span(ker.lattice_basis, vec)
+        assert in_lattice(ker.lattice_basis, vec)
     # conversely both lattice basis vectors lie in the block span
     block_vecs = [chain_to_vector(sl, r7_member(1, 0)), chain_to_vector(sl, r7_member(0, 1))]
     for v in ker.lattice_basis:
-        assert intlinalg.rational_rank(block_vecs + [list(v)]) == 2
+        assert fraction_rank(block_vecs + [list(v)]) == 2
 
 
 def test_r7_kernel_members_are_exact_cycles():
@@ -213,16 +215,16 @@ def test_o6_listed_chains_span_their_cells():
     sl0 = build_slice(O6, index=0, cell=0)
     ker0 = kernel_fg(sl0)
     vecs = [chain_to_vector(sl0, c) for c in o6_listed_cell0()]
-    assert intlinalg.rational_rank(vecs) == 6 == ker0.rank
+    assert fraction_rank(vecs) == 6 == ker0.rank
     for v in vecs:
-        assert intlinalg.in_lattice_span(ker0.lattice_basis, v)
+        assert in_lattice(ker0.lattice_basis, v)
     for p in (1, 2, 4, 5):
         sl = build_slice(O6, index=0, cell=p)
         ker = kernel_fg(sl)
         vecs = [chain_to_vector(sl, c) for c in o6_listed_cellp(p)]
-        assert intlinalg.rational_rank(vecs) == 3 == ker.rank
+        assert fraction_rank(vecs) == 3 == ker.rank
         for v in vecs:
-            assert intlinalg.in_lattice_span(ker.lattice_basis, v)
+            assert in_lattice(ker.lattice_basis, v)
 
 
 def test_kernel_serialization_is_deterministic():
@@ -240,6 +242,62 @@ def test_vector_chain_roundtrip():
         assert chain_to_vector(sl, vector_to_chain(sl, vec)) == list(vec)
     with pytest.raises(ChainError):
         chain_to_vector(sl, Chain.single(1, 0, 1, (0, 1, 2)))
+
+
+# -- the rank modulo p and kernel_fg's two checks -----------------------------
+
+
+RANK_SLICES = (
+    [(O6, u, c) for u in range(6) for c in range(6)]
+    + [(R7, 0, c) for c in range(7)]
+    + [(O6, 0, None)]
+)
+
+
+@pytest.mark.parametrize(
+    "q, index, cell", RANK_SLICES, ids=["%s-%s-%s" % (q.name, u, c) for q, u, c in RANK_SLICES]
+)
+def test_rank_mod_p_matches_fraction_rank(q, index, cell):
+    sl = build_slice(q, index=index, cell=cell)
+    rows = sl.f_rows + sl.g_rows
+    assert intlinalg.rank_mod_p(rows) == fraction_rank(rows)
+
+
+def test_rank_mod_p_can_only_fall_short():
+    p = 2**61 - 1
+    assert intlinalg.rank_mod_p([[p]]) == 0
+    singular_mod_p = [[1, 1], [1, 1 + p]]
+    assert fraction_rank(singular_mod_p) == 2
+    assert intlinalg.rank_mod_p(singular_mod_p) == 1
+
+
+def test_o6_full_slice_kernel_is_pinned():
+    sl = build_slice(O6)
+    ker = kernel_fg(sl)
+    assert ker.rank == 625
+    assert intlinalg.rank_mod_p(sl.f_rows + sl.g_rows) == 275
+    assert hashlib.sha256(kernel_to_text(ker).encode()).hexdigest() == (
+        "7b0962b610f5cec4c6adfb8f43cdd4ec8576aef8fc385f42858424bb677c7066"
+    )
+
+
+def _with_lattice(monkeypatch, alter):
+    real = intlinalg.integer_kernel_basis
+    monkeypatch.setattr(
+        intlinalg, "integer_kernel_basis", lambda rows, ncols: alter(real(rows, ncols), ncols)
+    )
+
+
+def test_kernel_fg_rank_check_fires_on_a_short_lattice(monkeypatch):
+    _with_lattice(monkeypatch, lambda basis, ncols: basis[1:])
+    with pytest.raises(AssertionError, match="ranks disagree"):
+        kernel_fg(build_slice(R7, index=0, cell=0))
+
+
+def test_kernel_fg_recheck_fires_on_a_vector_outside_the_kernel(monkeypatch):
+    _with_lattice(monkeypatch, lambda basis, ncols: basis[:-1] + [[1] + [0] * (ncols - 1)])
+    with pytest.raises(AssertionError, match="chain-map re-check"):
+        kernel_fg(build_slice(R7, index=0, cell=0))
 
 
 # -- named cycles -----------------------------------------------------------
