@@ -170,13 +170,14 @@ def cmd_search(args):
     theta = _cocycle_from_args(args)
     if theta.quandle.table != q.table:
         raise UsageError("cocycle %s does not live on the chosen quandle" % theta.name)
+    if args.threads < 1:
+        raise UsageError("threads must be positive")
     cfg = search.SearchConfig(
         quandle=q,
         cocycle=theta,
         max_length=args.max_length,
         window=args.window,
         profile=args.profile,
-        threads=args.threads,
         budget=args.budget,
     )
     report = search.search_min_cycles(cfg)

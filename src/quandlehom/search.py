@@ -28,10 +28,12 @@ that also derives the family census:
   bottom layer T0 with g(T0) != 0 and length 6 or more, and every kept
   cycle is expanded over Aut(Q).
 
-Every candidate is re-verified through the boundary map before being
-reported.  Searches are deterministic; reports record exactly what was
-covered and, as gaps, what was not.  A probe budget on the summed probes
-aborts oversized runs with a refusal report rather than truncating silently.
+Every candidate is re-verified through the boundary map and paired with the
+cocycle; a report lists the cycles with nonzero pairing and keeps the keys of
+the zero-pairing ones.  Searches are deterministic and run in one process;
+reports record exactly what was covered and, as gaps, what was not.  A probe
+budget on the summed probes aborts oversized runs with a refusal report
+rather than truncating silently.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass, field
 from .chains import Chain, boundary, chain_to_text, length
 from .cocycles import ThreeCocycle, evaluate
 from .quandles import FiniteQuandle, automorphisms
-from .structure import TermTable, cancel_search, concrete_families, relabel_chain
+from .structure import MAX_FAMILY_SIZE, TermTable, cancel_search, concrete_families, relabel_chain
 
 
 class SearchError(ValueError):
@@ -71,7 +73,6 @@ class ProbeBudget:
 
 
 MAX_SEARCH_LENGTH = 8
-JOIN_PART_MAX = 5
 # A term has at most 3 g-faces, each with coefficient +-1, so the g-image of
 # at most MAX_SEARCH_LENGTH terms has coefficients below 2**(_DIGIT_BITS-1)
 # in size, the bound under which _code is exact.
@@ -81,14 +82,15 @@ assert 3 * MAX_SEARCH_LENGTH < 2 ** (_DIGIT_BITS - 1)
 
 @dataclass
 class SearchConfig:
+    """What to search: every field changes the report.  The window and its
+    profile fix the shape, max_length the lengths, budget the refusal point."""
+
     quandle: FiniteQuandle
     cocycle: ThreeCocycle
     max_length: int = 7
     window: str = "single"  # single | double
     profile: str = "A"  # A | B | C | BC
-    threads: int = 1  # validated; every search runs in this process
     budget: int = 10**9
-    collect_all: bool = False  # keep zero-pairing cycles too (testing aid)
 
     def validate(self):
         if not 2 <= self.max_length <= MAX_SEARCH_LENGTH:
@@ -101,8 +103,6 @@ class SearchConfig:
             raise SearchError("two-degree windows use profile B, C or BC")
         if self.window == "double" and self.max_length < 6:
             raise SearchError("the two-degree window needs max_length 6 or more")
-        if self.threads < 1:
-            raise SearchError("threads must be positive")
         if self.budget < 1:
             raise SearchError("budget must be positive")
 
@@ -128,10 +128,14 @@ class SearchReport:
     covered: list = field(default_factory=list)
     component_counts: dict = field(default_factory=dict)
     probes: int = 0
-    zero_value_cycles: int = 0
+    zero_cycles: set = field(default_factory=set)  # sign-normal keys of zero-pairing cycles
     found: list = field(default_factory=list)
     refused: str | None = None
     gaps: list = field(default_factory=list)  # parts of the window left unsearched
+
+    @property
+    def zero_value_cycles(self):
+        return len(self.zero_cycles)
 
     @property
     def exhausted(self):
@@ -243,10 +247,12 @@ def _unmerge(counter, undo):
 
 class _Cycles:
     """The cycles a search reaches, each once up to global sign: every one
-    is re-checked through the boundary map and paired with the cocycle."""
+    is re-checked through the boundary map, paired with the cocycle and
+    filed by its pairing alone: nonzero into found, zero into the key set
+    zero."""
 
-    def __init__(self, q, theta, collect_all):
-        self.q, self.theta, self.collect_all = q, theta, collect_all
+    def __init__(self, q, theta):
+        self.q, self.theta = q, theta
         self.seen, self.zero, self.found = set(), set(), {}
 
     def add(self, chain, shape):
@@ -257,10 +263,10 @@ class _Cycles:
         if boundary(chain, self.q):
             raise AssertionError("search produced a non-cycle")
         value = evaluate(self.theta, chain)
-        if value == 0:
-            self.zero.add(key)
-        if value or self.collect_all:
+        if value:
             self.found[key] = FoundCycle(chain, value, shape)
+        else:
+            self.zero.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +321,7 @@ class _FamilyIndex:
                     key = sum(sign * self.gcode[t] for sign, t in stamped)
                     by_gcode.setdefault(key, []).append(stamped)
             for fams in by_gcode.values():
-                fams.sort()
+                fams.sort()  # fixes which sign of a cycle is stored first, and so the certificate
         return by_gcode
 
     def get(self, gkey, pkey):
@@ -427,16 +433,14 @@ def _search_single_degree(cfg, report):
     table = TermTable(q, 0)
     gcode, pcode = _g_codes(table)
     index = {}
-    for size in range(2, min(JOIN_PART_MAX, cfg.max_length) + 1):
+    for size in range(2, min(MAX_FAMILY_SIZE, cfg.max_length) + 1):
         index[size] = _FamilyIndex(table, q, size, gcode, pcode)
         report.component_counts[size] = index[size].count
 
-    cycles = _Cycles(q, cfg.cocycle, cfg.collect_all)
+    cycles = _Cycles(q, cfg.cocycle)
     partitions = []
     for l in range(2, cfg.max_length + 1):
-        partitions.extend(
-            (l, p) for p in _partitions_into_parts(l, min(JOIN_PART_MAX, l))
-        )
+        partitions.extend((l, p) for p in _partitions_into_parts(l, min(MAX_FAMILY_SIZE, l)))
     for l, partition in sorted(partitions):
         shape = "degree0 parts %s" % (list(partition),)
         _join_partition(
@@ -452,19 +456,15 @@ def _search_single_degree(cfg, report):
     # the census.  At length 8 the split 6+2 is left open: a gap.
     budget.phase = "component search"
     group = automorphisms(q)
-    for size in range(JOIN_PART_MAX + 1, cfg.max_length + 1):
+    for size in range(MAX_FAMILY_SIZE + 1, cfg.max_length + 1):
         hits = _orbit_components(table, size, group, budget)
         for fam in hits:
             cycles.add(_chain_of(fam), "degree0 single family of %d" % size)
         report.covered.append("length %d as one family (index scan, %d hits)" % (size, len(hits)))
-    if cfg.max_length >= JOIN_PART_MAX + 3:
-        report.gaps.append(
-            "length %d split 6+2 (outside the certified window)" % cfg.max_length
-        )
+    if cfg.max_length >= MAX_FAMILY_SIZE + 3:
+        report.gaps.append("length %d split 6+2 (outside the certified window)" % cfg.max_length)
 
-    report.probes = budget.probes
-    report.zero_value_cycles = len(cycles.zero)
-    report.found = sorted(cycles.found.values(), key=lambda fc: fc.key())
+    return cycles, budget
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +490,7 @@ def _search_double_window(cfg, report):
         rep = min((0, p[t[1]], tuple(p[x] for x in t[2])) for p in group)
         orbits.setdefault(rep, []).append(t)
 
-    cycles = _Cycles(q, cfg.cocycle, cfg.collect_all)
+    cycles = _Cycles(q, cfg.cocycle)
     handed = set()  # the window's shape but g(T0) = 0, so T0 and T1 are cycles each
 
     def close(family, _):
@@ -533,9 +533,7 @@ def _search_double_window(cfg, report):
         "cycles of that shape with g(T0) = 0, left to the single-degree window: %d"
         % len(handed),
     ]
-    report.probes = budget.probes
-    report.zero_value_cycles = len(cycles.zero)
-    report.found = sorted(cycles.found.values(), key=lambda fc: fc.key())
+    return cycles, budget
 
 
 def search_min_cycles(cfg):
@@ -550,13 +548,14 @@ def search_min_cycles(cfg):
         profile=cfg.profile,
         max_length=cfg.max_length,
     )
+    window = _search_single_degree if cfg.window == "single" else _search_double_window
     try:
-        if cfg.window == "single":
-            _search_single_degree(cfg, report)
-        else:
-            _search_double_window(cfg, report)
+        cycles, budget = window(cfg, report)
     except BudgetExceeded as exc:
         report.refused = "%s (after %d probes)" % (exc, exc.probes)
-        report.found = []
+        return report
+    report.probes = budget.probes
+    report.zero_cycles = cycles.zero
+    report.found = sorted(cycles.found.values(), key=lambda fc: fc.key())
     return report
 

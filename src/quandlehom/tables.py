@@ -19,6 +19,7 @@ forms, and an instance is tabulated only when the two forms agree.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,37 +93,11 @@ def _assignments(symbols, mapping, b_val):
     """Injective placements of the merged symbol blocks into O_6 respecting
     the normalization a -> 0, b -> b_val, and c -> 1 when b is antipodal."""
     reps = sorted({mapping[s] for s in symbols})
-    fixed = {}
-    fixed[mapping[0]] = 0
-    target_b = fixed.get(mapping[1])
-    if target_b is not None and target_b != b_val:
-        return
-    fixed[mapping[1]] = b_val
-    if b_val == 3 and 2 in mapping:
-        rep_c = mapping[2]
-        if rep_c in fixed and fixed[rep_c] != 1:
-            return
-        fixed[rep_c] = 1
-    if len(set(fixed.values())) != len(fixed):
-        return
-    free = [r for r in reps if r not in fixed]
-    used = set(fixed.values())
-    pool = [v for v in range(6) if v not in used]
-
-    def rec(i, acc):
-        if i == len(free):
-            assign = dict(fixed)
-            assign.update(acc)
+    pinned = [(0, 0), (1, b_val)] + ([(2, 1)] if b_val == 3 and 2 in mapping else [])
+    for values in itertools.permutations(range(6), len(reps)):
+        assign = dict(zip(reps, values))
+        if all(assign[mapping[s]] == v for s, v in pinned):
             yield assign
-            return
-        for v in pool:
-            if v in acc.values():
-                continue
-            acc[free[i]] = v
-            yield from rec(i + 1, acc)
-            del acc[free[i]]
-
-    yield from rec(0, {})
 
 
 def index_pattern_rows(k, shape):
@@ -143,7 +118,7 @@ def index_pattern_rows(k, shape):
         nslots = len(pattern)
         for mapping in _case_variants(k, case_id):
             for b_val in (1, 3):
-                for assign in _assignments(symbols, mapping, b_val) or ():
+                for assign in _assignments(symbols, mapping, b_val):
                     elem = {s: assign[mapping[s]] for s in symbols}
                     for u in range(6):
                         slot_vals = [None] * nslots

@@ -1,6 +1,6 @@
 """Shared transcription fixtures used as independent oracles across tests,
-a cycle-scan oracle written from the quandle table alone, and one cached
-search report per configuration."""
+a cycle-scan oracle written from the quandle table alone, one cached
+search report per configuration and the key set of every cycle it reached."""
 
 import functools
 import itertools
@@ -9,7 +9,7 @@ from fractions import Fraction
 from quandlehom.chains import Chain
 from quandlehom.cocycles import eta_octahedral, mochizuki
 from quandlehom.quandles import make_dihedral, make_octahedral
-from quandlehom.search import SearchConfig, search_min_cycles
+from quandlehom.search import SearchConfig, _sign_normal_chain, search_min_cycles
 
 # Length-8 cycle over (R_7, Z x R_7) pairing to 6 with the mod-7 cocycle.
 ZETA8_TERMS = (
@@ -137,7 +137,7 @@ def in_lattice(basis, vec):
 
 
 @functools.lru_cache(maxsize=None)
-def cached_search(quandle, max_length, window="single", profile="A", collect_all=False):
+def cached_search(quandle, max_length, window="single", profile="A"):
     """The report of one search, run once per test session: quandle "o6"
     pairs with eta, "r7" with the mod-7 cocycle.  Callers must not modify
     the report."""
@@ -146,10 +146,14 @@ def cached_search(quandle, max_length, window="single", profile="A", collect_all
         "r7": (make_dihedral(7), mochizuki(7)),
     }[quandle]
     return search_min_cycles(
-        SearchConfig(
-            q, theta, max_length=max_length, window=window, profile=profile, collect_all=collect_all
-        )
+        SearchConfig(q, theta, max_length=max_length, window=window, profile=profile)
     )
+
+
+def reached_keys(report):
+    """Every cycle a search reached, as sign-normal keys: the nonzero-pairing
+    ones it lists and the zero-pairing ones it keeps."""
+    return {_sign_normal_chain(fc.chain) for fc in report.found} | report.zero_cycles
 
 
 # Oracles written from the definitions over q.table alone: they call no

@@ -1,10 +1,13 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from quandlehom.cli import main
 
 FIX = "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -155,6 +158,33 @@ def test_search_refusal_exit_code(capsys):
         "--budget", "10",
     )
     assert code == 1 and "REFUSED" in out
+
+
+def test_search_threads_is_checked_and_ignored(capsys):
+    # Every search runs in one process: --threads must be positive and
+    # changes nothing else.
+    argv = ["search", "--quandle", "r7", "--cocycle", "zeta7", "--max-length", "4"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and "EXHAUSTED" in plain
+    code, out, _ = run(capsys, *argv, "--threads", "2")
+    assert code == 0 and out == plain
+    code, out, err = run(capsys, *argv, "--threads", "0")
+    assert code == 2 and out == ""
+    assert err == "error: threads must be positive\n"
+
+
+def test_readme_commands_run(capsys, monkeypatch):
+    # The fenced block under "## Command line" in README.md, run line by line
+    # from the repository root: every command must parse and exit 0.
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line.split("#", 1)[0]) for line in block.splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert len(commands) >= 10 and all(argv[0] == "quandlehom" for argv in commands)
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_usage_errors(capsys):

@@ -29,7 +29,14 @@ from quandlehom.search import (
 )
 from quandlehom.structure import TermTable, reverse_o6
 
-from common import ETA7_TERMS, _oracle_boundary, _sign_normal, cached_search, oracle_cycles
+from common import (
+    ETA7_TERMS,
+    _oracle_boundary,
+    _sign_normal,
+    cached_search,
+    oracle_cycles,
+    reached_keys,
+)
 
 O6 = make_octahedral()
 R7 = make_dihedral(7)
@@ -65,8 +72,7 @@ def test_config_validation():
 
 
 def _join_keys(q, theta, max_length):
-    rep = search_min_cycles(SearchConfig(q, theta, max_length=max_length, collect_all=True))
-    return {_sign_normal_chain(fc.chain) for fc in rep.found}
+    return reached_keys(search_min_cycles(SearchConfig(q, theta, max_length=max_length)))
 
 
 def test_join_matches_direct_scan_small():
@@ -79,7 +85,7 @@ def test_join_matches_direct_scan_at_six():
     # At length 6 the sizes 4 and 5 are only ever the largest part, looked
     # up through their projected codes, under [4], [5] and [4, 2].
     oracle = oracle_cycles(O6.table, 6)
-    assert _join_keys(O6, ETA, 6) == oracle
+    assert reached_keys(cached_search("o6", 6)) == oracle
     assert len(oracle) == 1010
 
 
@@ -95,7 +101,7 @@ def test_join_matches_the_oracle_at_seven():
     # The headline length: every single-degree cycle of O6 up to length 7,
     # of which eta pairs nonzero with 96, the transcribed eta7 among them.
     oracle = oracle_cycles(O6.table, 7)
-    assert _join_keys(O6, ETA, 7) == oracle
+    assert reached_keys(cached_search("o6", 7)) == oracle
     assert len(oracle) == 2258
     nonzero = {key for key in oracle if sum(c * ETA.value(*t[2]) for t, c in key) % ETA.modulus}
     assert len(nonzero) == 96
@@ -107,11 +113,10 @@ def test_join_matches_the_oracle_with_two_index_orbits():
     # only and expanded over Aut(Q); a zero cocycle keeps every cycle.
     zero = ThreeCocycle(R3_PLUS_POINT, 3, {}, name="zero")
     for max_length, cycles, hits in ((6, 1438, (50,)), (7, 4828, (50, 150))):
-        rep = search_min_cycles(
-            SearchConfig(R3_PLUS_POINT, zero, max_length=max_length, collect_all=True)
-        )
+        rep = search_min_cycles(SearchConfig(R3_PLUS_POINT, zero, max_length=max_length))
         oracle = oracle_cycles(R3_PLUS_POINT.table, max_length)
-        assert {_sign_normal_chain(fc.chain) for fc in rep.found} == oracle
+        assert reached_keys(rep) == oracle
+        assert not rep.found and rep.zero_value_cycles == cycles
         assert len(oracle) == cycles
         for size, count in zip((6, 7), hits):
             assert "length %d as one family (index scan, %d hits)" % (size, count) in rep.covered
@@ -151,9 +156,9 @@ def _oracle_window(keys, table, sizes, max_length):
 
 
 def test_double_window_matches_the_oracle_at_six():
-    rep = cached_search("o6", 6, "double", "B", collect_all=True)
+    rep = cached_search("o6", 6, "double", "B")
     oracle = _oracle_window(oracle_cycles(O6.table, 6, top=1, cap=2), O6.table, (2,), 6)
-    assert {_sign_normal_chain(fc.chain) for fc in rep.found} == oracle
+    assert reached_keys(rep) == oracle
     assert len(oracle) == 480
 
 
@@ -268,14 +273,7 @@ def test_single_degree_certificates_at_the_lookup_edges(quandle, max_length, dig
     assert _digest(cached_search(quandle, max_length)) == digest
 
 
-def test_double_window_threads_agree():
-    # --threads is validated but selects nothing: one scan runs in this process.
-    cert = cached_search("o6", 6, "double", "B").certificate_text()
-    for threads in (2, 4):
-        rep = search_min_cycles(
-            SearchConfig(O6, ETA, max_length=6, window="double", profile="B", threads=threads)
-        )
-        assert rep.certificate_text() == cert
+def test_double_window_budget_bounds_the_whole_run():
     # The budget bounds the probes of the whole run: P complete, P - 1 are refused.
     total = cached_search("o6", 6, "double", "B").probes
     for budget, refused in ((total, False), (total - 1, True)):
@@ -284,19 +282,19 @@ def test_double_window_threads_agree():
         )
         assert bool(rep.refused) == refused
         assert ("after %d probes" % total in rep.refused) if refused else rep.probes == total
+        if refused:  # a refused run reports no probes and no cycles
+            assert (rep.probes, rep.zero_value_cycles, rep.found) == (0, 0, [])
 
 
 def _key_set_digest(rep, theta):
-    """The sha256 of the sorted (key, value) list of a collect_all report: each
-    cycle in its sign-normal form, paired with the cocycle in that form."""
-    pairs = sorted(
-        (key, evaluate(theta, Chain(3, True, dict(key))))
-        for key in (_sign_normal_chain(fc.chain) for fc in rep.found)
-    )
+    """The sha256 of the sorted (key, value) list of every cycle a report
+    reached: each in its sign-normal form, paired with the cocycle in that
+    form."""
+    pairs = sorted((key, evaluate(theta, Chain(3, True, dict(key)))) for key in reached_keys(rep))
     return hashlib.sha256(repr(pairs).encode()).hexdigest()
 
 
-# The collect_all key sets of the two-degree window, pinned from the engine
+# The full key sets (both pairings) of the two-degree window, pinned from the engine
 # it replaced (a top-layer cancellation search per 2- or 3-term bottom layer,
 # with null families appended): the boundary scan must list the same cycles.
 @pytest.mark.parametrize(
@@ -308,9 +306,9 @@ def _key_set_digest(rep, theta):
     ],
 )
 def test_double_window_key_sets_match_the_top_layer_engine(quandle, max_length, profile, cycles, digest):
-    rep = cached_search(quandle, max_length, "double", profile, collect_all=True)
+    rep = cached_search(quandle, max_length, "double", profile)
     theta = ETA if quandle == "o6" else ZETA
-    assert len(rep.found) == cycles
+    assert len(rep.found) + rep.zero_value_cycles == cycles
     assert _key_set_digest(rep, theta) == digest
 
 
@@ -318,11 +316,13 @@ def test_double_window_scan_is_the_same_under_the_trivial_group():
     # The library's window on a third quandle against the oracle's, reduced
     # by Aut(Q) and unreduced.
     q = resolve_quandle("dihedral:5")
-    rep = search_min_cycles(
-        SearchConfig(q, mochizuki(5), max_length=6, window="double", profile="BC", collect_all=True)
-    )
-    keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
+    cfg = SearchConfig(q, mochizuki(5), max_length=6, window="double", profile="BC")
+    rep = search_min_cycles(cfg)
+    keys = reached_keys(rep)
     assert len(keys) == 300
+    # Every one pairs to zero, so the window is exhausted and says so.
+    assert rep.zero_value_cycles == 300 and not rep.found
+    assert rep.exhausted and "EXHAUSTED" in rep.certificate_text()
     for group in (None, [tuple(range(q.size))]):
         oracle = oracle_cycles(q.table, 6, top=1, group=group, cap=3)
         assert _oracle_window(oracle, q.table, (2, 3), 6) == keys
