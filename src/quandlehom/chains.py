@@ -228,31 +228,6 @@ def is_cycle(chain, q):
     return not boundary(chain, q)
 
 
-def layered_check(chain, q):
-    """Per-degree cycle test for graded chains.
-
-    Returns a dict with one entry per relevant degree k recording whether
-    g(T_{k-1}) + f(T_k) vanishes, plus the two end conditions: f kills the
-    minimal-degree layer and g kills the maximal-degree layer.
-    """
-    if not chain.graded:
-        raise ChainError("layered check needs a graded chain")
-    ks = degrees(chain)
-    report = {"layers": {}, "is_cycle": True, "min_degree_f_null": None, "max_degree_g_null": None}
-    if not ks:
-        return report
-    lo, hi = ks[0], ks[-1]
-    for k in range(lo, hi + 2):
-        part = g_map(degree_bucket(chain, k - 1), q) + f_map(degree_bucket(chain, k))
-        ok = not part
-        report["layers"][k] = ok
-        if not ok:
-            report["is_cycle"] = False
-    report["min_degree_f_null"] = not f_map(degree_bucket(chain, lo))
-    report["max_degree_g_null"] = not g_map(degree_bucket(chain, hi), q)
-    return report
-
-
 def chain_to_text(chain):
     """Serialize: header `arity m graded|trivial`, then sorted term lines."""
     lines = ["arity %d %s" % (chain.arity, "graded" if chain.graded else "trivial")]

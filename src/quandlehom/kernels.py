@@ -7,9 +7,8 @@ such class).  The kernel of (f, g) on a slice is computed exactly: an
 integer lattice basis by unimodular reduction, cross-checked against the
 rank modulo the prime 2^61 - 1 and through the chain maps themselves.
 
-Also houses the two named length-8 cycles, the explicit boundary identities
-used as regression anchors, and the push-forward of trivial-coefficient
-chains along inner translations.
+Also houses the two named length-8 cycles and the explicit boundary
+identities used as regression anchors.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg
-from .chains import Chain, ChainError, _accumulate, boundary, f_map, g_map, is_cycle, length
+from .chains import Chain, ChainError, _accumulate, boundary, f_map, g_map, length
 from .cocycles import evaluate
 from .quandles import FiniteQuandle, QuandleError, color_words
 
@@ -378,19 +377,3 @@ def verify_catalog_identity(name):
     qname, four_term, sign, expected = catalog[name]
     q = resolve_quandle(qname)
     return verify_boundary_identity(four_term, expected, sign, q)
-
-
-# ---------------------------------------------------------------------------
-# push-forward along inner translations
-
-
-def push_forward(chain, word, q):
-    """Apply the inner permutation word (a sequence of quandle elements, each
-    acting as x -> x^w) entry-wise to a trivial-coefficient arity-3 chain."""
-    if chain.graded:
-        raise ChainError("push-forward acts on trivial-coefficient chains")
-    pairs = [
-        ((0, 0, tuple(q.act_word(x, word) for x in colors)), coeff)
-        for (_, _, colors), coeff in chain.terms.items()
-    ]
-    return Chain(chain.arity, False, pairs)

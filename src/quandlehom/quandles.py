@@ -264,24 +264,6 @@ def inner_subgroup(q, generator):
     return perms
 
 
-def inner_group(q):
-    """All permutations generated by the right translations (closure)."""
-    identity = tuple(range(q.size))
-    gens = [q.column(b) for b in range(q.size)]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                pg = compose_perms(g, p)
-                if pg not in seen:
-                    seen.add(pg)
-                    nxt.append(pg)
-        frontier = nxt
-    return sorted(seen)
-
-
 def automorphisms(q):
     """Every automorphism of q, as sorted permutation tuples.
 

@@ -1,10 +1,7 @@
-"""Structural operations on 3-terms: types, symmetries, connected families.
+"""Structural operations on 3-terms: symmetries and f-connected families.
 
-A 3-term (n, u; a, b, c) falls into one of four types according to whether
-a = c and whether a^b = c; the type governs which faces of f and g
-degenerate.  The reverse of a term lives over the dual quandle and swaps
-types 1 and 2; the reflection is a mirror symmetry specific to dihedral
-quandles.
+The reverse of a graded chain lives over the dual quandle; the reflection is
+a mirror symmetry specific to dihedral quandles.
 
 A set of same-degree 3-terms is f-connected when its f-image vanishes and no
 proper nonempty subset has vanishing f-image (g-connected likewise).  Since
@@ -35,25 +32,7 @@ class StructureError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# term types and chain symmetries
-
-
-def classify_type(t, q):
-    """Type of an arity-3 term: 0 if a = c and a^b = c, 1 if only a = c,
-    2 if only a^b = c, 3 otherwise."""
-    _, _, colors = t
-    if len(colors) != 3:
-        raise StructureError("type classification needs an arity-3 term")
-    a, b, c = colors
-    closes = a == c
-    lands = q.apply(a, b) == c
-    if closes and lands:
-        return 0
-    if closes:
-        return 1
-    if lands:
-        return 2
-    return 3
+# chain symmetries
 
 
 def relabel_chain(chain, perm):
@@ -65,13 +44,11 @@ def relabel_chain(chain, perm):
     return Chain(chain.arity, chain.graded, pairs)
 
 
-def reverse(chain, q, pullback=None):
+def reverse(chain, q):
     """The reverse of a graded chain; the result lives over dual(q).
 
     Term-wise: degree n becomes -n, the index is pushed through the whole
-    color word, and color i is pushed through the colors to its right.  An
-    optional pullback permutation (an isomorphism dual(q) -> q, e.g. TAU_O6
-    for the octahedral quandle) relabels the result back over q.
+    color word, and color i is pushed through the colors to its right.
     """
     if not chain.graded:
         raise ChainError("reverse needs a graded chain")
@@ -81,16 +58,13 @@ def reverse(chain, q, pullback=None):
             q.act_word(colors[i], colors[i + 1 :]) for i in range(len(colors))
         )
         pairs.append(((-n, q.act_word(u, colors), new_colors), coeff))
-    result = Chain(chain.arity, True, pairs)
-    if pullback is not None:
-        result = relabel_chain(result, pullback)
-    return result
+    return Chain(chain.arity, True, pairs)
 
 
 def reverse_o6(chain, q):
     """Reverse an octahedral chain and relabel it back into O_6 via the
     2 <-> 5 isomorphism with the dual."""
-    return reverse(chain, q, pullback=TAU_O6)
+    return relabel_chain(reverse(chain, q), TAU_O6)
 
 
 def _dihedral_check(q):
@@ -115,73 +89,6 @@ def reflection(chain, q):
         new_colors = tuple((s * (x - w)) % size for x in reversed(colors))
         pairs.append(((n, (-s * w) % size, new_colors), coeff))
     return Chain(chain.arity, True, pairs)
-
-
-# ---------------------------------------------------------------------------
-# connected components of null families
-
-
-@dataclass
-class ComponentReport:
-    mode: str
-    components: list  # list of lists of (sign, term)
-    residual: Chain | None
-
-    @property
-    def ok(self):
-        return self.residual is None
-
-
-def _image_of(signed_terms, mode, q, arity):
-    chain = Chain.from_signed_terms(signed_terms, arity=arity, graded=True)
-    return f_map(chain) if mode == "f" else g_map(chain, q)
-
-
-def connected_components(signed_terms, mode, q):
-    """Partition same-degree signed 3-terms into minimal null families.
-
-    Input is a list of (sign, term) pairs, efficient (no term together with
-    its negative) and of constant degree.  If the total image under the
-    chosen face map vanishes, returns the finest partition into subsets with
-    vanishing image, peeling lexicographically-least smallest null subsets
-    (deterministic; a canonical choice where several finest partitions
-    exist).  Otherwise reports the nonzero residual.
-    """
-    if mode not in ("f", "g"):
-        raise StructureError("mode must be 'f' or 'g'")
-    signed_terms = list(signed_terms)
-    if not signed_terms:
-        return ComponentReport(mode, [], None)
-    arity = len(signed_terms[0][1][2])
-    degrees = {t[0] for _, t in signed_terms}
-    if len(degrees) != 1:
-        raise StructureError("terms must share one degree")
-    seen = set()
-    for sign, t in signed_terms:
-        if sign not in (1, -1):
-            raise StructureError("signs must be +1 or -1")
-        if (-sign, t) in seen:
-            raise StructureError("input is not efficient: %r appears with both signs" % (t,))
-        seen.add((sign, t))
-    total = _image_of(signed_terms, mode, q, arity)
-    if total:
-        return ComponentReport(mode, [], total)
-
-    remaining = sorted(range(len(signed_terms)), key=lambda i: (signed_terms[i][1], -signed_terms[i][0]))
-    components = []
-    while remaining:
-        found = None
-        for size in range(1, len(remaining) + 1):
-            for combo in itertools.combinations(remaining, size):
-                subset = [signed_terms[i] for i in combo]
-                if not _image_of(subset, mode, q, arity):
-                    found = combo
-                    break
-            if found:
-                break
-        components.append([signed_terms[i] for i in found])
-        remaining = [i for i in remaining if i not in found]
-    return ComponentReport(mode, components, None)
 
 
 # ---------------------------------------------------------------------------

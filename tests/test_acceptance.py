@@ -22,18 +22,8 @@ import random
 import time
 from contextlib import contextmanager
 
-from quandlehom.chains import (
-    Chain,
-    boundary,
-    degree_bucket,
-    f_map,
-    g_map,
-    length,
-    project_pi,
-    sigma_shift,
-)
+from quandlehom.chains import boundary, f_map, g_map, sigma_shift
 from quandlehom.cocycles import (
-    TriplePointRecord,
     eta_octahedral,
     evaluate,
     mochizuki,

@@ -13,7 +13,6 @@ from quandlehom.chains import (
     f_map,
     g_map,
     is_cycle,
-    layered_check,
     length,
     project_pi,
     sigma_shift,
@@ -236,23 +235,6 @@ def test_named_cycles_are_cycles():
 
 def test_single_term_is_never_a_cycle():
     assert not is_cycle(single(1, 0, 0, (0, 1, 2)), O6)
-
-
-def test_layered_check_reports_layers():
-    rep = layered_check(zeta8_chain(), R7)
-    assert rep["is_cycle"]
-    assert rep["min_degree_f_null"]
-    assert rep["max_degree_g_null"]
-    assert set(rep["layers"]) == {0, 1, 2}
-    rep6 = layered_check(eta8_chain(), O6)
-    assert rep6["is_cycle"]
-    assert set(rep6["layers"]) == {0, 1}
-
-
-def test_layered_check_flags_broken_cycle():
-    c = zeta8_chain() + single(1, 0, 0, (0, 1, 2))
-    rep = layered_check(c, R7)
-    assert not rep["is_cycle"]
 
 
 def test_chain_text_roundtrip():

@@ -17,7 +17,7 @@ from quandlehom.cocycles import (
     verify_cocycle_condition,
     weight_sum,
 )
-from quandlehom.quandles import inner_subgroup, make_dihedral, make_octahedral
+from quandlehom.quandles import inner_subgroup, make_dihedral
 
 from common import (
     WEIGHT_TRIPLES_DIHEDRAL,

@@ -3,8 +3,8 @@ import hashlib
 import pytest
 
 from quandlehom import intlinalg
-from quandlehom.chains import Chain, ChainError, boundary, f_map, g_map, length
-from quandlehom.cocycles import eta_octahedral, evaluate, mochizuki
+from quandlehom.chains import Chain, ChainError, boundary, f_map, g_map, project_pi
+from quandlehom.cocycles import eta_octahedral, evaluate
 from quandlehom.kernels import (
     boundary_identity_catalog,
     build_slice,
@@ -12,13 +12,13 @@ from quandlehom.kernels import (
     kernel_fg,
     kernel_to_text,
     named_cycle,
-    push_forward,
     vector_to_chain,
     verify_boundary_identity,
     verify_catalog_identity,
     verify_named_cycle,
 )
 from quandlehom.quandles import make_dihedral, make_octahedral
+from quandlehom.structure import relabel_chain
 
 from common import eta8_chain, fraction_rank, in_lattice, zeta8_chain
 
@@ -347,25 +347,17 @@ def test_boundary_identity_direct_use():
         verify_boundary_identity((0, 0, (0, 1, 0)), expected, 1, O6)
 
 
-# -- push-forward -----------------------------------------------------------
+# -- inner translations -----------------------------------------------------
 
 
-def test_push_forward_identity_and_cycles():
-    from quandlehom.chains import project_pi
-
+def test_inner_translations_keep_cycles_and_eta_pairing():
+    # Each right translation x -> x^b is an automorphism of O_6, so moving
+    # every color of the trivial-coefficient eta8 by it keeps a cycle that eta
+    # pairs with as before.
     base = project_pi(eta8_chain())
-    assert push_forward(base, (), O6) == base
     eta = eta_octahedral()
-    for gen in range(6):
-        moved = push_forward(base, (gen,), O6)
-        assert not boundary(moved, O6)
-        assert evaluate(eta, moved) == evaluate(eta, base) == 1
-    for word in ((0, 1), (2, 4, 5), (3, 3, 3)):
-        moved = push_forward(base, word, O6)
+    assert evaluate(eta, base) == 1
+    for b in range(6):
+        moved = relabel_chain(base, O6.column(b))
         assert not boundary(moved, O6)
         assert evaluate(eta, moved) == 1
-
-
-def test_push_forward_rejects_graded():
-    with pytest.raises(ChainError):
-        push_forward(eta8_chain(), (0,), O6)

@@ -11,7 +11,6 @@ from quandlehom.quandles import (
     check_axioms,
     check_isomorphism,
     dual,
-    inner_group,
     inner_subgroup,
     make_dihedral,
     make_octahedral,
@@ -147,10 +146,6 @@ def test_inner_subgroup_orbit_hits_rotated_triple():
     perms = inner_subgroup(q, 0)
     orbit = {tuple(p[x] for x in triple) for p in perms}
     assert (0, 2, 4) in orbit
-
-
-def test_inner_group_of_o6_is_the_rotation_group():
-    assert len(inner_group(make_octahedral())) == 24
 
 
 @pytest.mark.parametrize(

@@ -253,6 +253,17 @@ def test_single_degree_probes(quandle, max_length, probes):
     assert cached_search(quandle, max_length).probes == probes
 
 
+def test_r7_single_degree_at_eight_is_incomplete():
+    # The report the probe count above already paid for: no witness, but
+    # the 6+2 split lies outside the certified window, so nothing is claimed.
+    rep = cached_search("r7", 8)
+    assert len(rep.found) == 0
+    assert rep.zero_value_cycles == 294
+    assert rep.gaps == ["length 8 split 6+2 (outside the certified window)"]
+    assert not rep.exhausted
+    assert rep.certificate_text().splitlines()[-1].startswith("INCOMPLETE")
+
+
 # Single-window certificates at L = 2..5.  A family size s with 2s > L is
 # only ever looked up as the largest part of the join, never listed as a
 # smaller one; these are the lengths at which sizes cross that line.

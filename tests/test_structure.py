@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quandlehom.chains import Chain, ChainError, f_map, g_map, length, sigma_shift
+from quandlehom.chains import Chain, ChainError, degree_bucket, f_map, g_map, length, sigma_shift
 from quandlehom.quandles import QuandleError, dual, make_dihedral, make_octahedral
 from quandlehom.structure import (
     MAX_FAMILY_SIZE,
@@ -13,11 +13,8 @@ from quandlehom.structure import (
     TermTable,
     cancel_search,
     canonical_family,
-    classify_type,
     concrete_families,
-    connected_components,
     enumerate_f_connected,
-    instantiate_template,
     reflection,
     relabel_chain,
     reverse,
@@ -35,39 +32,61 @@ def _families_at(q, k, index):
     return [tuple((sign, (0, index, w)) for sign, w in fam) for fam in sorted(concrete_families(q, k))]
 
 
-# -- types -----------------------------------------------------------------
+def _closes_lands(t, q):
+    """(a == c, a^b == c) for the arity-3 term t = (n, u; a, b, c).  The pair
+    decides which faces of f and g degenerate; the tests name it the term's
+    type: 0 for (True, True), 1 for (True, False), 2 for (False, True), 3 for
+    (False, False)."""
+    a, b, c = t[2]
+    return a == c, q.apply(a, b) == c
+
+
+def _is_minimal_null(signed_terms, image):
+    """True when the same-degree signed 3-terms have zero image under the face
+    map `image` (f_map, or g_map bound to a quandle) and no proper nonempty
+    subset does."""
+
+    def null(subset):
+        return not image(Chain.from_signed_terms(subset, arity=3, graded=True))
+
+    return null(signed_terms) and not any(
+        null(sub)
+        for r in range(1, len(signed_terms))
+        for sub in itertools.combinations(signed_terms, r)
+    )
+
+
+# -- which faces close and land ---------------------------------------------
 
 
 def test_type_of_dihedral_bigon_is_one():
     for a in range(7):
         for b in range(7):
             if a != b:
-                assert classify_type((0, 0, (a, b, a)), R7) == 1
+                assert _closes_lands((0, 0, (a, b, a)), R7) == (True, False)
 
 
 def test_type_zero_exactly_at_antipodal_bigons():
     for a in range(6):
         for b in range(6):
-            if a == b:
-                continue
-            t = (0, 0, (a, b, a))
-            expected = 0 if b == (a + 3) % 6 else 1
-            assert classify_type(t, O6) == expected
+            if a != b:
+                assert _closes_lands((0, 0, (a, b, a)), O6) == (True, b == (a + 3) % 6)
 
 
 def test_type_of_open_triple():
-    # 0^1 = 5 != 2 and 0 != 2, so (0,1,2) is fully open (oracle: table lookup).
+    # 0^1 = 5 != 2 and 0 != 2, so (0,1,2) neither closes nor lands.
     assert O6.apply(0, 1) == 5
-    assert classify_type((0, 0, (0, 1, 2)), O6) == 3
-    # a^b = c with a != c gives type 2.
-    assert classify_type((0, 0, (0, 1, O6.apply(0, 1))), O6) == 2
+    assert _closes_lands((0, 0, (0, 1, 2)), O6) == (False, False)
+    assert _closes_lands((0, 0, (0, 1, O6.apply(0, 1))), O6) == (False, True)
 
 
 def test_no_dihedral_type_zero():
+    # In R_7, a^b = a only for b = a, so no term both closes and lands.
     for a in range(7):
         for b in range(7):
-            if a != b:
-                assert classify_type((0, 0, (a, b, a)), R7) != 0
+            for c in range(7):
+                if a != b != c:
+                    assert _closes_lands((0, 0, (a, b, c)), R7) != (True, True)
 
 
 # -- reverse ---------------------------------------------------------------
@@ -95,17 +114,17 @@ def test_reverse_is_involution():
 
 
 def test_reverse_swaps_types_one_and_two():
+    # A term that closes reverses to one that lands over the dual, and back.
     rng = random.Random(32)
     for q in (R7, O6):
         dq = dual(q)
-        swap = {0: 0, 1: 2, 2: 1, 3: 3}
         for _ in range(200):
             c = random_chain(rng, q, arity=3, nterms=1)
             if not c:
                 continue
             (t,) = list(c.terms)
             rt = list(reverse(c, q).terms)[0]
-            assert classify_type(rt, dq) == swap[classify_type(t, q)]
+            assert _closes_lands(rt, dq) == _closes_lands(t, q)[::-1]
 
 
 def test_reverse_intertwines_face_maps():
@@ -152,7 +171,7 @@ def test_reflection_is_involution_and_preserves_type():
             continue
         (t,) = list(c.terms)
         (rt,) = list(reflection(c, R7).terms)
-        assert classify_type(rt, R7) == classify_type(t, R7)
+        assert _closes_lands(rt, R7) == _closes_lands(t, R7)
 
 
 def test_reflection_commutes_with_face_maps():
@@ -170,19 +189,15 @@ def test_reflection_preserves_f_connectedness():
         chain = Chain.from_signed_terms(fam, arity=3, graded=True)
         mirrored = reflection(chain, R7)
         terms = [(c, t) for t, c in mirrored.items_sorted()]
-        rep = connected_components(terms, "f", R7)
-        assert rep.ok and len(rep.components) == 1
+        assert _is_minimal_null(terms, f_map)
 
 
-# -- connected components ---------------------------------------------------
+# -- minimal null families ---------------------------------------------------
 
 
 def test_components_of_bigon_pair():
     terms = [(1, (0, 0, (0, 1, 0))), (-1, (0, 0, (1, 0, 1)))]
-    rep = connected_components(terms, "f", R7)
-    assert rep.ok
-    assert len(rep.components) == 1
-    assert sorted(rep.components[0]) == sorted(terms)
+    assert _is_minimal_null(terms, f_map)
 
 
 def test_components_split_disjoint_pairs():
@@ -192,29 +207,19 @@ def test_components_split_disjoint_pairs():
         (1, (0, 2, (3, 4, 3))),
         (-1, (0, 2, (4, 3, 4))),
     ]
-    rep = connected_components(terms, "f", R7)
-    assert rep.ok
-    assert sorted(len(c) for c in rep.components) == [2, 2]
+    assert not f_map(Chain.from_signed_terms(terms, arity=3, graded=True))
+    assert not _is_minimal_null(terms, f_map)
+    assert _is_minimal_null(terms[:2], f_map) and _is_minimal_null(terms[2:], f_map)
 
 
 def test_components_report_residual():
     terms = [(1, (0, 0, (0, 1, 2)))]
-    rep = connected_components(terms, "f", R7)
-    assert not rep.ok
-    assert rep.residual
-
-
-def test_components_reject_inefficient_input():
-    terms = [(1, (0, 0, (0, 1, 0))), (-1, (0, 0, (0, 1, 0)))]
-    with pytest.raises(StructureError):
-        connected_components(terms, "f", R7)
+    assert f_map(Chain.from_signed_terms(terms, arity=3, graded=True))
+    assert not _is_minimal_null(terms, f_map)
 
 
 def test_zeta8_bottom_layer_is_f_null():
-    c = zeta8_chain()
-    bottom = [(coeff, t) for t, coeff in c.items_sorted() if t[0] == 0]
-    rep = connected_components(bottom, "f", R7)
-    assert rep.ok
+    assert not f_map(degree_bucket(zeta8_chain(), 0))
 
 
 def test_g_connected_iff_reverses_f_connected():
@@ -228,8 +233,7 @@ def test_g_connected_iff_reverses_f_connected():
             chain = Chain.from_signed_terms(fam, arity=3, graded=True)
             rev = reverse(chain, dq)
             terms = [(coeff, t) for t, coeff in rev.items_sorted()]
-            rep = connected_components(terms, "g", q)
-            assert rep.ok and len(rep.components) == 1
+            assert _is_minimal_null(terms, lambda c: g_map(c, q))
 
 
 def test_f_connected_families_share_index():
@@ -316,8 +320,7 @@ def test_instances_are_minimal_f_null_over_both_quandles():
                 assert length(chain) == k
                 assert not f_map(chain)
                 terms = [(coeff, t) for t, coeff in chain.items_sorted()]
-                rep = connected_components(terms, "f", q)
-                assert rep.ok and len(rep.components) == 1
+                assert _is_minimal_null(terms, f_map)
 
 
 def test_census_instances_match_direct_search():
