@@ -149,19 +149,6 @@ def length(chain):
     return sum(abs(c) for c in chain.terms.values())
 
 
-def degrees(chain):
-    return sorted({t[0] for t in chain.terms})
-
-
-def degree_bucket(chain, k):
-    """The sub-chain of terms at degree k (graded chains only)."""
-    if not chain.graded:
-        raise ChainError("degree buckets need a graded chain")
-    result = Chain(chain.arity, True)
-    result.terms = {t: c for t, c in chain.terms.items() if t[0] == k}
-    return result
-
-
 def f_map(chain):
     """Color deletion: alternating sum over dropped positions, first sign
     negative; output terms with adjacent equal colors are discarded.

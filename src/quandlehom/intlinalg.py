@@ -1,13 +1,17 @@
 """Exact integer linear algebra for kernel computations.
 
-Everything here works on dense lists of Python ints; no floating point is
-used anywhere.  The integer kernel routine returns a basis of the full
-lattice {x in Z^n : M x = 0} (automatically saturated, being the integer
-points of a rational subspace), obtained by tracking unimodular row
-operations while reducing the transpose to row echelon form over Z.  The
-rank modulo the prime 2^61 - 1 cross-checks it: that rank is never above
-the rank over Q, so it plus the number of independent kernel vectors is at
-most the number of columns, with equality only when they span the kernel.
+The elimination is sparse: a matrix row is a dict from column to nonzero
+Python int, and a per-column index of the rows that still have an entry
+there replaces the scan down each column; no floating point is used
+anywhere.  The integer kernel routine returns a basis of the full lattice
+{x in Z^n : M x = 0} (automatically saturated, being the integer points of a
+rational subspace), obtained by tracking unimodular row operations while
+reducing the transpose to row echelon form over Z.  Its pivot order is the
+dense textbook one (least |entry| in the column, first row on ties), and that
+order, not the sparse storage, fixes which basis comes out.  The rank modulo
+the prime 2^61 - 1 cross-checks it: that rank is never above the rank over
+Q, so it plus the number of independent kernel vectors is at most the number
+of columns, with equality only when they span the kernel.
 """
 
 from __future__ import annotations
@@ -15,49 +19,75 @@ from __future__ import annotations
 P = (1 << 61) - 1
 
 
+def _subtract(target, q, source, tid=None, where=None, modulus=0):
+    """target -= q * source in place on sparse rows, modulo ``modulus`` when
+    it is nonzero; ``where``, when given, is the column index to keep in step
+    with row ``tid``'s entries."""
+    get = target.get
+    for c, y in source.items():
+        v = get(c, 0) - q * y
+        if modulus:
+            v %= modulus
+        if v:
+            if where is not None and c not in target:
+                where[c].add(tid)
+            target[c] = v
+        else:
+            del target[c]
+            if where is not None:
+                where[c].discard(tid)
+
+
 def integer_kernel_basis(rows, ncols):
     """Basis of {x in Z^ncols : M x = 0} as a list of primitive int vectors.
 
     Row-reduce the transpose A = M^T over Z with unimodular operations
     mirrored on an identity matrix U; rows of U facing a zero row of the
-    echelon form are a lattice basis of the kernel.
+    echelon form are a lattice basis of the kernel.  Rows are sparse and
+    keep their identity ``r``; ``order`` holds them by echelon position, so
+    swaps, ties and the floor quotients follow the dense elimination step
+    for step.
     """
-    nrows = len(rows)
-    a = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]  # transpose
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    n = ncols
-    m = nrows
+    # A[r] is column r of M, as the sparse transpose of the given rows.
+    a = [{} for _ in range(ncols)]
+    where = {}
+    for i, row in enumerate(rows):
+        for r, x in enumerate(row):
+            if x:
+                a[r][i] = x
+                where.setdefault(i, set()).add(r)
+    u = [{r: 1} for r in range(ncols)]
+    order = list(range(ncols))
+    pos = list(range(ncols))
     top = 0
-    for col in range(m):
-        # Euclidean elimination in this column below `top`.
-        while True:
-            pivot = None
-            for i in range(top, n):
-                if a[i][col] != 0 and (pivot is None or abs(a[i][col]) < abs(a[pivot][col])):
-                    pivot = i
-            if pivot is None:
-                break
-            if pivot != top:
-                a[top], a[pivot] = a[pivot], a[top]
-                u[top], u[pivot] = u[pivot], u[top]
-            done = True
-            p = a[top][col]
-            for i in range(top + 1, n):
-                if a[i][col] != 0:
-                    qq = a[i][col] // p
-                    if qq:
-                        a[i] = [x - qq * y for x, y in zip(a[i], a[top])]
-                        u[i] = [x - qq * y for x, y in zip(u[i], u[top])]
-                    if a[i][col] != 0:
-                        done = False
-            if done:
+    for col in range(len(rows)):
+        live = where.get(col)
+        # Euclidean elimination in this column below `top`; `live` holds the
+        # rows at or below `top` with an entry here.
+        while live:
+            pivot = min(live, key=lambda r: (abs(a[r][col]), pos[r]))
+            if pos[pivot] != top:
+                other = order[top]
+                order[top], order[pos[pivot]] = pivot, other
+                pos[other], pos[pivot] = pos[pivot], top
+            p = a[pivot][col]
+            for r in [r for r in live if r != pivot]:
+                qq = a[r][col] // p
+                if qq:
+                    _subtract(a[r], qq, a[pivot], r, where)
+                    _subtract(u[r], qq, u[pivot])
+            if len(live) == 1:
+                for c in a[pivot]:
+                    where[c].discard(pivot)
                 top += 1
                 break
     basis = []
-    for i in range(top, n):
-        if any(a[i][j] != 0 for j in range(m)):
+    for r in order[top:]:
+        if a[r]:
             raise AssertionError("echelon residue below the pivot block")
-        vec = u[i]
+        vec = [0] * ncols
+        for c, x in u[r].items():
+            vec[c] = x
         basis.append(_normalize_sign(vec))
     basis.sort()
     return basis
@@ -76,20 +106,25 @@ def rank_mod_p(rows):
     """Rank over Z/P of a list of integer vectors, P = 2^61 - 1.
 
     Never above the rank over Q: a prime dividing a minor can only lower it.
+    Each column is cleared with its sparsest live row as the pivot, since the
+    rank does not depend on the pivot order.
     """
-    m = [[x % P for x in row] for row in rows]
-    ncols = len(rows[0]) if rows else 0
+    m, where = [], {}
+    for i, row in enumerate(rows):
+        m.append({c: x % P for c, x in enumerate(row) if x % P})
+        for c in m[i]:
+            where.setdefault(c, set()).add(i)
     rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot is None:
+    for c in sorted(where):
+        live = where[c]
+        if not live:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][c], -1, P)
-        top = [x * inv % P for x in m[rank]]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            if f:
-                m[i] = [(x - f * y) % P for x, y in zip(m[i], top)]
+        pivot = min(live, key=lambda i: (len(m[i]), i))
+        top = m[pivot]
+        for c2 in top:
+            where[c2].discard(pivot)
+        inv = pow(top[c], -1, P)
+        for i in list(live):
+            _subtract(m[i], m[i][c] * inv % P, top, i, where, P)
         rank += 1
     return rank

@@ -6,7 +6,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from quandlehom.chains import Chain
+from quandlehom.chains import Chain, ChainError
 from quandlehom.cocycles import eta_octahedral, mochizuki
 from quandlehom.quandles import make_dihedral, make_octahedral
 from quandlehom.search import SearchConfig, _sign_normal_chain, search_min_cycles
@@ -79,6 +79,19 @@ def eta8_chain():
     return Chain.from_signed_terms(ETA8_TERMS, arity=3, graded=True)
 
 
+def degrees(chain):
+    return sorted({t[0] for t in chain.terms})
+
+
+def degree_bucket(chain, k):
+    """The sub-chain of terms at degree k (graded chains only)."""
+    if not chain.graded:
+        raise ChainError("degree buckets need a graded chain")
+    result = Chain(chain.arity, True)
+    result.terms = {t: c for t, c in chain.terms.items() if t[0] == k}
+    return result
+
+
 def random_chain(rng, q, arity, graded=True, nterms=6, degree_span=3, coeff_span=3):
     """A random reduced chain with in-range colors and nonzero coefficients."""
     chain = Chain(arity, graded)
@@ -125,6 +138,61 @@ def _fraction_echelon(rows, reduced=False):
 def fraction_rank(rows):
     """Rank over Q of a list of integer vectors."""
     return len(_fraction_echelon(rows)[1])
+
+
+def dense_kernel_basis(rows, ncols):
+    """Basis of {x in Z^ncols : M x = 0} by the dense elimination the library
+    replaced with a sparse one that must run the same row operations: reduce
+    the transpose over Z, mirroring each step on an identity matrix U, with
+    the least |entry| as pivot (first row on ties) and floor quotients."""
+    nrows = len(rows)
+    a = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]  # transpose
+    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    n = ncols
+    m = nrows
+    top = 0
+    for col in range(m):
+        # Euclidean elimination in this column below `top`.
+        while True:
+            pivot = None
+            for i in range(top, n):
+                if a[i][col] != 0 and (pivot is None or abs(a[i][col]) < abs(a[pivot][col])):
+                    pivot = i
+            if pivot is None:
+                break
+            if pivot != top:
+                a[top], a[pivot] = a[pivot], a[top]
+                u[top], u[pivot] = u[pivot], u[top]
+            done = True
+            p = a[top][col]
+            for i in range(top + 1, n):
+                if a[i][col] != 0:
+                    qq = a[i][col] // p
+                    if qq:
+                        a[i] = [x - qq * y for x, y in zip(a[i], a[top])]
+                        u[i] = [x - qq * y for x, y in zip(u[i], u[top])]
+                    if a[i][col] != 0:
+                        done = False
+            if done:
+                top += 1
+                break
+    basis = []
+    for i in range(top, n):
+        if any(a[i][j] != 0 for j in range(m)):
+            raise AssertionError("echelon residue below the pivot block")
+        vec = u[i]
+        basis.append(_normalize_sign(vec))
+    basis.sort()
+    return basis
+
+
+def _normalize_sign(vec):
+    for x in vec:
+        if x != 0:
+            if x < 0:
+                return [-y for y in vec]
+            break
+    return list(vec)
 
 
 def in_lattice(basis, vec):

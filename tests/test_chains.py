@@ -8,8 +8,6 @@ from quandlehom.chains import (
     boundary,
     chain_from_text,
     chain_to_text,
-    degree_bucket,
-    degrees,
     f_map,
     g_map,
     is_cycle,
@@ -20,7 +18,7 @@ from quandlehom.chains import (
 )
 from quandlehom.quandles import make_dihedral, make_octahedral
 
-from common import eta8_chain, random_chain, zeta8_chain
+from common import degree_bucket, degrees, eta8_chain, random_chain, zeta8_chain
 
 R7 = make_dihedral(7)
 O6 = make_octahedral()

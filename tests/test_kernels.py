@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -20,7 +21,7 @@ from quandlehom.kernels import (
 from quandlehom.quandles import make_dihedral, make_octahedral
 from quandlehom.structure import relabel_chain
 
-from common import eta8_chain, fraction_rank, in_lattice, zeta8_chain
+from common import dense_kernel_basis, eta8_chain, fraction_rank, in_lattice, zeta8_chain
 
 R7 = make_dihedral(7)
 O6 = make_octahedral()
@@ -252,15 +253,43 @@ RANK_SLICES = (
     + [(R7, 0, c) for c in range(7)]
     + [(O6, 0, None)]
 )
-
-
-@pytest.mark.parametrize(
+on_rank_slices = pytest.mark.parametrize(
     "q, index, cell", RANK_SLICES, ids=["%s-%s-%s" % (q.name, u, c) for q, u, c in RANK_SLICES]
 )
+
+
+@on_rank_slices
 def test_rank_mod_p_matches_fraction_rank(q, index, cell):
     sl = build_slice(q, index=index, cell=cell)
     rows = sl.f_rows + sl.g_rows
     assert intlinalg.rank_mod_p(rows) == fraction_rank(rows)
+
+
+@on_rank_slices
+def test_kernel_basis_matches_dense_elimination(q, index, cell):
+    sl = build_slice(q, index=index, cell=cell)
+    rows = sl.f_rows + sl.g_rows
+    ncols = len(sl.generators)
+    assert intlinalg.integer_kernel_basis(rows, ncols) == dense_kernel_basis(rows, ncols)
+
+
+def test_kernel_basis_matches_dense_elimination_on_random_matrices():
+    # Slice entries are small, so their pivots are mostly +-1; entries up to 6
+    # make the floor quotients, swaps and ties of the elimination matter.
+    rng = random.Random(22)
+    for _ in range(300):
+        ncols = rng.randrange(7)
+        entries = (0, 0, 0, 1, -1, 2, -3, 4, 6)
+        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(rng.randrange(6))]
+        assert intlinalg.integer_kernel_basis(rows, ncols) == dense_kernel_basis(rows, ncols)
+        assert intlinalg.rank_mod_p(rows) == fraction_rank(rows)
+
+
+@pytest.mark.parametrize("rows, ncols", [([], 3), ([], 0), ([[0, 0, 0]], 3)])
+def test_kernel_basis_edge_cases_match_dense_elimination(rows, ncols):
+    basis = intlinalg.integer_kernel_basis(rows, ncols)
+    assert basis == dense_kernel_basis(rows, ncols)
+    assert basis == [[int(i + j == ncols - 1) for j in range(ncols)] for i in range(ncols)]
 
 
 def test_rank_mod_p_can_only_fall_short():
@@ -271,6 +300,11 @@ def test_rank_mod_p_can_only_fall_short():
     assert intlinalg.rank_mod_p(singular_mod_p) == 1
 
 
+def test_rank_mod_p_of_empty_and_zero_rows():
+    assert intlinalg.rank_mod_p([]) == 0
+    assert intlinalg.rank_mod_p([[0, 0]]) == 0
+
+
 def test_o6_full_slice_kernel_is_pinned():
     sl = build_slice(O6)
     ker = kernel_fg(sl)
@@ -278,6 +312,16 @@ def test_o6_full_slice_kernel_is_pinned():
     assert intlinalg.rank_mod_p(sl.f_rows + sl.g_rows) == 275
     assert hashlib.sha256(kernel_to_text(ker).encode()).hexdigest() == (
         "7b0962b610f5cec4c6adfb8f43cdd4ec8576aef8fc385f42858424bb677c7066"
+    )
+
+
+def test_r7_full_slice_kernel_is_pinned():
+    sl = build_slice(R7)
+    ker = kernel_fg(sl)
+    assert ker.rank == 1296
+    assert intlinalg.rank_mod_p(sl.f_rows + sl.g_rows) == 468
+    assert hashlib.sha256(kernel_to_text(ker).encode()).hexdigest() == (
+        "7c29410477776f841256570d89af75c62ff85e132a83c6a2f092b0eef2d34b82"
     )
 
 

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from quandlehom.chains import Chain, boundary, degree_bucket, degrees, length, sigma_shift
+from quandlehom.chains import Chain, boundary, length, sigma_shift
 from quandlehom.cocycles import ThreeCocycle, eta_octahedral, evaluate, mochizuki
 from quandlehom.kernels import named_cycle
 from quandlehom.quandles import (
@@ -34,6 +34,8 @@ from common import (
     _oracle_boundary,
     _sign_normal,
     cached_search,
+    degree_bucket,
+    degrees,
     oracle_cycles,
     reached_keys,
 )

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from quandlehom.chains import Chain, ChainError, degree_bucket, f_map, g_map, length, sigma_shift
+from quandlehom.chains import Chain, ChainError, f_map, g_map, length, sigma_shift
 from quandlehom.quandles import QuandleError, dual, make_dihedral, make_octahedral
 from quandlehom.structure import (
     MAX_FAMILY_SIZE,
@@ -21,7 +21,7 @@ from quandlehom.structure import (
     reverse_o6,
 )
 
-from common import random_chain, zeta8_chain
+from common import degree_bucket, random_chain, zeta8_chain
 
 R7 = make_dihedral(7)
 O6 = make_octahedral()
