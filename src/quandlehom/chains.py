@@ -211,10 +211,6 @@ def sigma_shift(chain, delta=1):
     return result
 
 
-def is_cycle(chain, q):
-    return not boundary(chain, q)
-
-
 def chain_to_text(chain):
     """Serialize: header `arity m graded|trivial`, then sorted term lines."""
     lines = ["arity %d %s" % (chain.arity, "graded" if chain.graded else "trivial")]

@@ -170,8 +170,6 @@ def cmd_search(args):
     theta = _cocycle_from_args(args)
     if theta.quandle.table != q.table:
         raise UsageError("cocycle %s does not live on the chosen quandle" % theta.name)
-    if args.threads < 1:
-        raise UsageError("threads must be positive")
     cfg = search.SearchConfig(
         quandle=q,
         cocycle=theta,
@@ -337,10 +335,6 @@ def build_parser():
     p.add_argument("--max-length", type=int, default=7, dest="max_length")
     p.add_argument("--window", choices=["single", "double"], default="single")
     p.add_argument("--profile", choices=["A", "B", "C", "BC"], default=None)
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="checked to be positive, otherwise ignored: every search runs in one process",
-    )
     p.add_argument("--budget", type=int, default=10**9, help="probe budget before refusal")
     p.add_argument("--out", help="also write the certificate to this file")
     _add_format(p)

@@ -1,9 +1,10 @@
 """Exact integer linear algebra for kernel computations.
 
-The elimination is sparse: a matrix row is a dict from column to nonzero
-Python int, and a per-column index of the rows that still have an entry
-there replaces the scan down each column; no floating point is used
-anywhere.  The integer kernel routine returns a basis of the full lattice
+The elimination is sparse: a matrix is a list of sparse rows, each a dict
+from column to Python int (the kernel slices' sparse boundary rows, read as
+given, zero entries skipped), and a per-column index of the rows that still
+have an entry there replaces the scan down each column; no floating point is
+used anywhere.  The integer kernel routine returns a basis of the full lattice
 {x in Z^n : M x = 0} (automatically saturated, being the integer points of a
 rational subspace), obtained by tracking unimodular row operations while
 reducing the transpose to row echelon form over Z.  Its pivot order is the
@@ -39,7 +40,8 @@ def _subtract(target, q, source, tid=None, where=None, modulus=0):
 
 
 def integer_kernel_basis(rows, ncols):
-    """Basis of {x in Z^ncols : M x = 0} as a list of primitive int vectors.
+    """Basis of {x in Z^ncols : M x = 0} as a list of primitive int vectors,
+    for M given as sparse rows over columns 0..ncols-1.
 
     Row-reduce the transpose A = M^T over Z with unimodular operations
     mirrored on an identity matrix U; rows of U facing a zero row of the
@@ -52,7 +54,7 @@ def integer_kernel_basis(rows, ncols):
     a = [{} for _ in range(ncols)]
     where = {}
     for i, row in enumerate(rows):
-        for r, x in enumerate(row):
+        for r, x in row.items():
             if x:
                 a[r][i] = x
                 where.setdefault(i, set()).add(r)
@@ -103,7 +105,7 @@ def _normalize_sign(vec):
 
 
 def rank_mod_p(rows):
-    """Rank over Z/P of a list of integer vectors, P = 2^61 - 1.
+    """Rank over Z/P of a matrix given as sparse integer rows, P = 2^61 - 1.
 
     Never above the rank over Q: a prime dividing a minor can only lower it.
     Each column is cleared with its sparsest live row as the pivot, since the
@@ -111,7 +113,7 @@ def rank_mod_p(rows):
     """
     m, where = [], {}
     for i, row in enumerate(rows):
-        m.append({c: x % P for c, x in enumerate(row) if x % P})
+        m.append({c: x % P for c, x in row.items() if x % P})
         for c in m[i]:
             where.setdefault(c, set()).add(i)
     rank = 0

@@ -3,7 +3,9 @@
 A slice collects the arity-3 generators at one degree, optionally filtered
 by index and by the value of u^{a b c} (the index every g-image of the
 generator's full word reaches; g-null families are constrained to a single
-such class).  The kernel of (f, g) on a slice is computed exactly: an
+such class), and is stored as sparse boundary rows from one boundary image
+per generator: g raises the degree that f keeps, so these are the rows of f
+and g together.  The kernel of (f, g) on a slice is computed exactly: an
 integer lattice basis by unimodular reduction, cross-checked against the
 rank modulo the prime 2^61 - 1 and through the chain maps themselves.
 
@@ -16,17 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import intlinalg
-from .chains import Chain, ChainError, _accumulate, boundary, f_map, g_map, length
+from .chains import Chain, ChainError, _accumulate, boundary, length
 from .cocycles import evaluate
 from .quandles import FiniteQuandle, QuandleError, color_words
 
 
 @dataclass
 class SliceBasis:
-    """Generators of one degree slice plus exact matrices of f and g.
+    """Generators of one degree slice plus its sparse boundary rows.
 
-    Matrix rows are indexed by the (sorted) arity-2 terms appearing in the
-    images; columns follow ``generators``.
+    ``rows`` holds one {column: nonzero entry} dict per arity-2 face of the
+    generators' boundary images, in sorted face order, so every f-face
+    (the slice's degree) comes before every g-face (one degree up); columns
+    follow ``generators``.
     """
 
     quandle: FiniteQuandle
@@ -34,12 +38,11 @@ class SliceBasis:
     index: int | None
     cell: int | None
     generators: list
-    f_rows: list
-    g_rows: list
+    rows: list
 
 
 def build_slice(q, degree=0, index=None, cell=None):
-    """Collect arity-3 generators at one degree.
+    """Collect arity-3 generators at one degree and their boundary rows.
 
     ``index`` restricts to one index; ``cell`` restricts to generators whose
     full color word sends their index to the given element (the class every
@@ -57,20 +60,11 @@ def build_slice(q, degree=0, index=None, cell=None):
             if cell is None or q.act_word(u, word) == cell:
                 gens.append((degree, u, word))
     gens.sort()
-    f_rows = _map_matrix(gens, lambda chain: f_map(chain))
-    g_rows = _map_matrix(gens, lambda chain: g_map(chain, q))
-    return SliceBasis(q, degree, index, cell, gens, f_rows, g_rows)
-
-
-def _map_matrix(generators, image):
-    columns = []
-    row_keys = set()
-    for gen in generators:
-        img = image(Chain(3, True, {gen: 1}))
-        columns.append(img.terms)
-        row_keys.update(img.terms)
-    row_keys = sorted(row_keys)
-    return [[col.get(key, 0) for col in columns] for key in row_keys]
+    faces = {}
+    for col, gen in enumerate(gens):
+        for face, c in boundary(Chain(3, True, {gen: 1}), q).terms.items():
+            faces.setdefault(face, {})[col] = c
+    return SliceBasis(q, degree, index, cell, gens, [faces[face] for face in sorted(faces)])
 
 
 @dataclass
@@ -90,7 +84,7 @@ def vector_to_chain(slice_basis, vector):
     chain = Chain(3, True)
     for gen, coeff in zip(slice_basis.generators, vector):
         if coeff:
-            chain.terms[gen] = int(coeff)
+            chain.terms[gen] = coeff
     return chain
 
 
@@ -105,30 +99,30 @@ def chain_to_vector(slice_basis, chain):
 
 
 def kernel_fg(slice_basis):
-    """Exact kernel of f and g together on the slice.
+    """Exact kernel of f and g together on the slice's boundary rows.
 
-    The lattice rank plus the matrix rank modulo a prime must be the number
-    of generators, and every lattice basis vector is re-verified through the
-    chain maps, not the matrices, as the sum of its generators' f- and
-    g-images (one fresh chain-map call per generator, keyed by its term).
+    The lattice rank plus the rank modulo a prime must be the number of
+    generators, and every lattice basis vector is re-verified through the
+    chain maps, not the rows, as the sum of its generators' boundary images
+    (one fresh boundary image per generator, keyed by its term).  The sum is
+    zero exactly when its f- and g-parts are, since they lie at different
+    degrees.
     """
-    rows = slice_basis.f_rows + slice_basis.g_rows
+    rows = slice_basis.rows
     ncols = len(slice_basis.generators)
     lattice = intlinalg.integer_kernel_basis(rows, ncols)
     if intlinalg.rank_mod_p(rows) + len(lattice) != ncols:
         raise AssertionError("modular and integer kernel ranks disagree")
     q = slice_basis.quandle
-    images = {}
-    for gen in slice_basis.generators:
-        single = Chain(3, True, {gen: 1})
-        images[gen] = (f_map(single).terms.items(), g_map(single, q).terms.items())
+    images = {
+        gen: boundary(Chain(3, True, {gen: 1}), q).terms.items() for gen in slice_basis.generators
+    }
     result = KernelResult(slice_basis, lattice)
     for chain in result.chains():
-        f_sum, g_sum = {}, {}
+        total = {}
         for gen, c in chain.terms.items():
-            _accumulate(f_sum, images[gen][0], c)
-            _accumulate(g_sum, images[gen][1], c)
-        if f_sum or g_sum:
+            _accumulate(total, images[gen], c)
+        if total:
             raise AssertionError("kernel vector fails the chain-map re-check")
     return result
 

@@ -133,12 +133,12 @@ def _invert_or_none(col):
     return tuple(inv)
 
 
-def make_dihedral(n, name=None):
+def make_dihedral(n):
     """The dihedral quandle R_n on Z/nZ with a^b = 2b - a."""
     if n < 3:
         raise QuandleError("dihedral quandle needs n >= 3, got %r" % n)
     table = [[(2 * b - a) % n for b in range(n)] for a in range(n)]
-    return FiniteQuandle(table, name=name or ("R%d" % n))
+    return FiniteQuandle(table, name="R%d" % n)
 
 
 # Octahedron vertices: 0 = +z, 1 = +x, 2 = +y, 3 = -z, 4 = -x, 5 = -y.
@@ -179,7 +179,7 @@ class OctahedronModel:
         return self.coords.index(v)
 
 
-def make_octahedral(name="O6"):
+def make_octahedral():
     """The octahedral quandle O_6 built from quarter turns of the octahedron.
 
     a^b is the image of vertex a under the counterclockwise quarter turn
@@ -191,7 +191,7 @@ def make_octahedral(name="O6"):
         [model.label(model.rotate_quarter(b, model.coords[a])) for b in range(6)]
         for a in range(6)
     ]
-    return FiniteQuandle(table, name=name)
+    return FiniteQuandle(table, name="O6")
 
 
 def check_axioms(q):

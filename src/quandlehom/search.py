@@ -204,8 +204,8 @@ def _sign_normal_chain(chain):
     return items if items <= neg else neg
 
 
-def _partitions_into_parts(total, largest, smallest=2):
-    """Multiset partitions of `total` into parts between smallest and largest,
+def _partitions_into_parts(total, largest):
+    """Multiset partitions of `total` into parts between 2 and largest,
     emitted in non-increasing order."""
     out = []
 
@@ -213,9 +213,9 @@ def _partitions_into_parts(total, largest, smallest=2):
         if rest == 0:
             out.append(tuple(acc))
             return
-        for part in range(min(cap, rest), smallest - 1, -1):
+        for part in range(min(cap, rest), 1, -1):
             remainder = rest - part
-            if remainder == 0 or remainder >= smallest:
+            if remainder == 0 or remainder >= 2:
                 acc.append(part)
                 rec(remainder, part, acc)
                 acc.pop()
@@ -253,13 +253,12 @@ class _Cycles:
 
     def __init__(self, q, theta):
         self.q, self.theta = q, theta
-        self.seen, self.zero, self.found = set(), set(), {}
+        self.zero, self.found = set(), {}
 
     def add(self, chain, shape):
         key = _sign_normal_chain(chain)
-        if key in self.seen:
+        if key in self.zero or key in self.found:
             return
-        self.seen.add(key)
         if boundary(chain, self.q):
             raise AssertionError("search produced a non-cycle")
         value = evaluate(self.theta, chain)
@@ -499,7 +498,7 @@ def _search_double_window(cfg, report):
             return
         chain = _chain_of(family)
         key = _sign_normal_chain(chain)
-        if key in cycles.seen or key in handed:
+        if key in cycles.zero or key in cycles.found or key in handed:
             return  # its orbit is in already
         shape = "degrees 0+1 split %d+%d" % (len(layer), len(family) - len(layer))
         orbit = [relabel_chain(chain, p) for p in group]

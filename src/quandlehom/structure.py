@@ -143,7 +143,7 @@ class TermTable:
 
 
 def cancel_search(
-    images, cancel, size, on_close, anchors=(), *, g=None, restarts=None, cap=None, budget=None
+    images, cancel, size, on_close, anchors, *, g=None, restarts=None, cap=None, budget=None
 ):
     """Residual-guided cancellation search over one image table.
 

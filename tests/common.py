@@ -135,6 +135,11 @@ def _fraction_echelon(rows, reduced=False):
     return m, pivots
 
 
+def dense(rows, ncols):
+    """The dense matrix of sparse {column: entry} rows over ncols columns."""
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
 def fraction_rank(rows):
     """Rank over Q of a list of integer vectors."""
     return len(_fraction_echelon(rows)[1])

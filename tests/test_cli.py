@@ -160,17 +160,14 @@ def test_search_refusal_exit_code(capsys):
     assert code == 1 and "REFUSED" in out
 
 
-def test_search_threads_is_checked_and_ignored(capsys):
-    # Every search runs in one process: --threads must be positive and
-    # changes nothing else.
+def test_search_has_no_threads_option(capsys):
+    # Every search runs in one process, so --threads is refused by argparse
+    # like any unknown option.
     argv = ["search", "--quandle", "r7", "--cocycle", "zeta7", "--max-length", "4"]
-    code, plain, _ = run(capsys, *argv)
-    assert code == 0 and "EXHAUSTED" in plain
-    code, out, _ = run(capsys, *argv, "--threads", "2")
-    assert code == 0 and out == plain
-    code, out, err = run(capsys, *argv, "--threads", "0")
-    assert code == 2 and out == ""
-    assert err == "error: threads must be positive\n"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_readme_commands_run(capsys, monkeypatch):

@@ -1,9 +1,14 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every public
+function it defines is reached from the package or the benchmark."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quandlehom"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+
+# Public functions only the tests and the acceptance criteria reach.
+TEST_ONLY = {"chain_to_vector", "check_isomorphism", "reflection", "reverse_o6", "sigma_shift"}
 
 
 def unused_imports(source):
@@ -27,3 +32,46 @@ def unused_imports(source):
 def test_package_modules_have_no_unused_imports():
     unused = {path.name: unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _references(node):
+    """The names a node loads, bare (``name``) and as ``(base, attr)`` for
+    an attribute load ``<...>.base.attr``."""
+    names, attrs = set(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            base = sub.value
+            if isinstance(base, (ast.Name, ast.Attribute)):
+                attrs.add((base.id if isinstance(base, ast.Name) else base.attr, sub.attr))
+    return names, attrs
+
+
+def unreferenced_functions(package, readers):
+    """(module, function) for each public module-level function of the
+    package's modules that nothing loads, as a Name or as ``<module>.name``,
+    in the package outside the function's own body or in ``readers``."""
+    defined, uses = [], []
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                defined.append((path.stem, stmt.name))
+                uses.append(((path.stem, stmt.name), _references(stmt)))
+            else:
+                uses.append((None, _references(stmt)))
+    for path in sorted(readers):
+        uses.append((None, _references(ast.parse(path.read_text()))))
+    return sorted(
+        (module, name)
+        for module, name in defined
+        if not any(
+            owner != (module, name) and (name in names or (module, name) in attrs)
+            for owner, (names, attrs) in uses
+        )
+    )
+
+
+def test_package_functions_are_reached_outside_the_tests():
+    unreached = unreferenced_functions(PACKAGE, PERFBENCH.glob("*.py"))
+    assert [(m, n) for m, n in unreached if n not in TEST_ONLY] == []

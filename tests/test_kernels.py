@@ -21,7 +21,7 @@ from quandlehom.kernels import (
 from quandlehom.quandles import make_dihedral, make_octahedral
 from quandlehom.structure import relabel_chain
 
-from common import dense_kernel_basis, eta8_chain, fraction_rank, in_lattice, zeta8_chain
+from common import dense, dense_kernel_basis, eta8_chain, fraction_rank, in_lattice, zeta8_chain
 
 R7 = make_dihedral(7)
 O6 = make_octahedral()
@@ -258,19 +258,34 @@ on_rank_slices = pytest.mark.parametrize(
 )
 
 
+def test_slice_rows_are_f_rows_then_g_rows():
+    # Built here from the two face maps apart: the f-faces (degree 0), then
+    # the g-faces (degree 1), each group sorted, nonzero entries only.
+    sl = build_slice(R7, index=0, cell=0)
+    expected = []
+    for image in (f_map, lambda chain: g_map(chain, R7)):
+        faces = {}
+        for col, gen in enumerate(sl.generators):
+            for face, c in image(Chain(3, True, {gen: 1})).terms.items():
+                faces.setdefault(face, {})[col] = c
+        expected += [faces[face] for face in sorted(faces)]
+    assert sl.rows == expected
+    assert all(all(row.values()) for row in sl.rows)
+
+
 @on_rank_slices
 def test_rank_mod_p_matches_fraction_rank(q, index, cell):
     sl = build_slice(q, index=index, cell=cell)
-    rows = sl.f_rows + sl.g_rows
-    assert intlinalg.rank_mod_p(rows) == fraction_rank(rows)
+    assert intlinalg.rank_mod_p(sl.rows) == fraction_rank(dense(sl.rows, len(sl.generators)))
 
 
 @on_rank_slices
 def test_kernel_basis_matches_dense_elimination(q, index, cell):
     sl = build_slice(q, index=index, cell=cell)
-    rows = sl.f_rows + sl.g_rows
     ncols = len(sl.generators)
-    assert intlinalg.integer_kernel_basis(rows, ncols) == dense_kernel_basis(rows, ncols)
+    assert intlinalg.integer_kernel_basis(sl.rows, ncols) == dense_kernel_basis(
+        dense(sl.rows, ncols), ncols
+    )
 
 
 def test_kernel_basis_matches_dense_elimination_on_random_matrices():
@@ -280,36 +295,40 @@ def test_kernel_basis_matches_dense_elimination_on_random_matrices():
     for _ in range(300):
         ncols = rng.randrange(7)
         entries = (0, 0, 0, 1, -1, 2, -3, 4, 6)
-        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(rng.randrange(6))]
-        assert intlinalg.integer_kernel_basis(rows, ncols) == dense_kernel_basis(rows, ncols)
-        assert intlinalg.rank_mod_p(rows) == fraction_rank(rows)
+        rows = [
+            {c: x for c, x in enumerate([rng.choice(entries) for _ in range(ncols)]) if x}
+            for _ in range(rng.randrange(6))
+        ]
+        matrix = dense(rows, ncols)
+        assert intlinalg.integer_kernel_basis(rows, ncols) == dense_kernel_basis(matrix, ncols)
+        assert intlinalg.rank_mod_p(rows) == fraction_rank(matrix)
 
 
-@pytest.mark.parametrize("rows, ncols", [([], 3), ([], 0), ([[0, 0, 0]], 3)])
+@pytest.mark.parametrize("rows, ncols", [([], 3), ([], 0), ([{0: 0, 1: 0, 2: 0}], 3)])
 def test_kernel_basis_edge_cases_match_dense_elimination(rows, ncols):
     basis = intlinalg.integer_kernel_basis(rows, ncols)
-    assert basis == dense_kernel_basis(rows, ncols)
+    assert basis == dense_kernel_basis(dense(rows, ncols), ncols)
     assert basis == [[int(i + j == ncols - 1) for j in range(ncols)] for i in range(ncols)]
 
 
 def test_rank_mod_p_can_only_fall_short():
     p = 2**61 - 1
-    assert intlinalg.rank_mod_p([[p]]) == 0
-    singular_mod_p = [[1, 1], [1, 1 + p]]
-    assert fraction_rank(singular_mod_p) == 2
+    assert intlinalg.rank_mod_p([{0: p}]) == 0
+    singular_mod_p = [{0: 1, 1: 1}, {0: 1, 1: 1 + p}]
+    assert fraction_rank(dense(singular_mod_p, 2)) == 2
     assert intlinalg.rank_mod_p(singular_mod_p) == 1
 
 
 def test_rank_mod_p_of_empty_and_zero_rows():
     assert intlinalg.rank_mod_p([]) == 0
-    assert intlinalg.rank_mod_p([[0, 0]]) == 0
+    assert intlinalg.rank_mod_p([{0: 0, 1: 0}]) == 0
 
 
 def test_o6_full_slice_kernel_is_pinned():
     sl = build_slice(O6)
     ker = kernel_fg(sl)
     assert ker.rank == 625
-    assert intlinalg.rank_mod_p(sl.f_rows + sl.g_rows) == 275
+    assert intlinalg.rank_mod_p(sl.rows) == 275
     assert hashlib.sha256(kernel_to_text(ker).encode()).hexdigest() == (
         "7b0962b610f5cec4c6adfb8f43cdd4ec8576aef8fc385f42858424bb677c7066"
     )
@@ -319,7 +338,7 @@ def test_r7_full_slice_kernel_is_pinned():
     sl = build_slice(R7)
     ker = kernel_fg(sl)
     assert ker.rank == 1296
-    assert intlinalg.rank_mod_p(sl.f_rows + sl.g_rows) == 468
+    assert intlinalg.rank_mod_p(sl.rows) == 468
     assert hashlib.sha256(kernel_to_text(ker).encode()).hexdigest() == (
         "7c29410477776f841256570d89af75c62ff85e132a83c6a2f092b0eef2d34b82"
     )
