@@ -69,10 +69,6 @@ class Chain:
             _accumulate(self.terms, pairs)
 
     @classmethod
-    def zero(cls, arity, graded=True):
-        return cls(arity, graded)
-
-    @classmethod
     def single(cls, coeff, degree, index, colors, graded=True):
         return cls(len(tuple(colors)), graded, {term(degree, index, colors): coeff})
 

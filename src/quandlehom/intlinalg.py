@@ -9,10 +9,12 @@ used anywhere.  The integer kernel routine returns a basis of the full lattice
 rational subspace), obtained by tracking unimodular row operations while
 reducing the transpose to row echelon form over Z.  Its pivot order is the
 dense textbook one (least |entry| in the column, first row on ties), and that
-order, not the sparse storage, fixes which basis comes out.  The rank modulo
-the prime 2^61 - 1 cross-checks it: that rank is never above the rank over
-Q, so it plus the number of independent kernel vectors is at most the number
-of columns, with equality only when they span the kernel.
+order, not the sparse storage, fixes which basis comes out.  The basis is
+returned as sparse sign-normal vectors in dense lexicographic order, never
+expanded to dense form.  The rank modulo the prime 2^61 - 1 cross-checks
+it: that rank is never above the rank over Q, so it plus the number of
+independent kernel vectors is at most the number of columns, with equality
+only when they span the kernel.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ def _subtract(target, q, source, tid=None, where=None, modulus=0):
 
 
 def integer_kernel_basis(rows, ncols):
-    """Basis of {x in Z^ncols : M x = 0} as a list of primitive int vectors,
-    for M given as sparse rows over columns 0..ncols-1.
+    """Basis of {x in Z^ncols : M x = 0}, for M given as sparse rows over
+    columns 0..ncols-1, as sparse sign-normal vectors in dense lexicographic
+    order: {column: nonzero entry} dicts, each with a positive entry at its
+    least column, sorted as their dense forms sort.
 
     Row-reduce the transpose A = M^T over Z with unimodular operations
     mirrored on an identity matrix U; rows of U facing a zero row of the
@@ -87,21 +91,17 @@ def integer_kernel_basis(rows, ncols):
     for r in order[top:]:
         if a[r]:
             raise AssertionError("echelon residue below the pivot block")
-        vec = [0] * ncols
-        for c, x in u[r].items():
-            vec[c] = x
-        basis.append(_normalize_sign(vec))
-    basis.sort()
+        vec = u[r]
+        basis.append({c: -x for c, x in vec.items()} if vec[min(vec)] < 0 else vec)
+    basis.sort(key=_dense_order)
     return basis
 
 
-def _normalize_sign(vec):
-    for x in vec:
-        if x != 0:
-            if x < 0:
-                return [-y for y in vec]
-            break
-    return list(vec)
+def _dense_order(vec):
+    """Sort key under which sparse vectors order as their dense forms: by
+    column, an entry below zero sorts before a later column or the end of
+    the vector, and an entry above zero after them."""
+    return [(1, -c, x) if x > 0 else (-1, c, x) for c, x in sorted(vec.items())] + [(0,)]
 
 
 def rank_mod_p(rows):

@@ -69,23 +69,19 @@ def build_slice(q, degree=0, index=None, cell=None):
 
 @dataclass
 class KernelResult:
+    """The kernel of f and g on one slice.
+
+    ``lattice_basis`` holds the lattice basis as chains over the slice's
+    generators, in the order ``intlinalg.integer_kernel_basis`` gives its
+    sparse vectors.
+    """
+
     slice: SliceBasis
     lattice_basis: list
 
     @property
     def rank(self):
         return len(self.lattice_basis)
-
-    def chains(self):
-        return [vector_to_chain(self.slice, v) for v in self.lattice_basis]
-
-
-def vector_to_chain(slice_basis, vector):
-    chain = Chain(3, True)
-    for gen, coeff in zip(slice_basis.generators, vector):
-        if coeff:
-            chain.terms[gen] = coeff
-    return chain
 
 
 def chain_to_vector(slice_basis, chain):
@@ -102,23 +98,24 @@ def kernel_fg(slice_basis):
     """Exact kernel of f and g together on the slice's boundary rows.
 
     The lattice rank plus the rank modulo a prime must be the number of
-    generators, and every lattice basis vector is re-verified through the
-    chain maps, not the rows, as the sum of its generators' boundary images
-    (one fresh boundary image per generator, keyed by its term).  The sum is
-    zero exactly when its f- and g-parts are, since they lie at different
+    generators.  Each sparse lattice vector becomes one chain over the
+    generators, and every such chain is re-verified through the chain maps,
+    not the rows, as the sum of its generators' boundary images (one fresh
+    boundary image per generator, keyed by its term).  The sum is zero
+    exactly when its f- and g-parts are, since they lie at different
     degrees.
     """
     rows = slice_basis.rows
-    ncols = len(slice_basis.generators)
-    lattice = intlinalg.integer_kernel_basis(rows, ncols)
-    if intlinalg.rank_mod_p(rows) + len(lattice) != ncols:
+    gens = slice_basis.generators
+    lattice = intlinalg.integer_kernel_basis(rows, len(gens))
+    if intlinalg.rank_mod_p(rows) + len(lattice) != len(gens):
         raise AssertionError("modular and integer kernel ranks disagree")
     q = slice_basis.quandle
-    images = {
-        gen: boundary(Chain(3, True, {gen: 1}), q).terms.items() for gen in slice_basis.generators
-    }
-    result = KernelResult(slice_basis, lattice)
-    for chain in result.chains():
+    images = {gen: boundary(Chain(3, True, {gen: 1}), q).terms.items() for gen in gens}
+    result = KernelResult(
+        slice_basis, [Chain(3, True, {gens[c]: x for c, x in vec.items()}) for vec in lattice]
+    )
+    for chain in result.lattice_basis:
         total = {}
         for gen, c in chain.terms.items():
             _accumulate(total, images[gen], c)
@@ -139,7 +136,7 @@ def kernel_to_text(result):
             result.rank,
         )
     ]
-    for chain in result.chains():
+    for chain in result.lattice_basis:
         lines.append("vector " + " ".join(
             "%+d*(%d,%d;%s)" % (c, t[0], t[1], ",".join(map(str, t[2])))
             for t, c in chain.items_sorted()

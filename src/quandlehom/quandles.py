@@ -68,7 +68,7 @@ class AxiomReport:
 class FiniteQuandle:
     """A finite quandle with elements 0..size-1 and table[a][b] = a^b."""
 
-    __slots__ = ("size", "table", "name", "_columns", "_inv_columns")
+    __slots__ = ("size", "table", "name", "_columns")
 
     def __init__(self, table, name=None):
         rows = tuple(tuple(row) for row in table)
@@ -87,9 +87,6 @@ class FiniteQuandle:
         self._columns = tuple(
             tuple(rows[a][b] for a in range(n)) for b in range(n)
         )
-        self._inv_columns = tuple(
-            _invert_or_none(col) for col in self._columns
-        )
 
     def apply(self, a, b):
         """Return a^b."""
@@ -105,13 +102,6 @@ class FiniteQuandle:
         """The permutation a -> a^b as a tuple."""
         return self._columns[b]
 
-    def column_inv(self, b):
-        """The inverse translation a -> a^{b-bar}; requires axiom Q2."""
-        inv = self._inv_columns[b]
-        if inv is None:
-            raise QuandleError("column %d is not a permutation" % b)
-        return inv
-
     def __eq__(self, other):
         return isinstance(other, FiniteQuandle) and self.table == other.table
 
@@ -121,16 +111,6 @@ class FiniteQuandle:
     def __repr__(self):
         label = self.name or "quandle"
         return "<%s of size %d>" % (label, self.size)
-
-
-def _invert_or_none(col):
-    n = len(col)
-    inv = [None] * n
-    for a, image in enumerate(col):
-        if inv[image] is not None:
-            return None
-        inv[image] = a
-    return tuple(inv)
 
 
 def make_dihedral(n):
@@ -153,30 +133,18 @@ _OCT_COORDS = (
 )
 
 
-@dataclass(frozen=True)
-class OctahedronModel:
-    """Unit-vector model of the octahedron used to build O_6."""
-
-    coords: tuple = _OCT_COORDS
-
-    def rotate_quarter(self, axis_vertex, v):
-        # Right-handed quarter turn about the unit vector through axis_vertex:
-        # R v = n (n.v) + n x v, exact over Z for coordinate axes.
-        n = self.coords[axis_vertex]
-        dot = n[0] * v[0] + n[1] * v[1] + n[2] * v[2]
-        cross = (
-            n[1] * v[2] - n[2] * v[1],
-            n[2] * v[0] - n[0] * v[2],
-            n[0] * v[1] - n[1] * v[0],
-        )
-        return (
-            n[0] * dot + cross[0],
-            n[1] * dot + cross[1],
-            n[2] * dot + cross[2],
-        )
-
-    def label(self, v):
-        return self.coords.index(v)
+def _quarter_turn(a, b):
+    """The vertex that the right-handed quarter turn about the unit vector n
+    through vertex b carries vertex a to: R v = n (n.v) + n x v, exact over
+    Z for coordinate axes."""
+    n, v = _OCT_COORDS[b], _OCT_COORDS[a]
+    dot = n[0] * v[0] + n[1] * v[1] + n[2] * v[2]
+    cross = (
+        n[1] * v[2] - n[2] * v[1],
+        n[2] * v[0] - n[0] * v[2],
+        n[0] * v[1] - n[1] * v[0],
+    )
+    return _OCT_COORDS.index(tuple(n[i] * dot + cross[i] for i in range(3)))
 
 
 def make_octahedral():
@@ -186,11 +154,7 @@ def make_octahedral():
     about the axis through vertex b, viewed from b toward the centre; with
     the vertex labelling above this is the right-hand-rule turn, and 1^0 = 2.
     """
-    model = OctahedronModel()
-    table = [
-        [model.label(model.rotate_quarter(b, model.coords[a])) for b in range(6)]
-        for a in range(6)
-    ]
+    table = [[_quarter_turn(a, b) for b in range(6)] for a in range(6)]
     return FiniteQuandle(table, name="O6")
 
 
@@ -216,10 +180,16 @@ def check_axioms(q):
 
 
 def dual(q):
-    """The dual quandle, with every right translation inverted."""
+    """The dual quandle, with every right translation inverted; a column
+    that is not a permutation raises QuandleError."""
     n = q.size
-    inv = [q.column_inv(b) for b in range(n)]
-    table = [[inv[b][a] for b in range(n)] for a in range(n)]
+    table = [[None] * n for _ in range(n)]
+    for b in range(n):
+        col = q.column(b)
+        if len(set(col)) != n:
+            raise QuandleError("column %d is not a permutation" % b)
+        for a, image in enumerate(col):
+            table[image][b] = a
     name = None
     if q.name:
         name = q.name + "-dual"

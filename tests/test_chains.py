@@ -150,7 +150,7 @@ def test_boundary_of_four_term_matches_six_term_expansion():
 
 
 def test_boundary_of_empty_chain():
-    assert not boundary(Chain.zero(3), O6)
+    assert not boundary(Chain(3, True), O6)
 
 
 def test_project_pi_accumulates():

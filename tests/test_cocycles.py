@@ -134,7 +134,7 @@ def test_evaluate_on_named_cycles():
 
 
 def test_evaluate_zero_chain_and_mismatch():
-    assert evaluate(mochizuki(7), Chain.zero(3)) == 0
+    assert evaluate(mochizuki(7), Chain(3, True)) == 0
     with pytest.raises(CocycleError):
         evaluate(mochizuki(3), zeta8_chain())  # colors 6 etc. out of range for R_3
 

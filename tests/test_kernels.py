@@ -13,7 +13,6 @@ from quandlehom.kernels import (
     kernel_fg,
     kernel_to_text,
     named_cycle,
-    vector_to_chain,
     verify_boundary_identity,
     verify_catalog_identity,
     verify_named_cycle,
@@ -76,18 +75,24 @@ def r7_member(alpha, beta):
     return alpha * BLOCK_A + beta * BLOCK_B + (alpha + beta) * BLOCK_AB
 
 
+def dense_lattice(ker):
+    """The kernel's lattice basis chains as dense vectors over its slice."""
+    return [chain_to_vector(ker.slice, chain) for chain in ker.lattice_basis]
+
+
 def test_r7_cell_kernel_rank_two_with_block_basis():
     sl = build_slice(R7, index=0, cell=0)
     assert len(sl.generators) == 36
     ker = kernel_fg(sl)
     assert ker.rank == 2
+    basis = dense_lattice(ker)
     for alpha, beta in ((1, 0), (0, 1)):
         vec = chain_to_vector(sl, r7_member(alpha, beta))
-        assert in_lattice(ker.lattice_basis, vec)
+        assert in_lattice(basis, vec)
     # conversely both lattice basis vectors lie in the block span
     block_vecs = [chain_to_vector(sl, r7_member(1, 0)), chain_to_vector(sl, r7_member(0, 1))]
-    for v in ker.lattice_basis:
-        assert fraction_rank(block_vecs + [list(v)]) == 2
+    for v in basis:
+        assert fraction_rank(block_vecs + [v]) == 2
 
 
 def test_r7_kernel_members_are_exact_cycles():
@@ -117,7 +122,7 @@ def test_r7_minimal_support_is_sixteen():
         for b in range(-3, 4):
             if a == 0 and b == 0:
                 continue
-            vec = [a * x + b * y for x, y in zip(*ker.lattice_basis)]
+            vec = [a * x + b * y for x, y in zip(*dense_lattice(ker))]
             support = sum(1 for v in vec if v)
             best = support if best is None else min(best, support)
     assert best == 16
@@ -132,7 +137,7 @@ def test_o6_cell_kernels_and_eta_vanishing(cell):
     ker = kernel_fg(sl)
     assert ker.rank == O6_CELL_RANKS[cell]
     eta = eta_octahedral()
-    for c in ker.chains():
+    for c in ker.lattice_basis:
         assert evaluate(eta, c) == 0
         assert not f_map(c) and not g_map(c, O6)
 
@@ -218,14 +223,14 @@ def test_o6_listed_chains_span_their_cells():
     vecs = [chain_to_vector(sl0, c) for c in o6_listed_cell0()]
     assert fraction_rank(vecs) == 6 == ker0.rank
     for v in vecs:
-        assert in_lattice(ker0.lattice_basis, v)
+        assert in_lattice(dense_lattice(ker0), v)
     for p in (1, 2, 4, 5):
         sl = build_slice(O6, index=0, cell=p)
         ker = kernel_fg(sl)
         vecs = [chain_to_vector(sl, c) for c in o6_listed_cellp(p)]
         assert fraction_rank(vecs) == 3 == ker.rank
         for v in vecs:
-            assert in_lattice(ker.lattice_basis, v)
+            assert in_lattice(dense_lattice(ker), v)
 
 
 def test_kernel_serialization_is_deterministic():
@@ -238,9 +243,12 @@ def test_kernel_serialization_is_deterministic():
 
 def test_vector_chain_roundtrip():
     sl = build_slice(O6, index=0, cell=0)
+    ncols = len(sl.generators)
     ker = kernel_fg(sl)
-    for vec in ker.lattice_basis:
-        assert chain_to_vector(sl, vector_to_chain(sl, vec)) == list(vec)
+    basis = dense_lattice(ker)
+    assert basis == dense(intlinalg.integer_kernel_basis(sl.rows, ncols), ncols)
+    for chain, vec in zip(ker.lattice_basis, basis):
+        assert chain.terms == {gen: x for gen, x in zip(sl.generators, vec) if x}
     with pytest.raises(ChainError):
         chain_to_vector(sl, Chain.single(1, 0, 1, (0, 1, 2)))
 
@@ -283,9 +291,9 @@ def test_rank_mod_p_matches_fraction_rank(q, index, cell):
 def test_kernel_basis_matches_dense_elimination(q, index, cell):
     sl = build_slice(q, index=index, cell=cell)
     ncols = len(sl.generators)
-    assert intlinalg.integer_kernel_basis(sl.rows, ncols) == dense_kernel_basis(
-        dense(sl.rows, ncols), ncols
-    )
+    basis = intlinalg.integer_kernel_basis(sl.rows, ncols)
+    assert dense(basis, ncols) == dense_kernel_basis(dense(sl.rows, ncols), ncols)
+    assert all(all(vec.values()) for vec in basis)
 
 
 def test_kernel_basis_matches_dense_elimination_on_random_matrices():
@@ -300,13 +308,28 @@ def test_kernel_basis_matches_dense_elimination_on_random_matrices():
             for _ in range(rng.randrange(6))
         ]
         matrix = dense(rows, ncols)
-        assert intlinalg.integer_kernel_basis(rows, ncols) == dense_kernel_basis(matrix, ncols)
+        basis = intlinalg.integer_kernel_basis(rows, ncols)
+        assert dense(basis, ncols) == dense_kernel_basis(matrix, ncols)
+        assert all(all(vec.values()) for vec in basis)
         assert intlinalg.rank_mod_p(rows) == fraction_rank(matrix)
+
+
+def test_dense_order_sorts_sparse_vectors_as_their_dense_forms():
+    rng = random.Random(24)
+    negative_first = 0
+    for _ in range(2000):
+        ncols = rng.randrange(1, 6)
+        entries = (0, 0, 1, -1, 2, -3)
+        matrix = [[rng.choice(entries) for _ in range(ncols)] for _ in range(rng.randrange(8))]
+        vecs = [{c: x for c, x in enumerate(row) if x} for row in matrix]
+        negative_first += sum(1 for vec in vecs if vec and vec[min(vec)] < 0)
+        assert dense(sorted(vecs, key=intlinalg._dense_order), ncols) == sorted(matrix)
+    assert negative_first > 1000
 
 
 @pytest.mark.parametrize("rows, ncols", [([], 3), ([], 0), ([{0: 0, 1: 0, 2: 0}], 3)])
 def test_kernel_basis_edge_cases_match_dense_elimination(rows, ncols):
-    basis = intlinalg.integer_kernel_basis(rows, ncols)
+    basis = dense(intlinalg.integer_kernel_basis(rows, ncols), ncols)
     assert basis == dense_kernel_basis(dense(rows, ncols), ncols)
     assert basis == [[int(i + j == ncols - 1) for j in range(ncols)] for i in range(ncols)]
 
@@ -358,7 +381,7 @@ def test_kernel_fg_rank_check_fires_on_a_short_lattice(monkeypatch):
 
 
 def test_kernel_fg_recheck_fires_on_a_vector_outside_the_kernel(monkeypatch):
-    _with_lattice(monkeypatch, lambda basis, ncols: basis[:-1] + [[1] + [0] * (ncols - 1)])
+    _with_lattice(monkeypatch, lambda basis, ncols: basis[:-1] + [{0: 1}])
     with pytest.raises(AssertionError, match="chain-map re-check"):
         kernel_fg(build_slice(R7, index=0, cell=0))
 

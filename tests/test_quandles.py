@@ -51,13 +51,10 @@ def test_octahedral_basic_values():
 
 
 def test_octahedron_model_coordinates():
-    from quandlehom.quandles import OctahedronModel
+    from quandlehom.quandles import _OCT_COORDS
 
-    model = OctahedronModel()
     for a in range(6):
-        assert model.coords[a] == tuple(-x for x in model.coords[(a + 3) % 6])
-    # the quarter turn about vertex 0 carries vertex 1 to vertex 2
-    assert model.label(model.rotate_quarter(0, model.coords[1])) == 2
+        assert _OCT_COORDS[a] == tuple(-x for x in _OCT_COORDS[(a + 3) % 6])
 
 
 def test_octahedral_fixed_points_are_axis_and_antipode():
@@ -108,6 +105,14 @@ def test_octahedral_dual_differs_but_double_dual_restores():
     qd = dual(q)
     assert qd.table != q.table
     assert dual(qd).table == q.table
+
+
+def test_dual_names_the_first_column_that_is_not_a_permutation():
+    rows = [list(row) for row in make_dihedral(5).table]
+    for b in (4, 3):  # columns 3 and 4 each repeat an image
+        rows[0][b] = rows[1][b]
+    with pytest.raises(QuandleError, match="^column 3 is not a permutation$"):
+        dual(FiniteQuandle(rows))
 
 
 def test_tau_is_isomorphism_onto_dual():
