@@ -12,7 +12,9 @@ boundary; boundary o boundary = 0.
 
 A stored coefficient is never zero: `Chain.__bool__`, `__eq__` and `length`
 rely on it.  Every sum of coefficients into a term dict, here and in the
-modules above, goes through the one writer `_accumulate`.
+modules above, goes through the one writer `_accumulate`, but for the
+single-degree join's counter: `search._merge_terms` writes that itself,
+since the join needs to stop at the first cancellation and to undo a merge.
 """
 
 from __future__ import annotations
@@ -22,13 +24,6 @@ from .quandles import FiniteQuandle, QuandleError, _is_degenerate, parse_ints
 
 class ChainError(ValueError):
     pass
-
-
-def term(degree, index, colors):
-    colors = tuple(colors)
-    if _is_degenerate(colors):
-        raise ChainError("adjacent equal colors in %r" % (colors,))
-    return (degree, index, colors)
 
 
 def _accumulate(store, pairs, sign=1):
@@ -57,8 +52,9 @@ class Chain:
         self.graded = graded
         self.terms = {}
         if terms:
-            pairs = [(t, c) for t, c in (terms.items() if isinstance(terms, dict) else terms) if c]
-            for t, coeff in pairs:
+            # Every given term is checked, a zero coefficient's too.
+            pairs = list(terms.items() if isinstance(terms, dict) else terms)
+            for t, _ in pairs:
                 degree, index, colors = t
                 if len(colors) != arity:
                     raise ChainError("term %r has wrong arity, expected %d" % (t, arity))
@@ -66,11 +62,12 @@ class Chain:
                     raise ChainError("degenerate colors in %r" % (t,))
                 if not graded and (degree != 0 or index != 0):
                     raise ChainError("trivial coefficients require degree=index=0")
-            _accumulate(self.terms, pairs)
+            _accumulate(self.terms, [(t, c) for t, c in pairs if c])
 
     @classmethod
     def single(cls, coeff, degree, index, colors, graded=True):
-        return cls(len(tuple(colors)), graded, {term(degree, index, colors): coeff})
+        colors = tuple(colors)
+        return cls(len(colors), graded, {(degree, index, colors): coeff})
 
     @classmethod
     def from_signed_terms(cls, signed_terms, arity, graded=True):
@@ -238,7 +235,7 @@ def chain_from_text(text):
         colors = tuple(parts[3:])
         if not graded:
             n, u = 0, 0
-        pairs.append((term(n, u, colors), coeff))
+        pairs.append(((n, u, colors), coeff))
     return Chain(arity, graded, pairs)
 
 

@@ -28,9 +28,7 @@ def _quandle_from_args(args):
     if spec == "dihedral":
         if args.n is None:
             raise UsageError("--family dihedral needs --n")
-        return quandles.make_dihedral(args.n)
-    if spec == "octahedral":
-        return quandles.make_octahedral()
+        spec = "dihedral:%d" % args.n
     return quandles.resolve_quandle(spec)
 
 
@@ -168,8 +166,6 @@ def cmd_kernel(args):
 def cmd_search(args):
     q = _quandle_from_args(args)
     theta = _cocycle_from_args(args)
-    if theta.quandle.table != q.table:
-        raise UsageError("cocycle %s does not live on the chosen quandle" % theta.name)
     cfg = search.SearchConfig(
         quandle=q,
         cocycle=theta,
@@ -198,7 +194,7 @@ def cmd_search(args):
 
 
 def cmd_verify_cycles(args):
-    names = [args.name] if args.name != "all" else ["zeta8", "eta8", "eta7"]
+    names = [args.name] if args.name != "all" else kernels.named_cycles()
     ok = True
     lines = []
     payload = []
@@ -219,8 +215,7 @@ def cmd_verify_cycles(args):
 
 
 def cmd_verify_boundary(args):
-    catalog = kernels.boundary_identity_catalog()
-    names = [args.name] if args.name != "all" else sorted(catalog)
+    names = [args.name] if args.name != "all" else kernels.boundary_identity_catalog()
     ok = True
     lines = []
     payload = []

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .quandles import (
+    automorphisms,
     color_words,
-    inner_subgroup,
     make_dihedral,
     make_octahedral,
     parse_ints,
@@ -87,8 +87,9 @@ def mochizuki(n):
     return ThreeCocycle(q, n, values, name="zeta%d" % n)
 
 
-# Orbit seeds for the octahedral cocycle: every image under the four powers
-# of the translation x -> x^0 receives the seed's value.
+# Orbit seeds for the octahedral cocycle: every image under the four
+# automorphisms fixing vertex 0 (the powers of the translation x -> x^0)
+# receives the seed's value.
 _ETA_SEEDS_1 = ((0, 1, 2), (0, 3, 1), (1, 2, 0), (1, 4, 2), (3, 1, 5))
 _ETA_SEEDS_2 = (
     (0, 1, 5),
@@ -108,7 +109,7 @@ _ETA_SEEDS_2 = (
 def eta_octahedral():
     """The mod-3 cocycle of O_6 generated from the two hard-coded seed lists."""
     q = make_octahedral()
-    h0 = inner_subgroup(q, 0)
+    h0 = [p for p in automorphisms(q) if p[0] == 0]
     if len(h0) != 4:
         raise InternalError("rotation subgroup at 0 must have order 4")
     values = {}

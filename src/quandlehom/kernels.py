@@ -9,8 +9,8 @@ and g together.  The kernel of (f, g) on a slice is computed exactly: an
 integer lattice basis by unimodular reduction, cross-checked against the
 rank modulo the prime 2^61 - 1 and through the chain maps themselves.
 
-Also houses the two named length-8 cycles and the explicit boundary
-identities used as regression anchors.
+Also houses the three named cycles (two of length 8, one of length 7) and
+the explicit boundary identities used as regression anchors.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from . import intlinalg
 from .chains import Chain, ChainError, _accumulate, boundary, length
-from .cocycles import evaluate
-from .quandles import FiniteQuandle, QuandleError, color_words
+from .cocycles import evaluate, resolve_cocycle
+from .quandles import FiniteQuandle, QuandleError, color_words, resolve_quandle
 
 
 @dataclass
@@ -197,11 +197,14 @@ _NAMED_CYCLES = {
 }
 
 
-def named_cycle(name):
-    """The embedded length-8 witness cycles, as (chain, quandle, cocycle)."""
-    from .cocycles import resolve_cocycle
-    from .quandles import resolve_quandle
+def named_cycles():
+    """The names of the embedded witness cycles, in their listed order."""
+    return list(_NAMED_CYCLES)
 
+
+def named_cycle(name):
+    """An embedded witness cycle, as (chain, quandle, cocycle, expected
+    pairing, expected length)."""
     if name not in _NAMED_CYCLES:
         raise ChainError("unknown cycle %r (have: %s)" % (name, ", ".join(sorted(_NAMED_CYCLES))))
     qname, terms, (cname, cn, expected, expected_length) = _NAMED_CYCLES[name]
@@ -266,105 +269,95 @@ def verify_boundary_identity(four_term, expected, sign, q):
     return sign * boundary(chain, q) == expected
 
 
-def _chain3(pairs):
-    return Chain.from_signed_terms(pairs, arity=3, graded=True)
-
-
-def boundary_identity_catalog():
-    """The explicit six- and seven-term chains that are boundaries of a
-    single arity-4 generator, instantiated at degree 0, index 0, with the
-    standard generators (dihedral: a_i = i; octahedral: vertex labels)."""
-    catalog = {}
+# The explicit six- and seven-term chains that are boundaries of a single
+# arity-4 generator, instantiated at degree 0, index 0, with the standard
+# generators (dihedral: a_i = i; octahedral: vertex labels): name ->
+# (quandle, arity-4 generator, sign, signed terms of sign * its boundary).
+_BOUNDARY_IDENTITIES = {
     # R_7, length 6, layer sizes 2+4: chain = +boundary(0,0; 0,1,0,1).
-    catalog["r7-2plus4"] = (
+    "r7-2plus4": (
         "r7",
         (0, 0, (0, 1, 0, 1)),
         +1,
-        _chain3(
-            (
-                (+1, (0, 0, (0, 1, 0))),
-                (-1, (0, 0, (1, 0, 1))),
-                (+1, (1, 0, (1, 0, 1))),
-                (+1, (1, 0, (0, 6, 1))),
-                (-1, (1, 2, (2, 1, 2))),
-                (-1, (1, 2, (2, 0, 1))),
-            )
+        (
+            (+1, (0, 0, (0, 1, 0))),
+            (-1, (0, 0, (1, 0, 1))),
+            (+1, (1, 0, (1, 0, 1))),
+            (+1, (1, 0, (0, 6, 1))),
+            (-1, (1, 2, (2, 1, 2))),
+            (-1, (1, 2, (2, 0, 1))),
         ),
-    )
+    ),
     # R_7, length 6, layer sizes 3+3: chain = -boundary(0,0; 6,0,1,0).
-    catalog["r7-3plus3"] = (
+    "r7-3plus3": (
         "r7",
         (0, 0, (6, 0, 1, 0)),
         -1,
-        _chain3(
-            (
-                (+1, (0, 0, (0, 1, 0))),
-                (-1, (0, 0, (6, 0, 1))),
-                (-1, (0, 0, (6, 1, 0))),
-                (+1, (1, 0, (1, 0, 6))),
-                (-1, (1, 2, (3, 2, 0))),
-                (-1, (1, 5, (0, 1, 0))),
-            )
+        (
+            (+1, (0, 0, (0, 1, 0))),
+            (-1, (0, 0, (6, 0, 1))),
+            (-1, (0, 0, (6, 1, 0))),
+            (+1, (1, 0, (1, 0, 6))),
+            (-1, (1, 2, (3, 2, 0))),
+            (-1, (1, 5, (0, 1, 0))),
         ),
-    )
+    ),
     # R_7, length 7, layer sizes 3+4: chain = -boundary(0,0; 2,0,1,0).
-    catalog["r7-3plus4"] = (
+    "r7-3plus4": (
         "r7",
         (0, 0, (2, 0, 1, 0)),
         -1,
-        _chain3(
-            (
-                (+1, (0, 0, (0, 1, 0))),
-                (-1, (0, 0, (2, 0, 1))),
-                (-1, (0, 0, (2, 1, 0))),
-                (+1, (1, 0, (5, 1, 0))),
-                (+1, (1, 0, (5, 0, 6))),
-                (-1, (1, 2, (0, 2, 0))),
-                (-1, (1, 4, (0, 1, 0))),
-            )
+        (
+            (+1, (0, 0, (0, 1, 0))),
+            (-1, (0, 0, (2, 0, 1))),
+            (-1, (0, 0, (2, 1, 0))),
+            (+1, (1, 0, (5, 1, 0))),
+            (+1, (1, 0, (5, 0, 6))),
+            (-1, (1, 2, (0, 2, 0))),
+            (-1, (1, 4, (0, 1, 0))),
         ),
-    )
+    ),
     # O_6, length 6, layer sizes 2+4: chain = +boundary(0,0; 0,1,0,1).
-    catalog["o6-2plus4"] = (
+    "o6-2plus4": (
         "o6",
         (0, 0, (0, 1, 0, 1)),
         +1,
-        _chain3(
-            (
-                (+1, (0, 0, (0, 1, 0))),
-                (-1, (0, 0, (1, 0, 1))),
-                (+1, (1, 0, (0, 2, 1))),
-                (+1, (1, 0, (1, 0, 1))),
-                (-1, (1, 5, (5, 0, 1))),
-                (-1, (1, 5, (5, 1, 5))),
-            )
+        (
+            (+1, (0, 0, (0, 1, 0))),
+            (-1, (0, 0, (1, 0, 1))),
+            (+1, (1, 0, (0, 2, 1))),
+            (+1, (1, 0, (1, 0, 1))),
+            (-1, (1, 5, (5, 0, 1))),
+            (-1, (1, 5, (5, 1, 5))),
         ),
-    )
+    ),
     # O_6, length 6, layer sizes 3+3: chain = -boundary(0,0; 5,0,1,0).
-    catalog["o6-3plus3"] = (
+    "o6-3plus3": (
         "o6",
         (0, 0, (5, 0, 1, 0)),
         -1,
-        _chain3(
-            (
-                (+1, (0, 0, (0, 1, 0))),
-                (-1, (0, 0, (5, 0, 1))),
-                (-1, (0, 0, (5, 1, 0))),
-                (+1, (1, 0, (1, 0, 2))),
-                (-1, (1, 5, (3, 5, 0))),
-                (-1, (1, 4, (0, 1, 0))),
-            )
+        (
+            (+1, (0, 0, (0, 1, 0))),
+            (-1, (0, 0, (5, 0, 1))),
+            (-1, (0, 0, (5, 1, 0))),
+            (+1, (1, 0, (1, 0, 2))),
+            (-1, (1, 5, (3, 5, 0))),
+            (-1, (1, 4, (0, 1, 0))),
         ),
-    )
-    return catalog
+    ),
+}
+
+
+def boundary_identity_catalog():
+    """The names of the explicit boundary identities, sorted."""
+    return sorted(_BOUNDARY_IDENTITIES)
 
 
 def verify_catalog_identity(name):
-    from .quandles import resolve_quandle
-
-    catalog = boundary_identity_catalog()
-    if name not in catalog:
-        raise ChainError("unknown identity %r (have: %s)" % (name, ", ".join(sorted(catalog))))
-    qname, four_term, sign, expected = catalog[name]
-    q = resolve_quandle(qname)
-    return verify_boundary_identity(four_term, expected, sign, q)
+    if name not in _BOUNDARY_IDENTITIES:
+        raise ChainError(
+            "unknown identity %r (have: %s)" % (name, ", ".join(boundary_identity_catalog()))
+        )
+    qname, four_term, sign, terms = _BOUNDARY_IDENTITIES[name]
+    expected = Chain.from_signed_terms(terms, arity=3, graded=True)
+    return verify_boundary_identity(four_term, expected, sign, resolve_quandle(qname))

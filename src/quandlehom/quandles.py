@@ -214,26 +214,6 @@ def check_isomorphism(mapping, q1, q2):
 TAU_O6 = (0, 1, 5, 3, 4, 2)
 
 
-def compose_perms(p, s):
-    """(p o s)(x) = p[s[x]]."""
-    return tuple(p[s[x]] for x in range(len(p)))
-
-
-def inner_subgroup(q, generator):
-    """The cyclic group generated by the translation x -> x^generator,
-    as a list of distinct permutations starting with the identity."""
-    if not 0 <= generator < q.size:
-        raise QuandleError("generator %r out of range" % (generator,))
-    gen = q.column(generator)
-    identity = tuple(range(q.size))
-    perms = [identity]
-    p = gen
-    while p != identity:
-        perms.append(p)
-        p = compose_perms(gen, p)
-    return perms
-
-
 def automorphisms(q):
     """Every automorphism of q, as sorted permutation tuples.
 

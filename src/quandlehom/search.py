@@ -57,7 +57,8 @@ class BudgetExceeded(SearchError):
 
 
 class ProbeBudget:
-    """The probe count of one search run; spend() refuses past the limit."""
+    """The probe count of one search run; spend(n) counts n probes and
+    refuses once the count passes the limit."""
 
     __slots__ = ("probes", "limit", "phase")
 
@@ -66,8 +67,8 @@ class ProbeBudget:
         self.limit = limit
         self.phase = phase
 
-    def spend(self):
-        self.probes += 1
+    def spend(self, n=1):
+        self.probes += n
         if self.probes > self.limit:
             raise BudgetExceeded("%s exceeded the probe budget" % self.phase, self.probes)
 
@@ -93,6 +94,8 @@ class SearchConfig:
     budget: int = 10**9
 
     def validate(self):
+        if self.cocycle.quandle.table != self.quandle.table:
+            raise SearchError("cocycle %s does not live on the chosen quandle" % self.cocycle.name)
         if not 2 <= self.max_length <= MAX_SEARCH_LENGTH:
             raise SearchError("max_length must be between 2 and %d" % MAX_SEARCH_LENGTH)
         if self.window not in ("single", "double"):
@@ -119,12 +122,7 @@ class FoundCycle:
 
 @dataclass
 class SearchReport:
-    quandle_name: str
-    cocycle_name: str
-    modulus: int
-    window: str
-    profile: str
-    max_length: int
+    config: SearchConfig
     covered: list = field(default_factory=list)
     component_counts: dict = field(default_factory=dict)
     probes: int = 0
@@ -142,15 +140,16 @@ class SearchReport:
         return self.refused is None and not self.found and not self.gaps
 
     def certificate_text(self):
+        cfg = self.config
         lines = [
             "search quandle=%s cocycle=%s mod=%d window=%s profile=%s max_length=%d"
             % (
-                self.quandle_name,
-                self.cocycle_name,
-                self.modulus,
-                self.window,
-                self.profile,
-                self.max_length,
+                cfg.quandle.name or "?",
+                cfg.cocycle.name or "?",
+                cfg.cocycle.modulus,
+                cfg.window,
+                cfg.profile,
+                cfg.max_length,
             )
         ]
         for note in self.covered:
@@ -357,7 +356,7 @@ def _join_partition(partition, index, budget, on_cycle):
     # A single-part partition probes every family once and keeps the g-null
     # ones: the empty image has code 0.
     if not prefix_sizes:
-        budget.probes += largest.count
+        budget.spend(largest.count)
         for fam in largest.get(0, 0):
             counter2 = {}
             if _merge_terms(counter2, fam, []):
@@ -374,7 +373,7 @@ def _join_partition(partition, index, budget, on_cycle):
             for fam in largest.get(neg_g, neg_p):
                 if same_size and fam < last_fam:
                     continue
-                budget.probes += 1
+                budget.spend()
                 undo = []
                 if _merge_terms(counter, fam, undo):
                     on_cycle(dict(counter))
@@ -539,14 +538,7 @@ def search_min_cycles(cfg):
     """Run the configured search; returns a SearchReport.  On budget
     overrun the report carries a refusal note instead of results."""
     cfg.validate()
-    report = SearchReport(
-        quandle_name=cfg.quandle.name or "?",
-        cocycle_name=cfg.cocycle.name or "?",
-        modulus=cfg.cocycle.modulus,
-        window=cfg.window,
-        profile=cfg.profile,
-        max_length=cfg.max_length,
-    )
+    report = SearchReport(cfg)
     window = _search_single_degree if cfg.window == "single" else _search_double_window
     try:
         cycles, budget = window(cfg, report)

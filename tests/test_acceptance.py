@@ -343,8 +343,8 @@ def test_criterion_11_published_exhaustion_claims():
         dim_h3 = len(_words(O6, 3)) - len(_boundary_image_mod(O6, 3, p)) - len(image4)
         assert dim_h3 == 1  # H_3^Q(O6; F_3)
         for rep in (single, double):
-            assert rep.refused is None, "%s window refused: %s" % (rep.window, rep.refused)
-            assert rep.found, "%s window found no cycle pairing nonzero with eta" % rep.window
+            assert rep.refused is None, "%s window refused: %s" % (rep.config.window, rep.refused)
+            assert rep.found, "%s window found no cycle pairing nonzero with eta" % rep.config.window
             for fc in rep.found:
                 terms = fc.chain.terms
                 assert sum(abs(c) for c in terms.values()) <= 7, fc.chain

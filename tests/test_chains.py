@@ -13,7 +13,6 @@ from quandlehom.chains import (
     length,
     project_pi,
     sigma_shift,
-    term,
 )
 from quandlehom.quandles import make_dihedral, make_octahedral
 
@@ -28,8 +27,8 @@ def single(coeff, n, u, colors, graded=True):
 
 
 def test_term_rejects_adjacent_equal_colors():
-    with pytest.raises(ChainError):
-        term(0, 0, (1, 1, 2))
+    with pytest.raises(ChainError, match="degenerate colors"):
+        Chain.single(1, 0, 0, (1, 1, 2))
 
 
 def test_f_of_bigon_term():

@@ -17,7 +17,7 @@ from quandlehom.cocycles import (
     verify_cocycle_condition,
     weight_sum,
 )
-from quandlehom.quandles import inner_subgroup, make_dihedral
+from quandlehom.quandles import make_dihedral
 
 from common import (
     WEIGHT_TRIPLES_DIHEDRAL,
@@ -96,8 +96,12 @@ def test_eta_table_counts():
 
 def test_eta_is_rotation_invariant():
     eta = eta_octahedral()
-    q = eta.quandle
-    perms = inner_subgroup(q, 0)
+    # The four quarter turns about vertex 0: the powers of x -> x^0.
+    h = eta.quandle.column(0)
+    perms = [tuple(range(6))]
+    for _ in range(3):
+        perms.append(tuple(h[x] for x in perms[-1]))
+    assert len(set(perms)) == 4
     for a in range(6):
         for b in range(6):
             for c in range(6):

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every public
-function it defines is reached from the package or the benchmark."""
+"""Every module of the package uses each name it imports, imports only at
+module level, and every public function it defines is reached from the
+package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,24 @@ def unused_imports(source):
 def test_package_modules_have_no_unused_imports():
     unused = {path.name: unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def function_level_imports(source):
+    """(function, line) for each import statement inside a function body."""
+    hits = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            hits.update(
+                (node.name, sub.lineno)
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(hits)
+
+
+def test_package_functions_hold_no_imports():
+    found = {path.name: function_level_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def _references(node):

@@ -11,7 +11,6 @@ from quandlehom.quandles import (
     check_axioms,
     check_isomorphism,
     dual,
-    inner_subgroup,
     make_dihedral,
     make_octahedral,
     quandle_from_file,
@@ -133,14 +132,23 @@ def test_isomorphism_validates_input():
         check_isomorphism((0, 1, 2), q, make_dihedral(3))
 
 
+def _order(perm):
+    """The order of a permutation tuple."""
+    identity = tuple(range(len(perm)))
+    p, k = perm, 1
+    while p != identity:
+        p, k = tuple(perm[x] for x in p), k + 1
+    return k
+
+
 def test_inner_subgroup_orders():
     q6 = make_octahedral()
     for g in range(6):
-        assert len(inner_subgroup(q6, g)) == 4
+        assert _order(q6.column(g)) == 4
     for n in (3, 5, 7, 11):
         qn = make_dihedral(n)
         for g in range(n):
-            assert len(inner_subgroup(qn, g)) == 2
+            assert _order(qn.column(g)) == 2
 
 
 def test_inner_subgroup_orbit_hits_rotated_triple():
@@ -148,7 +156,8 @@ def test_inner_subgroup_orbit_hits_rotated_triple():
     h = q.column(0)
     triple = (0, 1, 2)
     assert tuple(h[x] for x in triple) == (0, 2, 4)
-    perms = inner_subgroup(q, 0)
+    perms = [p for p in automorphisms(q) if p[0] == 0]
+    assert len(perms) == 4 and h in perms
     orbit = {tuple(p[x] for x in triple) for p in perms}
     assert (0, 2, 4) in orbit
 

@@ -356,12 +356,40 @@ def test_o6_double_window_has_no_gap_at_eight():
 
 
 def test_report_with_gap_is_not_exhausted():
-    rep = SearchReport("O6", "eta", 3, "double", "B", 8, gaps=["top layer: 1 cover"])
+    cfg = SearchConfig(O6, ETA, max_length=8, window="double", profile="B")
+    rep = SearchReport(cfg, gaps=["top layer: 1 cover"])
     assert not rep.found and rep.refused is None
     assert not rep.exhausted
     text = rep.certificate_text()
     assert "gap top layer: 1 cover" in text
     assert "EXHAUSTED" not in text
+
+
+def test_cocycle_must_live_on_the_searched_quandle():
+    with pytest.raises(SearchError, match="does not live on the chosen quandle"):
+        search_min_cycles(SearchConfig(make_dihedral(5), mochizuki(7)))
+
+
+@pytest.mark.parametrize("q, theta", [(O6, ETA), (R7, ZETA)], ids=["o6", "r7"])
+def test_single_window_budget_is_exact(q, theta):
+    # Every probe of the join counts against the budget: a run of P probes
+    # completes under budget P and is refused under P - 1, at its P-th probe.
+    refusal = "single-degree join exceeded the probe budget (after %d probes)"
+    runs = {}
+    for max_length in range(2, 6):
+        runs[max_length] = search_min_cycles(SearchConfig(q, theta, max_length=max_length))
+        p = runs[max_length].probes
+        rep = search_min_cycles(SearchConfig(q, theta, max_length=max_length, budget=p))
+        assert rep.refused is None and rep.probes == p
+        rep = search_min_cycles(SearchConfig(q, theta, max_length=max_length, budget=p - 1))
+        assert rep.refused == refusal % p
+    # At length 4 the join [2, 2] runs between the single-part partitions
+    # [3] and [4], which count their families at once; there each probe is
+    # counted alone, so a budget b is refused at probe b + 1.
+    start, end = runs[3].probes, runs[4].probes - runs[4].component_counts[4]
+    for b in range(start, end, (end - start) // 6):
+        rep = search_min_cycles(SearchConfig(q, theta, max_length=4, budget=b))
+        assert rep.refused == refusal % (b + 1)
 
 
 def test_budget_refusal():
