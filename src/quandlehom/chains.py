@@ -8,13 +8,18 @@ graded one Z x X on which a generator acts by (n, u)^a = (n + 1, u^a).
 
 The color-deletion map f and the action-twisted deletion map g both drop any
 output term whose colors have two equal adjacent entries.  Their sum is the
-boundary; boundary o boundary = 0.
+boundary; boundary o boundary = 0.  One face pass computes all three and
+compares only the two colors a dropped one brings together.  That relies on
+terms with no equal adjacent colors, which `Chain.__init__` and
+`Chain.from_signed_terms` check (a caller writing `terms` directly must keep
+it, as it keeps coefficients nonzero), and on permutation columns, which
+`FiniteQuandle` records: over any other table each g-face is checked whole.
 
 A stored coefficient is never zero: `Chain.__bool__`, `__eq__` and `length`
 rely on it.  Every sum of coefficients into a term dict, here and in the
-modules above, goes through the one writer `_accumulate`, but for the
-single-degree join's counter: `search._merge_terms` writes that itself,
-since the join needs to stop at the first cancellation and to undo a merge.
+modules above, goes through the one writer `_accumulate`, but for two that
+write their own: `_face_pass` sums each face where it makes it, and the
+single-degree join's `search._merge_terms` stops at the first cancellation.
 """
 
 from __future__ import annotations
@@ -71,10 +76,9 @@ class Chain:
 
     @classmethod
     def from_signed_terms(cls, signed_terms, arity, graded=True):
-        """Build from an iterable of (sign, term) pairs, signs nonzero."""
-        c = cls(arity, graded)
-        _accumulate(c.terms, ((t, sign) for sign, t in signed_terms))
-        return c
+        """Build from an iterable of (sign, term) pairs, each term checked as
+        the constructor checks it."""
+        return cls(arity, graded, [(t, sign) for sign, t in signed_terms])
 
     def _check_compatible(self, other):
         if self.arity != other.arity or self.graded != other.graded:
@@ -142,52 +146,57 @@ def length(chain):
     return sum(abs(c) for c in chain.terms.values())
 
 
+def _face_pass(chain, q, f=True, g=True):
+    """The f- and g-faces of every term, summed straight into one dict.  The
+    parts left and right of a dropped color keep distinct neighbours (acted
+    on by a permutation column for g), so only where they meet is compared."""
+    if chain.arity < 1:
+        raise ChainError("%s needs arity >= 1" % ("f" if f else "g"))
+    if g and not isinstance(q, FiniteQuandle):
+        raise QuandleError("g needs a quandle")
+    columns, whole = (q._columns, not q._bijective) if g else (None, False)
+    graded = chain.graded
+    faces = {}
+    for (n, u, colors), coeff in chain.terms.items():
+        sign = -coeff
+        for i, ai in enumerate(colors):
+            left, right = colors[:i], colors[i + 1 :]
+            if f and not (left and right and left[-1] == right[0]):
+                key = (n, u, left + right)
+                c = faces[key] = faces.get(key, 0) + sign
+                if not c:
+                    del faces[key]
+            if g:
+                col = columns[ai]
+                left = tuple(map(col.__getitem__, left))
+                if not (_is_degenerate(left + right) if whole else left and right and left[-1] == right[0]):
+                    key = (n + 1, col[u], left + right) if graded else (0, 0, left + right)
+                    c = faces[key] = faces.get(key, 0) - sign
+                    if not c:
+                        del faces[key]
+            sign = -sign
+    result = Chain(chain.arity - 1, graded)
+    result.terms = faces
+    return result
+
+
 def f_map(chain):
     """Color deletion: alternating sum over dropped positions, first sign
     negative; output terms with adjacent equal colors are discarded.
     Preserves degree and index, and never consults the quandle operation."""
-    if chain.arity < 1:
-        raise ChainError("f needs arity >= 1")
-    faces = []
-    for (n, u, colors), coeff in chain.terms.items():
-        sign = -1
-        for i in range(len(colors)):
-            reduced = colors[:i] + colors[i + 1 :]
-            if not _is_degenerate(reduced):
-                faces.append(((n, u, reduced), sign * coeff))
-            sign = -sign
-    result = Chain(chain.arity - 1, chain.graded)
-    result.terms = _accumulate({}, faces)
-    return result
+    return _face_pass(chain, None, g=False)
 
 
 def g_map(chain, q):
     """Action-twisted deletion: dropping position i acts by a_i on the index
     and on the colors left of i, with alternating sign starting positive.
     Raises the degree by one on graded chains."""
-    if chain.arity < 1:
-        raise ChainError("g needs arity >= 1")
-    if not isinstance(q, FiniteQuandle):
-        raise QuandleError("g needs a quandle")
-    table = q.table
-    faces = []
-    graded = chain.graded
-    for (n, u, colors), coeff in chain.terms.items():
-        sign = 1
-        for i in range(len(colors)):
-            ai = colors[i]
-            reduced = tuple(table[colors[j]][ai] for j in range(i)) + colors[i + 1 :]
-            if not _is_degenerate(reduced):
-                t = (n + 1, table[u][ai], reduced) if graded else (0, 0, reduced)
-                faces.append((t, sign * coeff))
-            sign = -sign
-    result = Chain(chain.arity - 1, graded)
-    result.terms = _accumulate({}, faces)
-    return result
+    return _face_pass(chain, q, f=False)
 
 
 def boundary(chain, q):
-    return f_map(chain) + g_map(chain, q)
+    """f_map(chain) + g_map(chain, q), in one pass over the terms."""
+    return _face_pass(chain, q)
 
 
 def project_pi(chain):

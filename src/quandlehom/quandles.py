@@ -14,6 +14,7 @@ looking at the centre).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -68,7 +69,7 @@ class AxiomReport:
 class FiniteQuandle:
     """A finite quandle with elements 0..size-1 and table[a][b] = a^b."""
 
-    __slots__ = ("size", "table", "name", "_columns")
+    __slots__ = ("size", "table", "name", "_columns", "_bijective")
 
     def __init__(self, table, name=None):
         rows = tuple(tuple(row) for row in table)
@@ -87,6 +88,7 @@ class FiniteQuandle:
         self._columns = tuple(
             tuple(rows[a][b] for a in range(n)) for b in range(n)
         )
+        self._bijective = all(len(set(col)) == n for col in self._columns)  # every column a permutation
 
     def apply(self, a, b):
         """Return a^b."""
@@ -215,13 +217,17 @@ TAU_O6 = (0, 1, 5, 3, 4, 2)
 
 
 def automorphisms(q):
-    """Every automorphism of q, as sorted permutation tuples.
+    """Every automorphism of q, as sorted permutation tuples in a fresh list."""
+    return list(_automorphisms(q.table))
 
-    Backtracks over the image of the least unplaced element; each placement
-    is closed under phi(a^b) = phi(a)^phi(b), and a clash with the table or a
-    repeated image prunes the branch.  Past a generating set every image is
-    forced, so S_n is never enumerated."""
-    n, table = q.size, q.table
+
+@functools.lru_cache(maxsize=32)
+def _automorphisms(table):
+    """Cached per operation table.  Backtracks over the image of the least
+    unplaced element; each placement is closed under phi(a^b) = phi(a)^phi(b),
+    and a clash with the table or a repeated image prunes the branch.  Past a
+    generating set every image is forced, so S_n is never enumerated."""
+    n = len(table)
 
     def grow(phi, todo):
         while todo:
@@ -237,7 +243,7 @@ def automorphisms(q):
         a = min(set(range(n)) - set(phi))
         return [p for image in range(n) for p in grow(dict(phi), [(a, image)])]
 
-    return sorted(grow({}, []))
+    return tuple(sorted(grow({}, [])))
 
 
 def _is_degenerate(colors):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,9 +15,9 @@ from quandlehom.chains import (
     project_pi,
     sigma_shift,
 )
-from quandlehom.quandles import make_dihedral, make_octahedral
+from quandlehom.quandles import FiniteQuandle, check_axioms, make_dihedral, make_octahedral
 
-from common import degree_bucket, degrees, eta8_chain, random_chain, zeta8_chain
+from common import _oracle_boundary, degree_bucket, degrees, eta8_chain, random_chain, zeta8_chain
 
 R7 = make_dihedral(7)
 O6 = make_octahedral()
@@ -29,6 +30,21 @@ def single(coeff, n, u, colors, graded=True):
 def test_term_rejects_adjacent_equal_colors():
     with pytest.raises(ChainError, match="degenerate colors"):
         Chain.single(1, 0, 0, (1, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "signed_terms, graded, match",
+    [
+        ([(1, (0, 0, (1, 1, 2)))], True, "degenerate colors"),
+        ([(1, (0, 0, (0, 1, 2))), (-1, (0, 0, (0, 2, 2)))], True, "degenerate colors"),
+        ([(1, (0, 0, (1, 2)))], True, "wrong arity"),
+        ([(1, (1, 0, (0, 1, 2)))], False, "trivial coefficients"),
+    ],
+    ids=["degenerate", "degenerate-second", "arity", "trivial-degree"],
+)
+def test_from_signed_terms_checks_each_term(signed_terms, graded, match):
+    with pytest.raises(ChainError, match=match):
+        Chain.from_signed_terms(signed_terms, arity=3, graded=graded)
 
 
 def test_f_of_bigon_term():
@@ -246,3 +262,83 @@ def test_chain_text_rejects_garbage():
         chain_from_text("arity x graded")
     with pytest.raises(ChainError):
         chain_from_text("arity 3 graded\n1 0 0 1 1 2")
+
+
+# The face pass checks a face for equal neighbours only where dropping a color
+# can make them meet.  These tests compare it with the oracle written from the
+# operation table alone, over every generator, seeded random chains and a
+# table whose columns are not permutations.
+
+R3, R5 = make_dihedral(3), make_dihedral(5)
+# a^b = b: every column is constant, so no column is a permutation.
+CONSTANT = FiniteQuandle([[b for b in range(4)] for _ in range(4)], name="constant")
+
+
+def _oracle_faces(chain, q):
+    """The oracle's boundary; over trivial coefficients, degree and index are
+    dropped and the coefficients summed."""
+    out = _oracle_boundary(chain.terms, q.table)
+    if chain.graded:
+        return out
+    flat = {}
+    for (_, _, colors), c in out.items():
+        flat[0, 0, colors] = flat.get((0, 0, colors), 0) + c
+    return {t: c for t, c in flat.items() if c}
+
+
+def assert_faces_match_oracle(chain, q):
+    want = _oracle_faces(chain, q)
+    assert boundary(chain, q).terms == want, chain
+    assert (f_map(chain) + g_map(chain, q)).terms == want, chain
+
+
+def test_constant_table_has_no_permutation_column():
+    assert check_axioms(CONSTANT).bijectivity == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("q", [R3, R5, R7, O6, CONSTANT], ids=["R3", "R5", "R7", "O6", "constant"])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_faces_of_every_generator_match_the_oracle(q, arity):
+    for word in itertools.product(range(q.size), repeat=arity):
+        if any(a == b for a, b in zip(word, word[1:])):
+            continue
+        assert_faces_match_oracle(single(1, 0, 0, word, graded=False), q)
+        for u in range(q.size):
+            assert_faces_match_oracle(single(1, 2, u, word), q)
+
+
+@pytest.mark.parametrize("q", [R3, O6, CONSTANT], ids=["R3", "O6", "constant"])
+def test_faces_of_every_buildable_term_match_the_oracle(q):
+    # Degenerate words included: each constructor refuses one or builds a
+    # chain whose faces the oracle confirms.
+    builders = (
+        lambda w: Chain.single(1, 0, 1, w),
+        lambda w: Chain(3, False, {(0, 0, w): 1}),
+        lambda w: Chain.from_signed_terms([(1, (0, 1, w)), (1, (0, 0, (0, 1, 0)))], arity=3),
+        lambda w: chain_from_text("arity 3 graded\n-1 0 1 %s\n" % " ".join(map(str, w))),
+    )
+    for word in itertools.product(range(q.size), repeat=3):
+        for build in builders:
+            try:
+                chain = build(word)
+            except ChainError:
+                continue
+            assert_faces_match_oracle(chain, q)
+
+
+def test_faces_of_random_chains_match_the_oracle():
+    # Terms are drawn from a pool of four words on three colors, so terms
+    # repeat, coefficients cancel and faces of different terms meet.
+    rng = random.Random(2026)
+    quandles = (R3, R5, R7, O6, CONSTANT)
+    for _ in range(2000):
+        q = rng.choice(quandles)
+        arity = rng.randint(1, 4)
+        graded = rng.random() < 0.7
+        words = [w for w in itertools.product(range(3), repeat=arity) if all(a != b for a, b in zip(w, w[1:]))]
+        pool = [
+            (rng.randint(0, 1), rng.randrange(q.size), w) if graded else (0, 0, w)
+            for w in rng.sample(words, min(len(words), 4))
+        ]
+        picks = [(rng.choice((1, -1)), rng.choice(pool)) for _ in range(rng.randint(1, 10))]
+        assert_faces_match_oracle(Chain.from_signed_terms(picks, arity, graded), q)

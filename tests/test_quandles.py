@@ -213,3 +213,13 @@ def test_is_degenerate_matches_adjacent_pair_definition():
             expected = any(word[i] == word[i + 1] for i in range(len(word) - 1))
             assert _is_degenerate(word) is expected
             assert _is_degenerate(list(word)) is expected
+
+
+def test_automorphisms_hands_each_caller_a_fresh_list():
+    q = make_octahedral()
+    first = automorphisms(q)
+    first.clear()
+    again = automorphisms(make_octahedral())
+    assert again == oracle_automorphisms(q.table)
+    again.append((0, 0, 0, 0, 0, 0))
+    assert len(automorphisms(q)) == 24
