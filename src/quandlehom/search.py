@@ -16,10 +16,14 @@ that also derives the family census:
   code of their index-free projected g-images, the same at every index.  A
   bucket is stamped at every index and keyed by g-code when a lookup first
   lands in it; all of them are when the size is listed as a smaller part,
-  which only a size s with 2s <= max_length ever is.  A cycle consisting of
-  one larger family (sizes 6 up; a smaller cofactor is impossible below
-  length 9) is found by the cancellation search, g residual first, at the
-  least index of each Aut(Q)-orbit, and expanded over Aut(Q).
+  which only a size s with 2s <= max_length ever is.  The join lists each
+  cycle with one global sign: the one whose least family of the smallest
+  part size is below the negative of every family of that size.  The sorted
+  order meets that sign first, so the chains a report prints are the ones
+  it kept when both signs were listed.  A cycle consisting of one larger
+  family (sizes 6 up; a smaller cofactor is impossible below length 8) is
+  found by the cancellation search, g residual first, at the least index of
+  each Aut(Q)-orbit, and expanded over Aut(Q).
 
 * two adjacent degrees: one boundary scan lists every cycle over degrees 0
   and 1 with at most 2 (profile B) or 3 terms at degree 0: cancel_search on
@@ -203,6 +207,11 @@ def _sign_normal_chain(chain):
     return items if items <= neg else neg
 
 
+def _negated(fam):
+    """-F for a family F, a sorted tuple of (sign, term) pairs."""
+    return tuple(sorted([(-sign, t) for sign, t in fam]))
+
+
 def _partitions_into_parts(total, largest):
     """Multiset partitions of `total` into parts between 2 and largest,
     emitted in non-increasing order."""
@@ -307,6 +316,7 @@ class _FamilyIndex:
         self.count = q.size * len(colored)
         self.stamped = {}  # projected code -> {g-code: sorted families}
         self.listing = None
+        self.signs = None
 
     def _stamp(self, pkey):
         """Bucket pkey's families at every index, by g-code."""
@@ -337,16 +347,33 @@ class _FamilyIndex:
             )
         return self.listing
 
+    def signed(self):
+        """-F for every listed family F, and the listing of the families
+        with F < -F: what a join needs of its smallest part size, built on
+        the first such join."""
+        if self.signs is None:
+            listing = self.families()
+            negated = {fam: _negated(fam) for fam, _, _ in listing}
+            self.signs = negated, [entry for entry in listing if entry[0] < negated[entry[0]]]
+        return self.signs
+
 
 def _join_partition(partition, index, budget, on_cycle):
     """Enumerate unions of minimal families over one size partition with
-    vanishing total g-image.
+    vanishing total g-image, each with one global sign.
 
     Parts are chosen in ascending size order from `index`, size ->
     _FamilyIndex: prefix parts from its sorted listing, the largest part
     looked up by the g-code that cancels the prefix, carried down as the
     integers neg_g and neg_p (its projection).  Equal-size parts are kept
     non-decreasing to list each multiset of families once.
+
+    A cycle and its negative split into negated families, so of the two
+    only the one whose least family F1 of the smallest part size is below
+    -F for every family F of that size is listed (McKay's orbit argument
+    for the global sign).  In the sorted order that sign comes first, so
+    the chain a report keeps for each cycle is the same as when both were
+    listed.
     """
     parts = sorted(partition)  # ascending; look up the largest size
     hash_size = parts[-1]
@@ -354,24 +381,27 @@ def _join_partition(partition, index, budget, on_cycle):
     largest = index[hash_size]
 
     # A single-part partition probes every family once and keeps the g-null
-    # ones: the empty image has code 0.
+    # ones of one sign: the empty image has code 0.
     if not prefix_sizes:
         budget.spend(largest.count)
         for fam in largest.get(0, 0):
             counter2 = {}
-            if _merge_terms(counter2, fam, []):
+            if fam < _negated(fam) and _merge_terms(counter2, fam, []):
                 on_cycle(dict(counter2))
         return
 
     counter = {}
-    listings = [index[size].families() for size in prefix_sizes]
+    small = prefix_sizes[0]
+    negated, positive = index[small].signed()
+    listings = [positive] + [index[size].families() for size in prefix_sizes[1:]]
+    same_size, one_size = prefix_sizes[-1] == hash_size, small == hash_size
 
-    def rec(level, last_fam, neg_g, neg_p):
+    # first: the family chosen at level 0 (F1); last_fam: the latest one.
+    def rec(level, first, last_fam, neg_g, neg_p):
         budget.spend()
         if level == len(prefix_sizes):
-            same_size = prefix_sizes[-1] == hash_size
             for fam in largest.get(neg_g, neg_p):
-                if same_size and fam < last_fam:
+                if same_size and fam < last_fam or one_size and negated[fam] < first:
                     continue
                 budget.spend()
                 undo = []
@@ -380,15 +410,16 @@ def _join_partition(partition, index, budget, on_cycle):
                 _unmerge(counter, undo)
             return
         lower = last_fam if (level and prefix_sizes[level - 1] == prefix_sizes[level]) else None
+        signed = level and prefix_sizes[level] == small
         for fam, gkey, pkey in listings[level]:
-            if lower is not None and fam < lower:
+            if lower is not None and fam < lower or signed and negated[fam] < first:
                 continue
             undo = []
             if _merge_terms(counter, fam, undo):
-                rec(level + 1, fam, neg_g - gkey, neg_p - pkey)
+                rec(level + 1, first or fam, fam, neg_g - gkey, neg_p - pkey)
             _unmerge(counter, undo)
 
-    rec(0, (), 0, 0)
+    rec(0, (), (), 0, 0)
 
 
 def _single_components(table, size, index, budget):

@@ -21,6 +21,7 @@ from quandlehom.search import (
     SearchReport,
     _FamilyIndex,
     _g_codes,
+    _join_partition,
     _orbit_components,
     _partitions_into_parts,
     _sign_normal_chain,
@@ -125,6 +126,31 @@ def test_join_matches_the_oracle_with_two_index_orbits():
 
 
 @pytest.mark.parametrize(
+    "q, max_length", [(O6, 6), (R7, 6), (make_dihedral(3), 7)], ids=["o6", "r7", "r3"]
+)
+def test_join_lists_each_cycle_once_per_partition(q, max_length):
+    # A cycle and its negative are listed by one join, from the sign whose
+    # least family of the smallest part size is below the negative of every
+    # family of that size: each partition lists a cycle at most once, and
+    # all of them together list every cycle the oracle finds.
+    table = TermTable(q, 0)
+    gcode, pcode = _g_codes(table)
+    index = {size: _FamilyIndex(table, q, size, gcode, pcode) for size in range(2, 6)}
+    budget = ProbeBudget(10**9, "test")
+    union = set()
+    for l in range(2, max_length + 1):
+        for partition in _partitions_into_parts(l, 5):
+            listed = []
+            _join_partition(
+                partition, index, budget, lambda counter: listed.append(Chain(3, True, counter))
+            )
+            keys = [_sign_normal_chain(chain) for chain in listed]
+            assert len(set(keys)) == len(keys), partition
+            union.update(keys)
+    assert union == oracle_cycles(q.table, max_length)
+
+
+@pytest.mark.parametrize(
     "q, sizes",
     [(O6, (6, 7)), (R7, (6, 7)), (R3_PLUS_POINT, (6, 7, 8))],
     ids=["o6", "r7", "r3+point"],
@@ -194,9 +220,9 @@ def _digest(report):
 
 
 # The certificate digests below pin the census, the join, the size-6
-# component search (its probes are in the certificate) and the two-degree
-# boundary scan.  A change that alters probe counts or coverage text must
-# update them and say why.
+# component search and the two-degree boundary scan, and through the probes
+# line of each certificate the probe counts of the whole run.  A change that
+# alters probe counts or coverage text must update them and say why.
 
 
 def test_o6_single_degree_clean_below_seven():
@@ -204,7 +230,7 @@ def test_o6_single_degree_clean_below_seven():
     assert rep.exhausted
     assert rep.zero_value_cycles > 0
     assert "EXHAUSTED" in rep.certificate_text()
-    assert _digest(rep) == "ab98535e8dc766b5107147cd4e9c1ebc902b5219a284c857653c808fbb8fec50"
+    assert _digest(rep) == "019e128b437799b1e226f174ab384adcf2fe86c5621964122373b78cad2a2c7c"
 
 
 def test_o6_single_degree_witnesses_at_seven():
@@ -220,7 +246,7 @@ def test_o6_single_degree_witnesses_at_seven():
     keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
     assert _sign_normal_chain(witness) in keys
     assert value == 2
-    assert _digest(rep) == "eee1a58ff560fd9c765e0a26602482061f2b55f9768087bd0d29648eb221801d"
+    assert _digest(rep) == "0e8fe2055f1b64473895922456ef9482cf548729deb1490a0157ddbd3d94d321"
 
 
 def test_r7_single_degree_is_empty_to_seven():
@@ -228,7 +254,7 @@ def test_r7_single_degree_is_empty_to_seven():
     assert rep.exhausted
     assert rep.zero_value_cycles == 0
     assert len(rep.found) == 0
-    assert _digest(rep) == "f061761236286df76af24484e6052bd6aad25f5355d1cf7c90983c0bb4af09b7"
+    assert _digest(rep) == "315c1e45f651481d988408e3a1c4fbb0be7c6f8c1292bc6d8a8d457bbf411eb3"
 
 
 def test_o6_double_window_clean_at_six():
@@ -243,12 +269,12 @@ def test_o6_double_window_clean_at_six():
 @pytest.mark.parametrize(
     "quandle, max_length, probes",
     [
-        ("o6", 6, 131044),
-        ("o6", 7, 157318),
-        ("o6", 8, 1755725),
-        ("r7", 6, 326808),
-        ("r7", 7, 377948),
-        ("r7", 8, 6487545),
+        ("o6", 6, 119853),
+        ("o6", 7, 135111),
+        ("o6", 8, 942758),
+        ("r7", 6, 301671),
+        ("r7", 7, 327968),
+        ("r7", 8, 3393146),
     ],
 )
 def test_single_degree_probes(quandle, max_length, probes):
@@ -266,6 +292,25 @@ def test_r7_single_degree_at_eight_is_incomplete():
     assert rep.certificate_text().splitlines()[-1].startswith("INCOMPLETE")
 
 
+# The single-window certificates without their probes line, recorded while
+# the join still listed every cycle with both global signs: listing each
+# with one sign moved the probe counts and nothing else.
+@pytest.mark.parametrize(
+    "quandle, max_length, digest",
+    [
+        ("o6", 6, "e3919c848bfaa5f516f9983ca7ca97fb3d226594b662994c8c62a40686885185"),
+        ("o6", 7, "fccfd4590bb5bebb3b6a9978e1243e88f04b6f9cc5a9850b48f0ae0c90e0dd9b"),
+        ("o6", 8, "c346067861823dbfee5240170b99bd7565db551f73c824878ee69f7fa636df3b"),
+        ("r7", 7, "2fb758193392c9a309663c7b87cdeae002f81ad6901fd4af0352e57602429407"),
+        ("r7", 8, "bdc969d0e59dbe7e66c83951817e583dc6a4d4c1f940b3168de6a547c877a941"),
+    ],
+)
+def test_single_degree_certificates_apart_from_probes(quandle, max_length, digest):
+    text = cached_search(quandle, max_length).certificate_text()
+    kept = "".join(line for line in text.splitlines(True) if not line.startswith("probes "))
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest
+
+
 # Single-window certificates at L = 2..5.  A family size s with 2s > L is
 # only ever looked up as the largest part of the join, never listed as a
 # smaller one; these are the lengths at which sizes cross that line.
@@ -274,12 +319,12 @@ def test_r7_single_degree_at_eight_is_incomplete():
     [
         ("o6", 2, "265e9de8690a6de97bd527c36ca2bb7c7f5c992c0068be0935dcb9dd16880eab"),
         ("o6", 3, "73727b78f2a02540bd0bda53002e7d548c8b2a18e2780c849a6ba9a71278ee4f"),
-        ("o6", 4, "bbd265c270dc62b16eb7c7ced7f08646c7b81dfce03a2d21000cc45ecfa320d8"),
-        ("o6", 5, "c449ae60d1c1969e64923308c6933c8265a9891655222e5cd7f36fc0e241fa93"),
+        ("o6", 4, "f7b72c163356836f58927a78618c0d8d4b1ea72805045fc126c347df3056eced"),
+        ("o6", 5, "4d80c085175b7a74a9ca9d78d3b4a43a461b3a0b92a7b79a8d1b5d73bfe7bd56"),
         ("r7", 2, "b515f93a67b7d659f07dcb68f29ccfc7de78215c71d7bd9ca8351d1f4d54b171"),
         ("r7", 3, "30e97ab0367ca15764e86c12a00ebd8ea9aa01b83119ec41088313aa6f214eea"),
-        ("r7", 4, "ffe7b45b291b037acf13d1a9acfb892ef6d1d13d7b7c0fc626718060ab61af07"),
-        ("r7", 5, "ea5189332f15d25593ed33d5d29233902360e5c64b1ebb3b319b4aa1bd59c913"),
+        ("r7", 4, "ca900150eac9714543cd57f2cbca525393c15c040b3c1986f459e61d3ce5a8f2"),
+        ("r7", 5, "a77b6914dcfb752a19c8f06fac0345ccabfffe136f4aa3025e572c0b01f84eba"),
     ],
 )
 def test_single_degree_certificates_at_the_lookup_edges(quandle, max_length, digest):
