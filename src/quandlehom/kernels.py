@@ -30,7 +30,10 @@ class SliceBasis:
     ``rows`` holds one {column: nonzero entry} dict per arity-2 face of the
     generators' boundary images, in sorted face order, so every f-face
     (the slice's degree) comes before every g-face (one degree up); columns
-    follow ``generators``.
+    follow ``generators``.  ``images`` keeps each generator's boundary
+    image, keyed by the generator, for the kernel's chain-map re-check, as
+    {face number: coefficient} with the faces numbered in row order: face
+    tuples held per generator would outlive the build several times over.
     """
 
     quandle: FiniteQuandle
@@ -39,6 +42,7 @@ class SliceBasis:
     cell: int | None
     generators: list
     rows: list
+    images: dict
 
 
 def build_slice(q, degree=0, index=None, cell=None):
@@ -60,11 +64,15 @@ def build_slice(q, degree=0, index=None, cell=None):
             if cell is None or q.act_word(u, word) == cell:
                 gens.append((degree, u, word))
     gens.sort()
-    faces = {}
+    faces, images = {}, {}
     for col, gen in enumerate(gens):
-        for face, c in boundary(Chain(3, True, {gen: 1}), q).terms.items():
+        images[gen] = boundary(Chain(3, True, {gen: 1}), q).terms
+        for face, c in images[gen].items():
             faces.setdefault(face, {})[col] = c
-    return SliceBasis(q, degree, index, cell, gens, [faces[face] for face in sorted(faces)])
+    order = sorted(faces)
+    number = {face: r for r, face in enumerate(order)}
+    images = {gen: {number[face]: c for face, c in image.items()} for gen, image in images.items()}
+    return SliceBasis(q, degree, index, cell, gens, [faces[face] for face in order], images)
 
 
 @dataclass
@@ -100,8 +108,8 @@ def kernel_fg(slice_basis):
     The lattice rank plus the rank modulo a prime must be the number of
     generators.  Each sparse lattice vector becomes one chain over the
     generators, and every such chain is re-verified through the chain maps,
-    not the rows, as the sum of its generators' boundary images (one fresh
-    boundary image per generator, keyed by its term).  The sum is zero
+    not the rows, as the sum of its generators' boundary images (the ones
+    build_slice took, keyed by term in ``images``).  The sum is zero
     exactly when its f- and g-parts are, since they lie at different
     degrees.
     """
@@ -110,15 +118,14 @@ def kernel_fg(slice_basis):
     lattice = intlinalg.integer_kernel_basis(rows, len(gens))
     if intlinalg.rank_mod_p(rows) + len(lattice) != len(gens):
         raise AssertionError("modular and integer kernel ranks disagree")
-    q = slice_basis.quandle
-    images = {gen: boundary(Chain(3, True, {gen: 1}), q).terms.items() for gen in gens}
+    images = slice_basis.images
     result = KernelResult(
         slice_basis, [Chain(3, True, {gens[c]: x for c, x in vec.items()}) for vec in lattice]
     )
     for chain in result.lattice_basis:
         total = {}
         for gen, c in chain.terms.items():
-            _accumulate(total, images[gen], c)
+            _accumulate(total, images[gen].items(), c)
         if total:
             raise AssertionError("kernel vector fails the chain-map re-check")
     return result

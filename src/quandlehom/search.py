@@ -16,7 +16,11 @@ that also derives the family census:
   code of their index-free projected g-images, the same at every index.  A
   bucket is stamped at every index and keyed by g-code when a lookup first
   lands in it; all of them are when the size is listed as a smaller part,
-  which only a size s with 2s <= max_length ever is.  The join lists each
+  which only a size s with 2s <= max_length ever is.  A size that is only
+  looked up is instantiated just for the projected codes a lookup can ask
+  for (0 and the negated codes of the smaller sizes it can follow), and the
+  family counts a certificate prints come from the census at four colors,
+  not from instantiating every family.  The join lists each
   cycle with one global sign: the one whose least family of the smallest
   part size is below the negative of every family of that size.  The sorted
   order meets that sign first, so the chains a report prints are the ones
@@ -47,7 +51,14 @@ from dataclasses import dataclass, field
 from .chains import Chain, boundary, chain_to_text, length
 from .cocycles import ThreeCocycle, evaluate
 from .quandles import FiniteQuandle, automorphisms
-from .structure import MAX_FAMILY_SIZE, TermTable, cancel_search, concrete_families, relabel_chain
+from .structure import (
+    MAX_FAMILY_SIZE,
+    TermTable,
+    cancel_search,
+    concrete_families,
+    family_count,
+    relabel_chain,
+)
 
 
 class SearchError(ValueError):
@@ -83,6 +94,12 @@ MAX_SEARCH_LENGTH = 8
 # in size, the bound under which _code is exact.
 _DIGIT_BITS = 6
 assert 3 * MAX_SEARCH_LENGTH < 2 ** (_DIGIT_BITS - 1)
+# A family size h with 2h > L is never a prefix part of a join, only the
+# looked-up largest part, so its prefix holds at most L - h terms.  Two parts
+# take at least 2 + 2, and L - h < 4 for every h > L/2 while L < 9: the
+# prefix is empty or one part, and the projected codes a lookup of size h
+# can ask for are 0 and -pcode(F) for the families F of sizes 2..L-h.
+assert MAX_SEARCH_LENGTH - (MAX_SEARCH_LENGTH // 2 + 1) < 2 + 2
 
 
 @dataclass
@@ -303,17 +320,22 @@ class _FamilyIndex:
     (``gcode``) the first time a lookup lands in it.  families()
     stamps every bucket and lists them all, for the sizes that are prefix
     parts of a join.
+
+    A size that is only looked up is built with ``codes``, the projected
+    codes a lookup can ask for: only the families of those codes are
+    instantiated, and a lookup of any other code raises.  ``count``, the
+    number of all families, comes from the census counts either way.
     """
 
-    def __init__(self, table, q, size, gcode, pcode):
+    def __init__(self, table, q, size, gcode, pcode, codes=None):
         self.gcode, self.indices = gcode, range(q.size)
         self.terms = {t[1:]: t for t in table.terms}  # (index, word) -> shared term
+        self.codes = codes
         self.buckets = {}
-        colored = concrete_families(q, size)
-        for fam in colored:
+        for fam in concrete_families(q, size, None if codes is None else (pcode, codes)):
             key = sum(sign * pcode[w] for sign, w in fam)
             self.buckets.setdefault(key, []).append(fam)
-        self.count = q.size * len(colored)
+        self.count = q.size * family_count(q.size, size)
         self.stamped = {}  # projected code -> {g-code: sorted families}
         self.listing = None
         self.signs = None
@@ -334,10 +356,14 @@ class _FamilyIndex:
 
     def get(self, gkey, pkey):
         """The sorted families with g-code gkey; pkey is its projection."""
+        if self.codes is not None and pkey not in self.codes:
+            raise AssertionError("lookup of projected code %d outside the index's codes" % pkey)
         return self._stamp(pkey).get(gkey, ()) if pkey in self.buckets else ()
 
     def families(self):
         """Every (family, g-code, projected code) triple, sorted."""
+        if self.codes is not None:
+            raise AssertionError("a lookup-only index holds only some families")
         if self.listing is None:
             self.listing = sorted(
                 (fam, gkey, pkey)
@@ -456,15 +482,29 @@ def _orbit_components(table, size, group, budget):
     return sorted(hits)
 
 
+def _family_indexes(table, q, max_length):
+    """size -> _FamilyIndex for the join's part sizes up to max_length.  A
+    size h with 2h > max_length is only looked up, by a prefix of at most
+    one part (see the assertion on MAX_SEARCH_LENGTH), and is built for
+    the codes that lookup can ask for."""
+    gcode, pcode = _g_codes(table)
+    index = {}
+    for size in range(2, min(MAX_FAMILY_SIZE, max_length) + 1):
+        codes = None
+        if 2 * size > max_length:
+            prefixes = range(2, max_length - size + 1)
+            codes = {0} | {-pkey for s in prefixes for pkey in index[s].buckets}
+        index[size] = _FamilyIndex(table, q, size, gcode, pcode, codes)
+    return index
+
+
 def _search_single_degree(cfg, report):
     q = cfg.quandle
     budget = ProbeBudget(cfg.budget, "single-degree join")
     table = TermTable(q, 0)
-    gcode, pcode = _g_codes(table)
-    index = {}
-    for size in range(2, min(MAX_FAMILY_SIZE, cfg.max_length) + 1):
-        index[size] = _FamilyIndex(table, q, size, gcode, pcode)
-        report.component_counts[size] = index[size].count
+    index = _family_indexes(table, q, cfg.max_length)
+    for size, sized in index.items():
+        report.component_counts[size] = sized.count
 
     cycles = _Cycles(q, cfg.cocycle)
     partitions = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -527,27 +528,64 @@ def enumerate_f_connected(k):
 # concrete instantiation over a quandle
 
 
-def instantiate_template(template, q):
-    """Yield concrete minimal f-null color families over q as sorted tuples
-    of (sign, color word): per admissible assignment and bigon shape, the
-    family and its negative.  Families share one pair per sign and word.
+def instantiate_template(template, n, codes=None):
+    """Yield concrete minimal f-null color families over n colors as sorted
+    tuples of (sign, color word): per admissible assignment and bigon shape,
+    the family and its negative.  Families share one pair per sign and word.
+
+    codes = (word_code, wanted) keeps only the families whose code, the sum
+    of sign * word_code[w] over their terms, lies in `wanted`: the code is
+    taken once per assignment from the unsorted words, and the negative's is
+    its negation.
 
     Instances may repeat when the pattern has internal symmetry; callers that
     need each family once should deduplicate on the yielded tuple.
     """
-    pairs = {(s, w): (s, w) for w in color_words(q.size, 3) for s in (1, -1)}
+    pairs = {(s, w): (s, w) for w in color_words(n, 3) for s in (1, -1)}
+    word_code, wanted = codes or (None, None)
     for variant in template.variants:
         reps = sorted({min(b) for b in variant.merge})
-        for images in itertools.permutations(range(q.size), len(reps)):
+        for images in itertools.permutations(range(n), len(reps)):
             assign = dict(zip(reps, images))
             family = [pairs[s, tuple([assign[x] for x in colors])] for s, colors in variant.entries]
-            yield tuple(sorted(family))
-            yield tuple(sorted([pairs[-s, w] for s, w in family]))
+            if word_code is not None:
+                code = sum([s * word_code[w] for s, w in family])
+            if word_code is None or code in wanted:
+                yield tuple(sorted(family))
+            if word_code is None or -code in wanted:
+                yield tuple(sorted([pairs[-s, w] for s, w in family]))
 
 
-def concrete_families(q, k):
+def concrete_families(q, k, codes=None):
     """The set of distinct minimal f-null color families of size k over q,
     instantiated from the symbolic census (k <= MAX_FAMILY_SIZE), each a
-    sorted tuple of (sign, color word).  f never consults the index, so each
-    is such a family at degree 0 and any one index its words are given."""
-    return {fam for template in enumerate_f_connected(k) for fam in instantiate_template(template, q)}
+    sorted tuple of (sign, color word); codes filters them as in
+    instantiate_template.  f never consults the index, so each is such a
+    family at degree 0 and any one index its words are given."""
+    return {
+        fam for template in enumerate_f_connected(k) for fam in instantiate_template(template, q.size, codes)
+    }
+
+
+def family_count(n, k):
+    """len(concrete_families(q, k)) for every quandle q of n elements, from
+    the census at _SYMBOLS colors alone.  f never consults the operation,
+    and the families whose color set is a given m-set are the images of
+    those with color set {0..m-1} under the order-keeping renaming, so the
+    count is sum over m of E(m) * C(n, m)."""
+    exact = _exact_color_counts(enumerate_f_connected(k))
+    return sum(e * math.comb(n, m) for m, e in enumerate(exact))
+
+
+@lru_cache(maxsize=None)
+def _exact_color_counts(templates):
+    """E(m) for m = 0.._SYMBOLS: how many families instantiated from
+    `templates` have color set exactly {0..m-1}.  No census family uses more
+    than _SYMBOLS colors, so one instantiation at _SYMBOLS colors holds them
+    all."""
+    exact = [0] * (_SYMBOLS + 1)
+    for fam in {fam for template in templates for fam in instantiate_template(template, _SYMBOLS)}:
+        colors = {x for _, w in fam for x in w}
+        if colors == set(range(len(colors))):
+            exact[len(colors)] += 1
+    return tuple(exact)

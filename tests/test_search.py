@@ -20,6 +20,7 @@ from quandlehom.search import (
     SearchError,
     SearchReport,
     _FamilyIndex,
+    _family_indexes,
     _g_codes,
     _join_partition,
     _orbit_components,
@@ -125,6 +126,12 @@ def test_join_matches_the_oracle_with_two_index_orbits():
             assert "length %d as one family (index scan, %d hits)" % (size, count) in rep.covered
 
 
+def _full_indexes(table, q):
+    """Every family size 2..5, unfiltered."""
+    gcode, pcode = _g_codes(table)
+    return {size: _FamilyIndex(table, q, size, gcode, pcode) for size in range(2, 6)}
+
+
 @pytest.mark.parametrize(
     "q, max_length", [(O6, 6), (R7, 6), (make_dihedral(3), 7)], ids=["o6", "r7", "r3"]
 )
@@ -133,9 +140,7 @@ def test_join_lists_each_cycle_once_per_partition(q, max_length):
     # least family of the smallest part size is below the negative of every
     # family of that size: each partition lists a cycle at most once, and
     # all of them together list every cycle the oracle finds.
-    table = TermTable(q, 0)
-    gcode, pcode = _g_codes(table)
-    index = {size: _FamilyIndex(table, q, size, gcode, pcode) for size in range(2, 6)}
+    index = _full_indexes(TermTable(q, 0), q)
     budget = ProbeBudget(10**9, "test")
     union = set()
     for l in range(2, max_length + 1):
@@ -148,6 +153,58 @@ def test_join_lists_each_cycle_once_per_partition(q, max_length):
             assert len(set(keys)) == len(keys), partition
             union.update(keys)
     assert union == oracle_cycles(q.table, max_length)
+
+
+@pytest.mark.parametrize("n", [6, 7, 5, 3], ids=["o6", "r7", "r5", "r3"])
+def test_lookup_only_sizes_hold_the_full_buckets_of_their_codes(n):
+    # A size h with 2h > L is built only for the projected codes a lookup
+    # can ask for; those buckets hold exactly the full index's families.
+    q = O6 if n == 6 else make_dihedral(n)
+    table = TermTable(q, 0)
+    full = _full_indexes(table, q)
+    for max_length in range(5, 9):
+        for size, sized in _family_indexes(table, q, max_length).items():
+            assert sized.count == full[size].count
+            wanted = full[size].buckets if sized.codes is None else sized.codes
+            assert sized.codes is None or 0 in sized.codes
+            assert (sized.codes is None) == (2 * size <= max_length)
+            assert {key: sorted(fams) for key, fams in sized.buckets.items()} == {
+                key: sorted(fams) for key, fams in full[size].buckets.items() if key in wanted
+            }, (max_length, size)
+
+
+@pytest.mark.parametrize("q", [O6, R7], ids=["o6", "r7"])
+def test_join_listings_are_the_same_with_lookup_only_indexes(q):
+    # Every partition lists the same cycles in the same order, for the same
+    # probes, from the search's indexes as from full ones.
+    table = TermTable(q, 0)
+    full = _full_indexes(table, q)
+
+    def listing(partition, index):
+        budget, listed = ProbeBudget(10**9, "test"), []
+        _join_partition(partition, index, budget, listed.append)
+        return listed, budget.probes
+
+    expected = {}
+    for max_length in range(2, 8):
+        index = _family_indexes(table, q, max_length)
+        for l in range(2, max_length + 1):
+            for partition in _partitions_into_parts(l, min(5, l)):
+                if partition not in expected:
+                    expected[partition] = listing(partition, full)
+                assert listing(partition, index) == expected[partition], (max_length, partition)
+
+
+def test_lookup_only_index_refuses_other_codes():
+    table = TermTable(O6, 0)
+    index = _family_indexes(table, O6, 7)
+    sized = index[5]
+    outside = next(code for code in range(1, 10**6) if code not in sized.codes)
+    assert sized.get(0, 0) == _full_indexes(table, O6)[5].get(0, 0) != ()  # eta7's family
+    with pytest.raises(AssertionError, match="outside the index's codes"):
+        sized.get(outside, outside)
+    with pytest.raises(AssertionError, match="lookup-only"):
+        sized.families()
 
 
 @pytest.mark.parametrize(

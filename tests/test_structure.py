@@ -15,6 +15,7 @@ from quandlehom.structure import (
     canonical_family,
     concrete_families,
     enumerate_f_connected,
+    family_count,
     reflection,
     relabel_chain,
     reverse,
@@ -247,6 +248,12 @@ def test_f_connected_families_share_index():
 
 def test_census_counts():
     assert [len(enumerate_f_connected(k)) for k in range(1, 6)] == [0, 1, 2, 5, 10]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_family_count_is_the_number_of_concrete_families(n):
+    q = make_dihedral(n)
+    assert [family_count(n, k) for k in range(2, 6)] == [len(concrete_families(q, k)) for k in range(2, 6)]
 
 
 def test_census_bytes_are_pinned():
