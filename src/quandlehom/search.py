@@ -16,18 +16,24 @@ that also derives the family census:
   code of their index-free projected g-images, the same at every index.  A
   bucket is stamped at every index and keyed by g-code when a lookup first
   lands in it; all of them are when the size is listed as a smaller part,
-  which only a size s with 2s <= max_length ever is.  A size that is only
-  looked up is instantiated just for the projected codes a lookup can ask
-  for (0 and the negated codes of the smaller sizes it can follow), and the
-  family counts a certificate prints come from the census at four colors,
-  not from instantiating every family.  The join lists each
-  cycle with one global sign: the one whose least family of the smallest
-  part size is below the negative of every family of that size.  The sorted
-  order meets that sign first, so the chains a report prints are the ones
-  it kept when both signs were listed.  A cycle consisting of one larger
-  family (sizes 6 up; a smaller cofactor is impossible below length 8) is
-  found by the cancellation search, g residual first, at the least index of
-  each Aut(Q)-orbit, and expanded over Aut(Q).
+  which only a size s with 2s <= max_length ever is.  A stamped family
+  names its terms by their positions in the sorted term table, so the join
+  merges and compares small ints in the terms' own order and maps them
+  back to terms only when a cycle closes.  A size that is only looked up
+  is instantiated just for the projected codes a lookup can ask for (0 and
+  the negated codes of the smaller sizes it can follow), and the family
+  counts a certificate prints come from the census at four colors, not
+  from instantiating every family.  The join lists each cycle with one
+  global sign: the one whose least family of the smallest part size is
+  below the negative of every family of that size.  The sorted order meets
+  that sign first, so the chains a report prints are the ones it kept when
+  both signs were listed.  That order follows the element labels:
+  relabelling the quandle may change the probes line and which sign of a
+  cycle is printed, but not the key sets or the counts.  A cycle
+  consisting of one larger family (sizes 6 up; a smaller cofactor is
+  impossible below length 8) is found by the cancellation search, g
+  residual first, at the least index of each Aut(Q)-orbit, and expanded
+  over Aut(Q).
 
 * two adjacent degrees: one boundary scan lists every cycle over degrees 0
   and 1 with at most 2 (profile B) or 3 terms at degree 0: cancel_search on
@@ -36,19 +42,21 @@ that also derives the family census:
   bottom layer T0 with g(T0) != 0 and length 6 or more, and every kept
   cycle is expanded over Aut(Q).
 
-Every candidate is re-verified through the boundary map and paired with the
-cocycle; a report lists the cycles with nonzero pairing and keeps the keys of
-the zero-pairing ones.  Searches are deterministic and run in one process;
-reports record exactly what was covered and, as gaps, what was not.  A probe
-budget on the summed probes aborts oversized runs with a refusal report
-rather than truncating silently.
+Every candidate is re-verified through the boundary map, as the sum of its
+terms' boundary images (each taken once per search by chains.boundary on the
+one-term chain, independent of the tables and codes the search used), and
+paired with the cocycle; a report lists the cycles with nonzero pairing and
+keeps the keys of the zero-pairing ones.  Searches are deterministic and run
+in one process; reports record exactly what was covered and, as gaps, what
+was not.  A probe budget on the summed probes aborts oversized runs with a
+refusal report rather than truncating silently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chains import Chain, boundary, chain_to_text, length
+from .chains import Chain, _accumulate, boundary, chain_to_text, length
 from .cocycles import ThreeCocycle, evaluate
 from .quandles import FiniteQuandle, automorphisms
 from .structure import (
@@ -225,32 +233,25 @@ def _sign_normal_chain(chain):
 
 
 def _negated(fam):
-    """-F for a family F, a sorted tuple of (sign, term) pairs."""
+    """-F for a family F, a sorted tuple of (sign, term id) pairs."""
     return tuple(sorted([(-sign, t) for sign, t in fam]))
 
 
 def _partitions_into_parts(total, largest):
     """Multiset partitions of `total` into parts between 2 and largest,
     emitted in non-increasing order."""
+    if total == 0:
+        return [()]
     out = []
-
-    def rec(rest, cap, acc):
-        if rest == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(cap, rest), 1, -1):
-            remainder = rest - part
-            if remainder == 0 or remainder >= 2:
-                acc.append(part)
-                rec(remainder, part, acc)
-                acc.pop()
-
-    rec(total, largest, [])
+    for part in range(min(largest, total), 1, -1):
+        remainder = total - part
+        if remainder == 0 or remainder >= 2:
+            out.extend((part,) + rest for rest in _partitions_into_parts(remainder, part))
     return out
 
 
 def _merge_terms(counter, parts, undo):
-    """Accumulate (sign, term) pairs; return False on any cancellation."""
+    """Accumulate (sign, term id) pairs; return False on any cancellation."""
     for sign, term in parts:
         new = counter.get(term, 0) + sign
         undo.append((term, counter.get(term, 0)))
@@ -274,17 +275,38 @@ class _Cycles:
     """The cycles a search reaches, each once up to global sign: every one
     is re-checked through the boundary map, paired with the cocycle and
     filed by its pairing alone: nonzero into found, zero into the key set
-    zero."""
+    zero.
+
+    The re-check sums the boundary images of the cycle's terms.  Each term's
+    image is taken once per search, by chains.boundary on the one-term
+    chain, not from a TermTable or the join's codes, and kept in ``images``
+    as {face number: coefficient}, the faces numbered as met (``faces``):
+    face tuples held per term would outlive the search several times over.
+    """
 
     def __init__(self, q, theta):
         self.q, self.theta = q, theta
         self.zero, self.found = set(), {}
+        self.images, self.faces = {}, {}
+
+    def _image(self, t):
+        image = self.images.get(t)
+        if image is None:
+            faces = self.faces
+            image = self.images[t] = {
+                faces.setdefault(face, len(faces)): c
+                for face, c in boundary(Chain(3, True, {t: 1}), self.q).terms.items()
+            }
+        return image
 
     def add(self, chain, shape):
         key = _sign_normal_chain(chain)
         if key in self.zero or key in self.found:
             return
-        if boundary(chain, self.q):
+        total = {}
+        for t, c in chain.terms.items():
+            _accumulate(total, self._image(t).items(), c)
+        if total:
             raise AssertionError("search produced a non-cycle")
         value = evaluate(self.theta, chain)
         if value:
@@ -298,10 +320,11 @@ class _Cycles:
 
 
 def _g_codes(table):
-    """gcode[t], the code of g(t) for every term t of a degree-0 table, and
-    pcode[w], the same with each face's index dropped, per color word w."""
+    """gcode[i], the code of g(t) for the term t = table.terms[i] of a
+    degree-0 table, and pcode[w], the same with each face's index dropped,
+    per color word w."""
     gdigits, pdigits = {}, {}
-    gcode = {t: _code(table.g[t], gdigits) for t in table.terms}
+    gcode = [_code(table.g[t], gdigits) for t in table.terms]
     pcode = {
         t[2]: _code(((f[2], c) for f, c in table.g[t]), pdigits) for t in table.terms if t[1] == 0
     }
@@ -321,6 +344,11 @@ class _FamilyIndex:
     stamps every bucket and lists them all, for the sizes that are prefix
     parts of a join.
 
+    A stamped family is a sorted tuple of (sign, id) pairs, id the term's
+    position in ``terms`` (the table's terms, which are sorted), so
+    families compare and sort as the (sign, term) tuples they stand for
+    while the join hashes small ints.
+
     A size that is only looked up is built with ``codes``, the projected
     codes a lookup can ask for: only the families of those codes are
     instantiated, and a lookup of any other code raises.  ``count``, the
@@ -329,7 +357,8 @@ class _FamilyIndex:
 
     def __init__(self, table, q, size, gcode, pcode, codes=None):
         self.gcode, self.indices = gcode, range(q.size)
-        self.terms = {t[1:]: t for t in table.terms}  # (index, word) -> shared term
+        self.terms = table.terms  # id -> term
+        self.ids = {t[1:]: i for i, t in enumerate(table.terms)}  # (index, word) -> id
         self.codes = codes
         self.buckets = {}
         for fam in concrete_families(q, size, None if codes is None else (pcode, codes)):
@@ -347,8 +376,8 @@ class _FamilyIndex:
             by_gcode = self.stamped[pkey] = {}
             for fam in self.buckets[pkey]:
                 for u in self.indices:
-                    stamped = tuple((sign, self.terms[u, w]) for sign, w in fam)
-                    key = sum(sign * self.gcode[t] for sign, t in stamped)
+                    stamped = tuple([(sign, self.ids[u, w]) for sign, w in fam])
+                    key = sum([sign * self.gcode[i] for sign, i in stamped])
                     by_gcode.setdefault(key, []).append(stamped)
             for fams in by_gcode.values():
                 fams.sort()  # fixes which sign of a cycle is stored first, and so the certificate
@@ -392,7 +421,9 @@ def _join_partition(partition, index, budget, on_cycle):
     _FamilyIndex: prefix parts from its sorted listing, the largest part
     looked up by the g-code that cancels the prefix, carried down as the
     integers neg_g and neg_p (its projection).  Equal-size parts are kept
-    non-decreasing to list each multiset of families once.
+    non-decreasing to list each multiset of families once.  The families
+    hold term ids; on_cycle gets {term: coefficient}, mapped back only when
+    a cycle closes.
 
     A cycle and its negative split into negated families, so of the two
     only the one whose least family F1 of the smallest part size is below
@@ -405,6 +436,7 @@ def _join_partition(partition, index, budget, on_cycle):
     hash_size = parts[-1]
     prefix_sizes = parts[:-1]
     largest = index[hash_size]
+    terms = largest.terms
 
     # A single-part partition probes every family once and keeps the g-null
     # ones of one sign: the empty image has code 0.
@@ -413,7 +445,7 @@ def _join_partition(partition, index, budget, on_cycle):
         for fam in largest.get(0, 0):
             counter2 = {}
             if fam < _negated(fam) and _merge_terms(counter2, fam, []):
-                on_cycle(dict(counter2))
+                on_cycle({terms[i]: c for i, c in counter2.items()})
         return
 
     counter = {}
@@ -432,7 +464,7 @@ def _join_partition(partition, index, budget, on_cycle):
                 budget.spend()
                 undo = []
                 if _merge_terms(counter, fam, undo):
-                    on_cycle(dict(counter))
+                    on_cycle({terms[i]: c for i, c in counter.items()})
                 _unmerge(counter, undo)
             return
         lower = last_fam if (level and prefix_sizes[level - 1] == prefix_sizes[level]) else None
@@ -445,7 +477,10 @@ def _join_partition(partition, index, budget, on_cycle):
                 rec(level + 1, first or fam, fam, neg_g - gkey, neg_p - pkey)
             _unmerge(counter, undo)
 
-    rec(0, (), (), 0, 0)
+    try:
+        rec(0, (), (), 0, 0)
+    finally:
+        rec = None  # rec refers to itself: free the search's working set now, not at a gc run
 
 
 def _single_components(table, size, index, budget):
@@ -607,7 +642,12 @@ def _search_double_window(cfg, report):
 
 def search_min_cycles(cfg):
     """Run the configured search; returns a SearchReport.  On budget
-    overrun the report carries a refusal note instead of results."""
+    overrun the report carries a refusal note instead of results.
+
+    The searches walk terms in the order of the element labels, so under a
+    relabelled quandle the probes line, and which sign of a cycle is
+    printed, may differ; the sign-normal key sets of the found and
+    zero-pairing cycles, mapped back, and their counts do not."""
     cfg.validate()
     report = SearchReport(cfg)
     window = _search_single_degree if cfg.window == "single" else _search_double_window

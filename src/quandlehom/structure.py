@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import getitem, itemgetter
 
 from .quandles import QuandleError, TAU_O6, _is_degenerate, color_words
 from .chains import Chain, ChainError, _accumulate, f_map, g_map
@@ -208,8 +209,11 @@ def cancel_search(
             room - (t[0] == cap_degree),
         )
 
-    for t in anchors:
-        step([], {}, None if g is None else {}, 1, t, t if restarts is None else None, cap_room)
+    try:
+        for t in anchors:
+            step([], {}, None if g is None else {}, 1, t, t if restarts is None else None, cap_room)
+    finally:
+        extend = step = None  # they refer to each other: free the search's state on return
 
 
 def _faces_per_term(images):
@@ -533,27 +537,38 @@ def instantiate_template(template, n, codes=None):
     tuples of (sign, color word): per admissible assignment and bigon shape,
     the family and its negative.  Families share one pair per sign and word.
 
-    codes = (word_code, wanted) keeps only the families whose code, the sum
-    of sign * word_code[w] over their terms, lies in `wanted`: the code is
-    taken once per assignment from the unsorted words, and the negative's is
-    its negation.
+    Each variant reads its color words straight from the assignment, one
+    operator.itemgetter per term.  codes = (word_code, wanted) keeps only
+    the families whose code, the sum of sign * word_code[w] over their
+    terms, lies in `wanted`: the code is summed from the words before any
+    family is built, and a family is built only when it or its negative
+    (the code negated) is kept.
 
     Instances may repeat when the pattern has internal symmetry; callers that
     need each family once should deduplicate on the yielded tuple.
     """
-    pairs = {(s, w): (s, w) for w in color_words(n, 3) for s in (1, -1)}
+    # one shared (sign, word) pair per sign and word, and the signed codes
+    pair = {s: {w: (s, w) for w in color_words(n, 3)} for s in (1, -1)}
     word_code, wanted = codes or (None, None)
+    if word_code is not None:
+        signed_code = {1: word_code, -1: {w: -c for w, c in word_code.items()}}
     for variant in template.variants:
         reps = sorted({min(b) for b in variant.merge})
+        slot = {x: i for i, x in enumerate(reps)}
+        words_of = [itemgetter(*[slot[x] for x in colors]) for _, colors in variant.entries]
+        plus = [pair[s] for s, _ in variant.entries]
+        minus = [pair[-s] for s, _ in variant.entries]
+        coded = None if word_code is None else [signed_code[s] for s, _ in variant.entries]
         for images in itertools.permutations(range(n), len(reps)):
-            assign = dict(zip(reps, images))
-            family = [pairs[s, tuple([assign[x] for x in colors])] for s, colors in variant.entries]
-            if word_code is not None:
-                code = sum([s * word_code[w] for s, w in family])
-            if word_code is None or code in wanted:
-                yield tuple(sorted(family))
-            if word_code is None or -code in wanted:
-                yield tuple(sorted([pairs[-s, w] for s, w in family]))
+            words = [get(images) for get in words_of]
+            keep = flip = True
+            if coded is not None:
+                code = sum(map(getitem, coded, words))
+                keep, flip = code in wanted, -code in wanted
+            if keep:
+                yield tuple(sorted(map(getitem, plus, words)))
+            if flip:
+                yield tuple(sorted(map(getitem, minus, words)))
 
 
 def concrete_families(q, k, codes=None):

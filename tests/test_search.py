@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import pytest
@@ -19,6 +20,7 @@ from quandlehom.search import (
     SearchConfig,
     SearchError,
     SearchReport,
+    _Cycles,
     _FamilyIndex,
     _family_indexes,
     _g_codes,
@@ -29,7 +31,7 @@ from quandlehom.search import (
     _single_components,
     search_min_cycles,
 )
-from quandlehom.structure import TermTable, reverse_o6
+from quandlehom.structure import TermTable, relabel_chain, reverse_o6
 
 from common import (
     ETA7_TERMS,
@@ -254,11 +256,12 @@ def test_g_codes_are_exact(q):
     assert 3 * MAX_SEARCH_LENGTH < 2 ** (_DIGIT_BITS - 1)
     table = TermTable(q, 0)
     assert all(len(faces) <= 3 and all(abs(c) == 1 for _, c in faces) for faces in table.g.values())
+    assert table.terms == sorted(table.terms)  # so term ids sort as the terms do
     gcode, pcode = _g_codes(table)
     by_gcode, by_pcode = {}, {}
     for size in range(2, 6):
         for fam, gkey, pkey in _FamilyIndex(table, q, size, gcode, pcode).families():
-            image = table.image(fam, table.g)
+            image = table.image([(sign, table.terms[i]) for sign, i in fam], table.g)
             projected = {}
             for (_, _, word), c in image.items():
                 projected[word] = projected.get(word, 0) + c
@@ -492,6 +495,75 @@ def test_single_window_budget_is_exact(q, theta):
     for b in range(start, end, (end - start) // 6):
         rep = search_min_cycles(SearchConfig(q, theta, max_length=4, budget=b))
         assert rep.refused == refusal % (b + 1)
+
+
+def test_cycle_recheck_rejects_a_non_cycle():
+    # The re-check sums per-term boundary images, each taken once by
+    # chains.boundary on the one-term chain; one flipped sign breaks a cycle.
+    cycles = _Cycles(O6, ETA)
+    witness = named_cycle("eta7")[0]
+    terms = witness.items_sorted()
+    broken = Chain(3, True, [(terms[0][0], -terms[0][1])] + terms[1:])
+    with pytest.raises(AssertionError, match="search produced a non-cycle"):
+        cycles.add(broken, "test")
+    assert not cycles.found and not cycles.zero
+    cycles.add(witness, "test")
+    assert list(cycles.found) == [_sign_normal_chain(witness)]
+
+
+def test_cycle_recheck_images_are_the_boundaries_of_the_terms():
+    cycles = _Cycles(O6, ETA)
+    for fc in cached_search("o6", 7).found[:12]:
+        cycles.add(fc.chain, fc.shape)
+    face_of = {number: face for face, number in cycles.faces.items()}
+    assert len(face_of) == len(cycles.faces)
+    assert cycles.images
+    for t, image in cycles.images.items():
+        assert {face_of[number]: c for number, c in image.items()} == boundary(Chain(3, True, {t: 1}), O6).terms
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # A search's working set (indexes, tables, residual search state) is
+    # freed when it returns, not at the next gc run: with the collector off,
+    # a collection afterwards finds nothing unreachable.
+    configs = [
+        SearchConfig(O6, ETA, max_length=7),
+        SearchConfig(O6, ETA, max_length=6, window="double", profile="B"),
+        SearchConfig(O6, ETA, max_length=7, budget=50_000),
+    ]
+    cached_search("o6", 7), cached_search("o6", 6, "double", "B")  # fill the per-process caches
+    gc.collect()
+    gc.disable()
+    try:
+        for cfg in configs:
+            search_min_cycles(cfg)
+            assert gc.collect() == 0, cfg
+    finally:
+        gc.enable()
+
+
+def test_single_window_is_invariant_under_relabelling():
+    # Relabelling the elements changes the sorted order, so the probes line
+    # and which sign of a cycle is printed may change; the key sets, counts
+    # and pairings of the cycles, mapped back, do not.
+    perm = [3, 0, 5, 1, 4, 2]
+    assert tuple(perm) not in {tuple(p) for p in automorphisms(O6)}
+    inv = [perm.index(x) for x in range(6)]
+    table = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            table[perm[a]][perm[b]] = perm[O6.table[a][b]]
+    q = FiniteQuandle(table, name="o6")
+    theta = ThreeCocycle(q, ETA.modulus, {tuple(perm[x] for x in t): v for t, v in ETA.values.items()})
+    rep = search_min_cycles(SearchConfig(q, theta, max_length=7))
+    expected = cached_search("o6", 7)
+    back = [relabel_chain(fc.chain, inv) for fc in rep.found]
+    assert {_sign_normal_chain(c) for c in back} == {_sign_normal_chain(fc.chain) for fc in expected.found}
+    assert all(fc.value == evaluate(ETA, c) for fc, c in zip(rep.found, back))
+    zero = {_sign_normal_chain(relabel_chain(Chain(3, True, key), inv)) for key in rep.zero_cycles}
+    assert zero == expected.zero_cycles
+    assert rep.component_counts == expected.component_counts
+    assert rep.covered == expected.covered
 
 
 def test_budget_refusal():

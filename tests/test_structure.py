@@ -6,6 +6,7 @@ import pytest
 
 from quandlehom.chains import Chain, ChainError, f_map, g_map, length, sigma_shift
 from quandlehom.quandles import QuandleError, dual, make_dihedral, make_octahedral
+from quandlehom.search import _g_codes
 from quandlehom.structure import (
     MAX_FAMILY_SIZE,
     PATTERN_CATALOG,
@@ -16,6 +17,7 @@ from quandlehom.structure import (
     concrete_families,
     enumerate_f_connected,
     family_count,
+    instantiate_template,
     reflection,
     relabel_chain,
     reverse,
@@ -254,6 +256,22 @@ def test_census_counts():
 def test_family_count_is_the_number_of_concrete_families(n):
     q = make_dihedral(n)
     assert [family_count(n, k) for k in range(2, 6)] == [len(concrete_families(q, k)) for k in range(2, 6)]
+
+
+@pytest.mark.parametrize("q", [O6, R7, make_dihedral(5)], ids=["o6", "r7", "r5"])
+def test_code_first_instantiation_keeps_the_wanted_codes(q):
+    # Filtered by codes, instantiate_template yields exactly the families of
+    # the unfiltered one whose code is wanted, in the same order.
+    _, word_code = _g_codes(TermTable(q, 0))
+    rng = random.Random(q.size)
+    for k in range(2, 6):
+        for template in enumerate_f_connected(k):
+            every = list(instantiate_template(template, q.size))
+            code = {fam: sum(sign * word_code[w] for sign, w in fam) for fam in every}
+            codes = sorted(set(code.values()))
+            wanted = {0} | set(rng.sample(codes, len(codes) // 3))
+            kept = list(instantiate_template(template, q.size, (word_code, wanted)))
+            assert kept == [fam for fam in every if code[fam] in wanted], template.family_id
 
 
 def test_census_bytes_are_pinned():
