@@ -23,17 +23,20 @@ that also derives the family census:
   is instantiated just for the projected codes a lookup can ask for (0 and
   the negated codes of the smaller sizes it can follow), and the family
   counts a certificate prints come from the census at four colors, not
-  from instantiating every family.  The join lists each cycle with one
-  global sign: the one whose least family of the smallest part size is
-  below the negative of every family of that size.  The sorted order meets
-  that sign first, so the chains a report prints are the ones it kept when
-  both signs were listed.  That order follows the element labels:
+  from instantiating every family.  At the last prefix level the lookup
+  comes first: a prefix whose lookup is empty is neither merged nor
+  counted as a probe.  The join lists each cycle with one global sign:
+  the one whose least family of the smallest part size is below the
+  negative of every family of that size.  The sorted order meets that
+  sign first, so the chains a report prints are the ones it kept when both
+  signs were listed.  That order follows the element labels:
   relabelling the quandle may change the probes line and which sign of a
   cycle is printed, but not the key sets or the counts.  A cycle
   consisting of one larger family (sizes 6 up; a smaller cofactor is
   impossible below length 8) is found by the cancellation search, g
   residual first, at the least index of each Aut(Q)-orbit, and expanded
-  over Aut(Q).
+  over Aut(Q): one scan of the largest size files the closures of every
+  size 6..max_length by size.
 
 * two adjacent degrees: one boundary scan lists every cycle over degrees 0
   and 1 with at most 2 (profile B) or 3 terms at degree 0: cancel_search on
@@ -43,13 +46,15 @@ that also derives the family census:
   cycle is expanded over Aut(Q).
 
 Every candidate is re-verified through the boundary map, as the sum of its
-terms' boundary images (each taken once per search by chains.boundary on the
-one-term chain, independent of the tables and codes the search used), and
-paired with the cocycle; a report lists the cycles with nonzero pairing and
-keeps the keys of the zero-pairing ones.  Searches are deterministic and run
-in one process; reports record exactly what was covered and, as gaps, what
-was not.  A probe budget on the summed probes aborts oversized runs with a
-refusal report rather than truncating silently.
+terms' boundary images, and paired with the cocycle, as the sum of its
+terms' values; each image and value is taken once per search, by
+chains.boundary and cocycles.evaluate on the one-term chain, independent of
+the tables and codes the search used.  A report lists the cycles with
+nonzero pairing and keeps the keys of the zero-pairing ones.  Searches are
+deterministic and run in one process; reports record exactly what was
+covered and, as gaps, what was not.  A probe budget on the summed probes
+aborts oversized runs with a refusal report rather than truncating
+silently.
 """
 
 from __future__ import annotations
@@ -277,39 +282,52 @@ class _Cycles:
     filed by its pairing alone: nonzero into found, zero into the key set
     zero.
 
-    The re-check sums the boundary images of the cycle's terms.  Each term's
-    image is taken once per search, by chains.boundary on the one-term
-    chain, not from a TermTable or the join's codes, and kept in ``images``
-    as {face number: coefficient}, the faces numbered as met (``faces``):
-    face tuples held per term would outlive the search several times over.
+    Both come from per-term memos, each taken once per search from the
+    one-term chain, not from a TermTable or the join's codes: the term's
+    boundary image by chains.boundary, kept in ``images`` as {face number:
+    coefficient} with the faces numbered as met (``faces``; face tuples held
+    per term would outlive the search several times over), and its pairing
+    by cocycles.evaluate, kept in ``values``.  The re-check sums the images,
+    the pairing sums the values (both are linear).  add_terms takes the
+    cycle as {term: coefficient}, the join's form, and builds a checked
+    Chain only for a new cycle with nonzero pairing; add takes a Chain.
     """
 
     def __init__(self, q, theta):
         self.q, self.theta = q, theta
         self.zero, self.found = set(), {}
-        self.images, self.faces = {}, {}
+        self.images, self.faces, self.values = {}, {}, {}
 
     def _image(self, t):
         image = self.images.get(t)
         if image is None:
-            faces = self.faces
+            one, faces = Chain(3, True, {t: 1}), self.faces
             image = self.images[t] = {
                 faces.setdefault(face, len(faces)): c
-                for face, c in boundary(Chain(3, True, {t: 1}), self.q).terms.items()
+                for face, c in boundary(one, self.q).terms.items()
             }
+            self.values[t] = evaluate(self.theta, one)
         return image
 
     def add(self, chain, shape):
-        key = _sign_normal_chain(chain)
+        self.add_terms(chain.terms, shape, chain)
+
+    def add_terms(self, terms, shape, chain=None):
+        items = sorted(terms.items())
+        neg = [(t, -c) for t, c in items]
+        key = tuple(items if items <= neg else neg)  # _sign_normal_chain's key
         if key in self.zero or key in self.found:
             return
-        total = {}
-        for t, c in chain.terms.items():
+        total, value, values = {}, 0, self.values
+        for t, c in items:
             _accumulate(total, self._image(t).items(), c)
+            value += c * values[t]
         if total:
             raise AssertionError("search produced a non-cycle")
-        value = evaluate(self.theta, chain)
+        value %= self.theta.modulus
         if value:
+            if chain is None:
+                chain = Chain(3, True, terms)
             self.found[key] = FoundCycle(chain, value, shape)
         else:
             self.zero.add(key)
@@ -420,10 +438,12 @@ def _join_partition(partition, index, budget, on_cycle):
     Parts are chosen in ascending size order from `index`, size ->
     _FamilyIndex: prefix parts from its sorted listing, the largest part
     looked up by the g-code that cancels the prefix, carried down as the
-    integers neg_g and neg_p (its projection).  Equal-size parts are kept
-    non-decreasing to list each multiset of families once.  The families
-    hold term ids; on_cycle gets {term: coefficient}, mapped back only when
-    a cycle closes.
+    integers neg_g and neg_p (its projection).  The lookup is made at the
+    last prefix level, before that level's family is merged: a prefix whose
+    lookup is empty costs no merge and no probe, and the listing order does
+    not change.  Equal-size parts are kept non-decreasing to list each
+    multiset of families once.  The families hold term ids; on_cycle gets
+    {term: coefficient}, mapped back only when a cycle closes.
 
     A cycle and its negative split into negated families, so of the two
     only the one whose least family F1 of the smallest part size is below
@@ -453,28 +473,40 @@ def _join_partition(partition, index, budget, on_cycle):
     negated, positive = index[small].signed()
     listings = [positive] + [index[size].families() for size in prefix_sizes[1:]]
     same_size, one_size = prefix_sizes[-1] == hash_size, small == hash_size
+    last = len(prefix_sizes) - 1
+    get = largest.get
 
-    # first: the family chosen at level 0 (F1); last_fam: the latest one.
+    # hits: the looked-up families that can close the full prefix.  first:
+    # the family chosen at level 0 (F1); last_fam: the latest one.
+    def close(first, last_fam, hits):
+        budget.spend()
+        for fam in hits:
+            if same_size and fam < last_fam or one_size and negated[fam] < first:
+                continue
+            budget.spend()
+            undo = []
+            if _merge_terms(counter, fam, undo):
+                on_cycle({terms[i]: c for i, c in counter.items()})
+            _unmerge(counter, undo)
+
     def rec(level, first, last_fam, neg_g, neg_p):
         budget.spend()
-        if level == len(prefix_sizes):
-            for fam in largest.get(neg_g, neg_p):
-                if same_size and fam < last_fam or one_size and negated[fam] < first:
-                    continue
-                budget.spend()
-                undo = []
-                if _merge_terms(counter, fam, undo):
-                    on_cycle({terms[i]: c for i, c in counter.items()})
-                _unmerge(counter, undo)
-            return
         lower = last_fam if (level and prefix_sizes[level - 1] == prefix_sizes[level]) else None
         signed = level and prefix_sizes[level] == small
+        final = level == last
         for fam, gkey, pkey in listings[level]:
             if lower is not None and fam < lower or signed and negated[fam] < first:
                 continue
+            if final:
+                hits = get(neg_g - gkey, neg_p - pkey)
+                if not hits:
+                    continue
             undo = []
             if _merge_terms(counter, fam, undo):
-                rec(level + 1, first or fam, fam, neg_g - gkey, neg_p - pkey)
+                if final:
+                    close(first or fam, fam, hits)
+                else:
+                    rec(level + 1, first or fam, fam, neg_g - gkey, neg_p - pkey)
             _unmerge(counter, undo)
 
     try:
@@ -483,38 +515,44 @@ def _join_partition(partition, index, budget, on_cycle):
         rec = None  # rec refers to itself: free the search's working set now, not at a gc run
 
 
-def _single_components(table, size, index, budget):
+def _single_components(table, sizes, index, budget):
     """Minimal f-null families at one index that are also g-null: the single
-    components that alone form a one-degree cycle, as sorted tuples.  The
-    family anchor is its least term, taken positive.  The search runs it
-    once per Aut(Q)-orbit of indices, through _orbit_components."""
-    results = set()
+    components that alone form a one-degree cycle, as sorted tuples, by
+    size, for every size in `sizes`.  The family anchor is its least term,
+    taken positive.  One scan of the largest size finds them all: a closure
+    returns without extending and the residual prune only loosens as the
+    size grows, so that scan passes every state of each smaller size's.
+    The search runs it once per Aut(Q)-orbit of indices, through
+    _orbit_components."""
+    results = {size: set() for size in sizes}
 
     def close(family, gres):
-        if len(family) == size and not gres and table.is_minimal_null(family):
-            results.add(tuple(sorted(family)))
+        if not gres and len(family) in results and table.is_minimal_null(family):
+            results[len(family)].add(tuple(sorted(family)))
 
     anchors = [t for t in table.terms if t[1] == index]
     cancel_search(
-        table.f, table.f_cancel, size, close, anchors,
+        table.f, table.f_cancel, max(sizes), close, anchors,
         g=(table.g, table.g_cancel[index]), budget=budget,
     )
-    return sorted(results)
+    return {size: sorted(fams) for size, fams in results.items()}
 
 
-def _orbit_components(table, size, group, budget):
+def _orbit_components(table, sizes, group, budget):
     """_single_components at every index, from one scan per Aut(Q)-orbit of
     indices: f and g commute with automorphisms, so the families at index
     p(u) are p of those at u.  Each image is put back in the scan's form,
-    least term positive; returns the distinct families, sorted."""
-    hits = set()
+    least term positive; returns the distinct families of each size,
+    sorted."""
+    hits = {size: set() for size in sizes}
     for u in sorted({min(p[v] for p in group) for v in range(len(group[0]))}):
-        for fam in _single_components(table, size, u, budget):
-            for p in group:
-                image = [(s, (d, p[v], tuple([p[x] for x in w]))) for s, (d, v, w) in fam]
-                flip = min((t, s) for s, t in image)[1]
-                hits.add(tuple(sorted([(flip * s, t) for s, t in image])))
-    return sorted(hits)
+        for size, fams in _single_components(table, sizes, u, budget).items():
+            for fam in fams:
+                for p in group:
+                    image = [(s, (d, p[v], tuple([p[x] for x in w]))) for s, (d, v, w) in fam]
+                    flip = min((t, s) for s, t in image)[1]
+                    hits[size].add(tuple(sorted([(flip * s, t) for s, t in image])))
+    return {size: sorted(fams) for size, fams in hits.items()}
 
 
 def _family_indexes(table, q, max_length):
@@ -551,7 +589,7 @@ def _search_single_degree(cfg, report):
             partition,
             index,
             budget,
-            lambda counter, shape=shape: cycles.add(Chain(3, True, counter), shape),
+            lambda terms, shape=shape: cycles.add_terms(terms, shape),
         )
         report.covered.append("length %d as %s" % (l, list(partition)))
 
@@ -559,12 +597,15 @@ def _search_single_degree(cfg, report):
     # other part needs length >= 6 + 2 > 7, so below length 8 this closes
     # the census.  At length 8 the split 6+2 is left open: a gap.
     budget.phase = "component search"
-    group = automorphisms(q)
-    for size in range(MAX_FAMILY_SIZE + 1, cfg.max_length + 1):
-        hits = _orbit_components(table, size, group, budget)
-        for fam in hits:
-            cycles.add(_chain_of(fam), "degree0 single family of %d" % size)
-        report.covered.append("length %d as one family (index scan, %d hits)" % (size, len(hits)))
+    sizes = range(MAX_FAMILY_SIZE + 1, cfg.max_length + 1)
+    if sizes:
+        hits = _orbit_components(table, sizes, automorphisms(q), budget)
+        for size in sizes:
+            for fam in hits[size]:
+                cycles.add(_chain_of(fam), "degree0 single family of %d" % size)
+            report.covered.append(
+                "length %d as one family (index scan, %d hits)" % (size, len(hits[size]))
+            )
     if cfg.max_length >= MAX_FAMILY_SIZE + 3:
         report.gaps.append("length %d split 6+2 (outside the certified window)" % cfg.max_length)
 

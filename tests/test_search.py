@@ -217,12 +217,24 @@ def test_lookup_only_index_refuses_other_codes():
 def test_orbit_components_are_the_scan_at_every_index(q, sizes):
     table = TermTable(q, 0)
     group = automorphisms(q)
+
+    def scan(sizes):
+        budget = ProbeBudget(10**9, "test")
+        return _orbit_components(table, sizes, group, budget), budget.probes
+
+    hits, probes = scan(sizes)
+    assert sorted(hits) == list(sizes)
     budget = ProbeBudget(10**9, "test")
     for size in sizes:
         every = set()
         for u in range(q.size):
-            every.update(_single_components(table, size, u, budget))
-        assert set(_orbit_components(table, size, group, budget)) == every
+            every.update(_single_components(table, (size,), u, budget)[size])
+        assert set(hits[size]) == every
+        # one scan over every size files the hits of each size's own scan
+        alone, alone_probes = scan((size,))
+        assert hits[size] == alone[size]
+    # and walks exactly the states of the largest size's scan alone
+    assert probes == alone_probes
 
 
 def _oracle_window(keys, table, sizes, max_length):
@@ -290,7 +302,7 @@ def test_o6_single_degree_clean_below_seven():
     assert rep.exhausted
     assert rep.zero_value_cycles > 0
     assert "EXHAUSTED" in rep.certificate_text()
-    assert _digest(rep) == "019e128b437799b1e226f174ab384adcf2fe86c5621964122373b78cad2a2c7c"
+    assert _digest(rep) == "5487b506dfa81855f0c2e54dd6926ad9eb1c82b9a03884560e0262f5fcc4590a"
 
 
 def test_o6_single_degree_witnesses_at_seven():
@@ -306,7 +318,7 @@ def test_o6_single_degree_witnesses_at_seven():
     keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
     assert _sign_normal_chain(witness) in keys
     assert value == 2
-    assert _digest(rep) == "0e8fe2055f1b64473895922456ef9482cf548729deb1490a0157ddbd3d94d321"
+    assert _digest(rep) == "bcbc97a33df9d8dcaf8e33fff85e77a3bb98a130032f983622b876ee37285060"
 
 
 def test_r7_single_degree_is_empty_to_seven():
@@ -314,7 +326,7 @@ def test_r7_single_degree_is_empty_to_seven():
     assert rep.exhausted
     assert rep.zero_value_cycles == 0
     assert len(rep.found) == 0
-    assert _digest(rep) == "315c1e45f651481d988408e3a1c4fbb0be7c6f8c1292bc6d8a8d457bbf411eb3"
+    assert _digest(rep) == "9a4a74cfb87957d65f4d87433dae38e204868b32c0246e883134d4c6fde7a0a9"
 
 
 def test_o6_double_window_clean_at_six():
@@ -329,12 +341,12 @@ def test_o6_double_window_clean_at_six():
 @pytest.mark.parametrize(
     "quandle, max_length, probes",
     [
-        ("o6", 6, 119853),
-        ("o6", 7, 135111),
-        ("o6", 8, 942758),
-        ("r7", 6, 301671),
-        ("r7", 7, 327968),
-        ("r7", 8, 3393146),
+        ("o6", 6, 112641),
+        ("o6", 7, 116158),
+        ("o6", 8, 191780),
+        ("r7", 6, 279768),
+        ("r7", 7, 280171),
+        ("r7", 8, 340198),
     ],
 )
 def test_single_degree_probes(quandle, max_length, probes):
@@ -385,11 +397,11 @@ def test_single_degree_certificates_apart_from_probes(quandle, max_length, diges
         ("o6", 2, "265e9de8690a6de97bd527c36ca2bb7c7f5c992c0068be0935dcb9dd16880eab"),
         ("o6", 3, "73727b78f2a02540bd0bda53002e7d548c8b2a18e2780c849a6ba9a71278ee4f"),
         ("o6", 4, "f7b72c163356836f58927a78618c0d8d4b1ea72805045fc126c347df3056eced"),
-        ("o6", 5, "4d80c085175b7a74a9ca9d78d3b4a43a461b3a0b92a7b79a8d1b5d73bfe7bd56"),
+        ("o6", 5, "912bd19d0fb91429a3fc1bb5b24dd76ad0397b18fa1e298e8631831330aee457"),
         ("r7", 2, "b515f93a67b7d659f07dcb68f29ccfc7de78215c71d7bd9ca8351d1f4d54b171"),
         ("r7", 3, "30e97ab0367ca15764e86c12a00ebd8ea9aa01b83119ec41088313aa6f214eea"),
         ("r7", 4, "ca900150eac9714543cd57f2cbca525393c15c040b3c1986f459e61d3ce5a8f2"),
-        ("r7", 5, "a77b6914dcfb752a19c8f06fac0345ccabfffe136f4aa3025e572c0b01f84eba"),
+        ("r7", 5, "d7b784c813b2be7a31130360666045f76bfed0a5646b325a815b957a43672fb8"),
     ],
 )
 def test_single_degree_certificates_at_the_lookup_edges(quandle, max_length, digest):
@@ -514,6 +526,36 @@ def test_cycle_recheck_rejects_a_non_cycle():
     assert not cycles.found and not cycles.zero
     cycles.add(witness, "test")
     assert list(cycles.found) == [_sign_normal_chain(witness)]
+
+
+@pytest.mark.parametrize("quandle, max_length", [("o6", 7), ("r7", 8)])
+def test_cycle_pairing_sums_per_term_values(quandle, max_length):
+    # The join hands _Cycles {term: coefficient}, no Chain: the key comes
+    # from the dict's sorted items and the pairing from per-term values,
+    # each taken once by evaluate on the one-term chain.  Every reached
+    # cycle is fed back, the zero-pairing ones rebuilt from their keys.
+    q, theta = (O6, ETA) if quandle == "o6" else (R7, ZETA)
+    rep = cached_search(quandle, max_length)
+    chains = [fc.chain for fc in rep.found] + [Chain(3, True, dict(key)) for key in sorted(rep.zero_cycles)]
+    cycles = _Cycles(q, theta)
+    for chain in chains:
+        terms = dict(chain.terms)
+        flipped = next(iter(terms))
+        with pytest.raises(AssertionError, match="search produced a non-cycle"):
+            cycles.add_terms({**terms, flipped: -terms[flipped]}, "test")
+        cycles.add_terms(terms, "test")
+        key, value = _sign_normal_chain(chain), evaluate(theta, chain)
+        assert sum(c * cycles.values[t] for t, c in terms.items()) % theta.modulus == value
+        if value:
+            assert cycles.found[key].value == value and cycles.found[key].chain.terms == terms
+        else:
+            assert key in cycles.zero
+    assert set(cycles.found) == {_sign_normal_chain(fc.chain) for fc in rep.found}
+    assert cycles.zero == rep.zero_cycles
+    assert len(rep.found) + len(rep.zero_cycles) == len(chains) > 0
+    assert cycles.values.keys() == cycles.images.keys()
+    for t, value in cycles.values.items():
+        assert value == evaluate(theta, Chain(3, True, {t: 1}))
 
 
 def test_cycle_recheck_images_are_the_boundaries_of_the_terms():
