@@ -12,20 +12,17 @@ that also derives the family census:
   exact integer codes of their g-images, each the sum over its terms of a
   per-term code with one balanced base-2**6 digit per g-face: the smaller
   parts are listed and the largest part is looked up by the g-code that
-  cancels them.  One store per size buckets the color families once by the
-  code of their index-free projected g-images, the same at every index.  A
-  bucket is stamped at every index and keyed by g-code when a lookup first
-  lands in it; all of them are when the size is listed as a smaller part,
-  which only a size s with 2s <= max_length ever is.  A stamped family
-  names its terms by their positions in the sorted term table, so the join
-  merges and compares small ints in the terms' own order and maps them
-  back to terms only when a cycle closes.  A size that is only looked up
-  is instantiated just for the projected codes a lookup can ask for (0 and
-  the negated codes of the smaller sizes it can follow), and the family
-  counts a certificate prints come from the census at four colors, not
-  from instantiating every family.  At the last prefix level the lookup
-  comes first: a prefix whose lookup is empty is neither merged nor
-  counted as a probe.  The join lists each cycle with one global sign:
+  cancels them.  One store per size maps each g-code to its families, built
+  whole when the size's index is: every census color family, stamped at
+  every index.  A stamped family names its terms by their positions in the
+  sorted term table, so the join merges and compares small ints in the
+  terms' own order and maps them back to terms only when a cycle closes.  A
+  size that is only looked up is built for exactly the g-codes its lookups
+  ask for (0 and the negated codes of the listed families it can follow),
+  and the family counts a certificate prints come from the census at four
+  colors, not from instantiating every family.  At the last prefix level
+  the lookup comes first: a prefix whose lookup is empty is neither merged
+  nor counted as a probe.  The join lists each cycle with one global sign:
   the one whose least family of the smallest part size is below the
   negative of every family of that size.  The sorted order meets that
   sign first, so the chains a report prints are the ones it kept when both
@@ -110,8 +107,8 @@ assert 3 * MAX_SEARCH_LENGTH < 2 ** (_DIGIT_BITS - 1)
 # A family size h with 2h > L is never a prefix part of a join, only the
 # looked-up largest part, so its prefix holds at most L - h terms.  Two parts
 # take at least 2 + 2, and L - h < 4 for every h > L/2 while L < 9: the
-# prefix is empty or one part, and the projected codes a lookup of size h
-# can ask for are 0 and -pcode(F) for the families F of sizes 2..L-h.
+# prefix is empty or one part, and the g-codes a lookup of size h can ask
+# for are 0 and -gcode(F) for the listed families F of sizes 2..L-h.
 assert MAX_SEARCH_LENGTH - (MAX_SEARCH_LENGTH // 2 + 1) < 2 + 2
 
 
@@ -219,10 +216,6 @@ class SearchReport:
 # shared helpers
 
 
-def _chain_of(parts):
-    return Chain.from_signed_terms(parts, arity=3, graded=True)
-
-
 def _code(pairs, digits):
     """The integer code of (face, coefficient) pairs: face i of `digits`
     (numbered as met) is the balanced base-2**_DIGIT_BITS digit at place i.
@@ -231,9 +224,11 @@ def _code(pairs, digits):
     return sum(c << _DIGIT_BITS * digits.setdefault(face, len(digits)) for face, c in pairs)
 
 
-def _sign_normal_chain(chain):
-    items = tuple(chain.items_sorted())
-    neg = tuple((t, -c) for t, c in items)
+def _sign_normal_key(terms):
+    """A cycle {term: coefficient} up to global sign: its sorted items, or
+    those of its negative, whichever is less."""
+    items = tuple(sorted(terms.items()))
+    neg = tuple([(t, -c) for t, c in items])
     return items if items <= neg else neg
 
 
@@ -313,13 +308,11 @@ class _Cycles:
         self.add_terms(chain.terms, shape, chain)
 
     def add_terms(self, terms, shape, chain=None):
-        items = sorted(terms.items())
-        neg = [(t, -c) for t, c in items]
-        key = tuple(items if items <= neg else neg)  # _sign_normal_chain's key
+        key = _sign_normal_key(terms)
         if key in self.zero or key in self.found:
             return
         total, value, values = {}, 0, self.values
-        for t, c in items:
+        for t, c in terms.items():
             _accumulate(total, self._image(t).items(), c)
             value += c * values[t]
         if total:
@@ -353,71 +346,61 @@ class _FamilyIndex:
     """The minimal f-null families of one size at degree 0, over every index,
     looked up by g-code.
 
-    The index enters a g-face only as the face's own index, so the projected
-    code of a color family (``pcode``: its g-faces with the index dropped) is
-    the same at every index it is stamped at.  The census color families,
-    (sign, color word) tuples from concrete_families, are bucketed by that
-    code once; a bucket is stamped at every index and keyed by g-code
-    (``gcode``) the first time a lookup lands in it.  families()
-    stamps every bucket and lists them all, for the sizes that are prefix
-    parts of a join.
+    The census color families, (sign, color word) tuples from
+    concrete_families, are stamped at every index when the index is built;
+    ``store`` maps each g-code to its stamped families, sorted.  A stamped
+    family is a sorted tuple of (sign, id) pairs, id the term's position in
+    ``terms`` (the table's terms, which are sorted), so families compare
+    and sort as the (sign, term) tuples they stand for while the join
+    hashes small ints.
 
-    A stamped family is a sorted tuple of (sign, id) pairs, id the term's
-    position in ``terms`` (the table's terms, which are sorted), so
-    families compare and sort as the (sign, term) tuples they stand for
-    while the join hashes small ints.
-
-    A size that is only looked up is built with ``codes``, the projected
-    codes a lookup can ask for: only the families of those codes are
-    instantiated, and a lookup of any other code raises.  ``count``, the
+    A size that is only looked up is built with ``prefixes``, the listed
+    (family, g-code) pairs its lookups follow.  It holds exactly the g-codes
+    they ask for (``codes``: 0 and each negated g-code), each in the store
+    even when empty, and raises on a lookup of any other, or on families().
+    Equal g-codes have equal projected codes (``pcode``: the g-faces with
+    their index dropped, the same at every index), so only the color
+    families of the asked projected codes are instantiated.  ``count``, the
     number of all families, comes from the census counts either way.
     """
 
-    def __init__(self, table, q, size, gcode, pcode, codes=None):
-        self.gcode, self.indices = gcode, range(q.size)
-        self.terms = table.terms  # id -> term
-        self.ids = {t[1:]: i for i, t in enumerate(table.terms)}  # (index, word) -> id
-        self.codes = codes
-        self.buckets = {}
-        for fam in concrete_families(q, size, None if codes is None else (pcode, codes)):
-            key = sum(sign * pcode[w] for sign, w in fam)
-            self.buckets.setdefault(key, []).append(fam)
+    def __init__(self, table, q, size, gcode, pcode, prefixes=None):
+        terms = self.terms = table.terms  # id -> term
+        pairs = [{} for _ in range(q.size)]  # index -> {(sign, word): the one (sign, id) pair}
+        for i, (_, u, w) in enumerate(terms):
+            pairs[u][1, w], pairs[u][-1, w] = (1, i), (-1, i)
+        self.codes = wanted = None
+        if prefixes is not None:
+            self.codes = {0} | {-gkey for _, gkey in prefixes}
+            wanted = {0} | {-sum([sign * pcode[terms[i][2]] for sign, i in fam]) for fam, _ in prefixes}
+        store = {}
+        for fam in concrete_families(q, size, None if wanted is None else (pcode, wanted)):
+            for at in pairs:
+                stamped = tuple([at[pair] for pair in fam])
+                store.setdefault(sum([sign * gcode[i] for sign, i in stamped]), []).append(stamped)
+        if self.codes is not None:
+            store = {gkey: store.get(gkey, []) for gkey in self.codes}
+        for fams in store.values():
+            fams.sort()  # fixes which sign of a cycle is stored first, and so the certificate
+        self.store = store
+        self.absent = () if self.codes is None else None  # what get() finds for an unstored g-code
         self.count = q.size * family_count(q.size, size)
-        self.stamped = {}  # projected code -> {g-code: sorted families}
         self.listing = None
         self.signs = None
 
-    def _stamp(self, pkey):
-        """Bucket pkey's families at every index, by g-code."""
-        by_gcode = self.stamped.get(pkey)
-        if by_gcode is None:
-            by_gcode = self.stamped[pkey] = {}
-            for fam in self.buckets[pkey]:
-                for u in self.indices:
-                    stamped = tuple([(sign, self.ids[u, w]) for sign, w in fam])
-                    key = sum([sign * self.gcode[i] for sign, i in stamped])
-                    by_gcode.setdefault(key, []).append(stamped)
-            for fams in by_gcode.values():
-                fams.sort()  # fixes which sign of a cycle is stored first, and so the certificate
-        return by_gcode
-
-    def get(self, gkey, pkey):
-        """The sorted families with g-code gkey; pkey is its projection."""
-        if self.codes is not None and pkey not in self.codes:
-            raise AssertionError("lookup of projected code %d outside the index's codes" % pkey)
-        return self._stamp(pkey).get(gkey, ()) if pkey in self.buckets else ()
+    def get(self, gkey):
+        """The sorted families with g-code gkey."""
+        fams = self.store.get(gkey, self.absent)
+        if fams is None:
+            raise AssertionError("lookup of g-code %d outside the index's codes" % gkey)
+        return fams
 
     def families(self):
-        """Every (family, g-code, projected code) triple, sorted."""
+        """Every (family, g-code) pair, sorted."""
         if self.codes is not None:
             raise AssertionError("a lookup-only index holds only some families")
         if self.listing is None:
-            self.listing = sorted(
-                (fam, gkey, pkey)
-                for pkey in self.buckets
-                for gkey, fams in self._stamp(pkey).items()
-                for fam in fams
-            )
+            self.listing = sorted((fam, gkey) for gkey, fams in self.store.items() for fam in fams)
         return self.listing
 
     def signed(self):
@@ -426,7 +409,7 @@ class _FamilyIndex:
         the first such join."""
         if self.signs is None:
             listing = self.families()
-            negated = {fam: _negated(fam) for fam, _, _ in listing}
+            negated = {fam: _negated(fam) for fam, _ in listing}
             self.signs = negated, [entry for entry in listing if entry[0] < negated[entry[0]]]
         return self.signs
 
@@ -438,12 +421,12 @@ def _join_partition(partition, index, budget, on_cycle):
     Parts are chosen in ascending size order from `index`, size ->
     _FamilyIndex: prefix parts from its sorted listing, the largest part
     looked up by the g-code that cancels the prefix, carried down as the
-    integers neg_g and neg_p (its projection).  The lookup is made at the
-    last prefix level, before that level's family is merged: a prefix whose
-    lookup is empty costs no merge and no probe, and the listing order does
-    not change.  Equal-size parts are kept non-decreasing to list each
-    multiset of families once.  The families hold term ids; on_cycle gets
-    {term: coefficient}, mapped back only when a cycle closes.
+    integer neg_g.  The lookup is made at the last prefix level, before
+    that level's family is merged: a prefix whose lookup is empty costs no
+    merge and no probe, and the listing order does not change.  Equal-size
+    parts are kept non-decreasing to list each multiset of families once.
+    The families hold term ids; on_cycle gets {term: coefficient}, mapped
+    back only when a cycle closes.
 
     A cycle and its negative split into negated families, so of the two
     only the one whose least family F1 of the smallest part size is below
@@ -462,7 +445,7 @@ def _join_partition(partition, index, budget, on_cycle):
     # ones of one sign: the empty image has code 0.
     if not prefix_sizes:
         budget.spend(largest.count)
-        for fam in largest.get(0, 0):
+        for fam in largest.get(0):
             counter2 = {}
             if fam < _negated(fam) and _merge_terms(counter2, fam, []):
                 on_cycle({terms[i]: c for i, c in counter2.items()})
@@ -489,16 +472,16 @@ def _join_partition(partition, index, budget, on_cycle):
                 on_cycle({terms[i]: c for i, c in counter.items()})
             _unmerge(counter, undo)
 
-    def rec(level, first, last_fam, neg_g, neg_p):
+    def rec(level, first, last_fam, neg_g):
         budget.spend()
         lower = last_fam if (level and prefix_sizes[level - 1] == prefix_sizes[level]) else None
         signed = level and prefix_sizes[level] == small
         final = level == last
-        for fam, gkey, pkey in listings[level]:
+        for fam, gkey in listings[level]:
             if lower is not None and fam < lower or signed and negated[fam] < first:
                 continue
             if final:
-                hits = get(neg_g - gkey, neg_p - pkey)
+                hits = get(neg_g - gkey)
                 if not hits:
                     continue
             undo = []
@@ -506,68 +489,56 @@ def _join_partition(partition, index, budget, on_cycle):
                 if final:
                     close(first or fam, fam, hits)
                 else:
-                    rec(level + 1, first or fam, fam, neg_g - gkey, neg_p - pkey)
+                    rec(level + 1, first or fam, fam, neg_g - gkey)
             _unmerge(counter, undo)
 
     try:
-        rec(0, (), (), 0, 0)
+        rec(0, (), (), 0)
     finally:
         rec = None  # rec refers to itself: free the search's working set now, not at a gc run
 
 
-def _single_components(table, sizes, index, budget):
+def _orbit_components(table, sizes, group, budget):
     """Minimal f-null families at one index that are also g-null: the single
-    components that alone form a one-degree cycle, as sorted tuples, by
-    size, for every size in `sizes`.  The family anchor is its least term,
-    taken positive.  One scan of the largest size finds them all: a closure
-    returns without extending and the residual prune only loosens as the
-    size grows, so that scan passes every state of each smaller size's.
-    The search runs it once per Aut(Q)-orbit of indices, through
-    _orbit_components."""
-    results = {size: set() for size in sizes}
+    components that alone form a one-degree cycle, as sorted tuples with the
+    least term positive, by size, for every size in `sizes`; sorted.
+
+    One cancellation scan of the largest size runs from the terms at the
+    least index of each orbit of `group` (the trivial group scans every
+    index): a closure returns without extending and the residual prune only
+    loosens as the size grows, so that scan passes every state of each
+    smaller size's.  f and g commute with automorphisms, so the families at
+    index p(u) are p of those at u, each put back in the scan's form."""
+    hits = {size: set() for size in sizes}
 
     def close(family, gres):
-        if not gres and len(family) in results and table.is_minimal_null(family):
-            results[len(family)].add(tuple(sorted(family)))
+        if not gres and len(family) in hits and table.is_minimal_null(family):
+            for p in group:
+                image = [(s, (d, p[v], tuple([p[x] for x in w]))) for s, (d, v, w) in family]
+                flip = min((t, s) for s, t in image)[1]
+                hits[len(family)].add(tuple(sorted([(flip * s, t) for s, t in image])))
 
-    anchors = [t for t in table.terms if t[1] == index]
-    cancel_search(
-        table.f, table.f_cancel, max(sizes), close, anchors,
-        g=(table.g, table.g_cancel[index]), budget=budget,
-    )
-    return {size: sorted(fams) for size, fams in results.items()}
-
-
-def _orbit_components(table, sizes, group, budget):
-    """_single_components at every index, from one scan per Aut(Q)-orbit of
-    indices: f and g commute with automorphisms, so the families at index
-    p(u) are p of those at u.  Each image is put back in the scan's form,
-    least term positive; returns the distinct families of each size,
-    sorted."""
-    hits = {size: set() for size in sizes}
     for u in sorted({min(p[v] for p in group) for v in range(len(group[0]))}):
-        for size, fams in _single_components(table, sizes, u, budget).items():
-            for fam in fams:
-                for p in group:
-                    image = [(s, (d, p[v], tuple([p[x] for x in w]))) for s, (d, v, w) in fam]
-                    flip = min((t, s) for s, t in image)[1]
-                    hits[size].add(tuple(sorted([(flip * s, t) for s, t in image])))
+        cancel_search(
+            table.f, table.f_cancel, max(sizes), close, [t for t in table.terms if t[1] == u],
+            g=(table.g, table.g_cancel[u]), budget=budget,
+        )
     return {size: sorted(fams) for size, fams in hits.items()}
 
 
 def _family_indexes(table, q, max_length):
     """size -> _FamilyIndex for the join's part sizes up to max_length.  A
-    size h with 2h > max_length is only looked up, by a prefix of at most
-    one part (see the assertion on MAX_SEARCH_LENGTH), and is built for
-    the codes that lookup can ask for."""
+    size h with 2h > max_length is only looked up, after no listed part or
+    one (see the assertion on MAX_SEARCH_LENGTH): a family of the signed
+    listing of a size 2..max_length-h.  It is built for exactly the g-codes
+    those lookups ask for."""
     gcode, pcode = _g_codes(table)
     index = {}
     for size in range(2, min(MAX_FAMILY_SIZE, max_length) + 1):
-        codes = None
+        prefixes = None
         if 2 * size > max_length:
-            prefixes = range(2, max_length - size + 1)
-            codes = {0} | {-pkey for s in prefixes for pkey in index[s].buckets}
-        index[size] = _FamilyIndex(table, q, size, gcode, pcode, codes)
+            prefixes = [entry for s in range(2, max_length - size + 1) for entry in index[s].signed()[1]]
+        index[size] = _FamilyIndex(table, q, size, gcode, pcode, prefixes)
     return index
 
 
@@ -602,7 +573,8 @@ def _search_single_degree(cfg, report):
         hits = _orbit_components(table, sizes, automorphisms(q), budget)
         for size in sizes:
             for fam in hits[size]:
-                cycles.add(_chain_of(fam), "degree0 single family of %d" % size)
+                chain = Chain.from_signed_terms(fam, arity=3, graded=True)
+                cycles.add(chain, "degree0 single family of %d" % size)
             report.covered.append(
                 "length %d as one family (index scan, %d hits)" % (size, len(hits[size]))
             )
@@ -642,8 +614,8 @@ def _search_double_window(cfg, report):
         layer = [(s, t) for s, t in family if t[0] == 0]
         if len(family) < 6 or len(layer) not in sizes or len(layer) == len(family):
             return
-        chain = _chain_of(family)
-        key = _sign_normal_chain(chain)
+        chain = Chain.from_signed_terms(family, arity=3, graded=True)
+        key = _sign_normal_key(chain.terms)
         if key in cycles.zero or key in cycles.found or key in handed:
             return  # its orbit is in already
         shape = "degrees 0+1 split %d+%d" % (len(layer), len(family) - len(layer))
@@ -652,7 +624,7 @@ def _search_double_window(cfg, report):
             for image in orbit:
                 cycles.add(image, shape)
         else:
-            handed.update(map(_sign_normal_chain, orbit))
+            handed.update(_sign_normal_key(image.terms) for image in orbit)
 
     # A cycle is met from an anchor in the first orbit its degree-0 terms
     # reach, moved onto that orbit's least term by an automorphism (McKay's

@@ -9,7 +9,7 @@ from fractions import Fraction
 from quandlehom.chains import Chain, ChainError
 from quandlehom.cocycles import eta_octahedral, mochizuki
 from quandlehom.quandles import make_dihedral, make_octahedral
-from quandlehom.search import SearchConfig, _sign_normal_chain, search_min_cycles
+from quandlehom.search import SearchConfig, _sign_normal_key, search_min_cycles
 
 # Length-8 cycle over (R_7, Z x R_7) pairing to 6 with the mod-7 cocycle.
 ZETA8_TERMS = (
@@ -226,7 +226,7 @@ def cached_search(quandle, max_length, window="single", profile="A"):
 def reached_keys(report):
     """Every cycle a search reached, as sign-normal keys: the nonzero-pairing
     ones it lists and the zero-pairing ones it keeps."""
-    return {_sign_normal_chain(fc.chain) for fc in report.found} | report.zero_cycles
+    return {_sign_normal_key(fc.chain.terms) for fc in report.found} | report.zero_cycles
 
 
 # Oracles written from the definitions over q.table alone: they call no
@@ -272,7 +272,7 @@ def _act(p, term):
 
 
 def _sign_normal(family):
-    """A cycle up to global sign, as search._sign_normal_chain keys it."""
+    """A cycle up to global sign, as search._sign_normal_key keys it."""
     items = tuple(sorted(family.items()))
     neg = tuple((t, -c) for t, c in items)
     return min(items, neg)

@@ -47,7 +47,7 @@ from quandlehom.quandles import (
     make_octahedral,
     triple_action_table,
 )
-from quandlehom.search import _sign_normal_chain
+from quandlehom.search import _sign_normal_key
 from quandlehom.structure import canonical_family, enumerate_f_connected, reflection, reverse
 from quandlehom.tables import index_pattern_rows
 
@@ -267,8 +267,8 @@ def test_criterion_11_searches_attainable_clauses():
         assert rep.found
         from quandlehom.kernels import named_cycle
 
-        keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
-        assert _sign_normal_chain(named_cycle("eta8")[0]) in keys
+        keys = {_sign_normal_key(fc.chain.terms) for fc in rep.found}
+        assert _sign_normal_key(named_cycle("eta8")[0].terms) in keys
         # octahedral two-degree window completes (coverage stated), no refusal
         rep = cached_search("o6", 7, "double", "BC")
         assert rep.refused is None

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+from array import array
 
 import pytest
 
@@ -27,8 +28,7 @@ from quandlehom.search import (
     _join_partition,
     _orbit_components,
     _partitions_into_parts,
-    _sign_normal_chain,
-    _single_components,
+    _sign_normal_key,
     search_min_cycles,
 )
 from quandlehom.structure import TermTable, relabel_chain, reverse_o6
@@ -151,7 +151,7 @@ def test_join_lists_each_cycle_once_per_partition(q, max_length):
             _join_partition(
                 partition, index, budget, lambda counter: listed.append(Chain(3, True, counter))
             )
-            keys = [_sign_normal_chain(chain) for chain in listed]
+            keys = [_sign_normal_key(chain.terms) for chain in listed]
             assert len(set(keys)) == len(keys), partition
             union.update(keys)
     assert union == oracle_cycles(q.table, max_length)
@@ -159,26 +159,31 @@ def test_join_lists_each_cycle_once_per_partition(q, max_length):
 
 @pytest.mark.parametrize("n", [6, 7, 5, 3], ids=["o6", "r7", "r5", "r3"])
 def test_lookup_only_sizes_hold_the_full_buckets_of_their_codes(n):
-    # A size h with 2h > L is built only for the projected codes a lookup
-    # can ask for; those buckets hold exactly the full index's families.
+    # A size h with 2h > L holds exactly the g-codes its lookups ask for: 0
+    # and -gcode(F) for every family F of the signed listings of the sizes
+    # 2..L-h.  Each holds exactly the full index's families of that code.
     q = O6 if n == 6 else make_dihedral(n)
     table = TermTable(q, 0)
     full = _full_indexes(table, q)
-    for max_length in range(5, 9):
+    for max_length in range(2, 9):
         for size, sized in _family_indexes(table, q, max_length).items():
             assert sized.count == full[size].count
-            wanted = full[size].buckets if sized.codes is None else sized.codes
-            assert sized.codes is None or 0 in sized.codes
             assert (sized.codes is None) == (2 * size <= max_length)
-            assert {key: sorted(fams) for key, fams in sized.buckets.items()} == {
-                key: sorted(fams) for key, fams in full[size].buckets.items() if key in wanted
-            }, (max_length, size)
+            if sized.codes is None:
+                assert sized.store == full[size].store, (max_length, size)
+                continue
+            asked = {0} | {-gkey for s in range(2, max_length - size + 1) for _, gkey in full[s].signed()[1]}
+            assert sized.codes == asked == sized.store.keys()
+            for gkey in asked:
+                assert list(sized.get(gkey)) == list(full[size].get(gkey)), (max_length, size)
 
 
 @pytest.mark.parametrize("q", [O6, R7], ids=["o6", "r7"])
 def test_join_listings_are_the_same_with_lookup_only_indexes(q):
     # Every partition lists the same cycles in the same order, for the same
-    # probes, from the search's indexes as from full ones.
+    # probes, from the search's indexes as from full ones.  At L = 8 only
+    # the partitions whose largest part is lookup-only are listed: (5,),
+    # (5, 2) and (5, 3).
     table = TermTable(q, 0)
     full = _full_indexes(table, q)
 
@@ -188,23 +193,32 @@ def test_join_listings_are_the_same_with_lookup_only_indexes(q):
         return listed, budget.probes
 
     expected = {}
-    for max_length in range(2, 8):
+    for max_length in range(2, 9):
         index = _family_indexes(table, q, max_length)
         for l in range(2, max_length + 1):
             for partition in _partitions_into_parts(l, min(5, l)):
+                if max_length == 8 and 2 * partition[0] <= max_length:
+                    continue
                 if partition not in expected:
                     expected[partition] = listing(partition, full)
                 assert listing(partition, index) == expected[partition], (max_length, partition)
+    assert {(5,), (5, 2), (5, 3)} <= expected.keys()
 
 
 def test_lookup_only_index_refuses_other_codes():
     table = TermTable(O6, 0)
-    index = _family_indexes(table, O6, 7)
-    sized = index[5]
-    outside = next(code for code in range(1, 10**6) if code not in sized.codes)
-    assert sized.get(0, 0) == _full_indexes(table, O6)[5].get(0, 0) != ()  # eta7's family
-    with pytest.raises(AssertionError, match="outside the index's codes"):
-        sized.get(outside, outside)
+    sized = _family_indexes(table, O6, 7)[5]
+    full = _full_indexes(table, O6)[5]
+    assert full.get(0)  # eta7's family
+    assert sized.get(0) == full.get(0)
+    # a g-code that holds families in the full index, and one that holds none
+    outside = [
+        next(gkey for gkey in sorted(full.store) if gkey not in sized.codes),
+        next(gkey for gkey in range(1, 10**6) if gkey not in sized.codes and gkey not in full.store),
+    ]
+    for gkey in outside:
+        with pytest.raises(AssertionError, match="outside the index's codes"):
+            sized.get(gkey)
     with pytest.raises(AssertionError, match="lookup-only"):
         sized.families()
 
@@ -215,21 +229,19 @@ def test_lookup_only_index_refuses_other_codes():
     ids=["o6", "r7", "r3+point"],
 )
 def test_orbit_components_are_the_scan_at_every_index(q, sizes):
+    # The trivial group scans every index: the reference for the scan at
+    # one index per Aut(Q)-orbit, expanded over Aut(Q).
     table = TermTable(q, 0)
-    group = automorphisms(q)
 
-    def scan(sizes):
+    def scan(sizes, group=automorphisms(q)):
         budget = ProbeBudget(10**9, "test")
         return _orbit_components(table, sizes, group, budget), budget.probes
 
     hits, probes = scan(sizes)
     assert sorted(hits) == list(sizes)
-    budget = ProbeBudget(10**9, "test")
     for size in sizes:
-        every = set()
-        for u in range(q.size):
-            every.update(_single_components(table, (size,), u, budget)[size])
-        assert set(hits[size]) == every
+        every, _ = scan((size,), [tuple(range(q.size))])
+        assert hits[size] == every[size]
         # one scan over every size files the hits of each size's own scan
         alone, alone_probes = scan((size,))
         assert hits[size] == alone[size]
@@ -270,21 +282,30 @@ def test_g_codes_are_exact(q):
     assert all(len(faces) <= 3 and all(abs(c) == 1 for _, c in faces) for faces in table.g.values())
     assert table.terms == sorted(table.terms)  # so term ids sort as the terms do
     gcode, pcode = _g_codes(table)
-    by_gcode, by_pcode = {}, {}
+    # Each term's g-faces as (face number, color word number, coefficient),
+    # numbered as met; an image is kept as the bytes of its sorted nonzero
+    # (number, coefficient) pairs, one per family of every size.
+    face_no, word_no = {}, {}
+    faces = [
+        [(face_no.setdefault(f, len(face_no)), word_no.setdefault(f[2], len(word_no)), c) for f, c in g]
+        for g in map(table.g.get, table.terms)
+    ]
+    images, projections = {}, {}  # code -> image
     for size in range(2, 6):
-        for fam, gkey, pkey in _FamilyIndex(table, q, size, gcode, pcode).families():
-            image = table.image([(sign, table.terms[i]) for sign, i in fam], table.g)
-            projected = {}
-            for (_, _, word), c in image.items():
-                projected[word] = projected.get(word, 0) + c
-            by_gcode.setdefault(gkey, set()).add(frozenset(image.items()))
-            by_pcode.setdefault(pkey, set()).add(frozenset((w, c) for w, c in projected.items() if c))
-    for by_code in (by_gcode, by_pcode):
-        assert all(len(found) == 1 for found in by_code.values())  # equal codes => equal images
-        images = {code: found.pop() for code, found in by_code.items()}
-        assert len(set(images.values())) == len(images)  # equal images => equal codes
+        for fam, gkey in _FamilyIndex(table, q, size, gcode, pcode).families():
+            image, projected = {}, {}
+            for sign, i in fam:
+                for face, word, c in faces[i]:
+                    image[face] = image.get(face, 0) + sign * c
+                    projected[word] = projected.get(word, 0) + sign * c
+            pkey = sum([sign * pcode[table.terms[i][2]] for sign, i in fam])
+            for by_code, code, found in ((images, gkey, image), (projections, pkey, projected)):
+                found = array("h", [x for item in sorted(found.items()) if item[1] for x in item]).tobytes()
+                assert by_code.setdefault(code, found) == found  # equal codes => equal images
+    for by_code in (images, projections):
+        assert len(set(by_code.values())) == len(by_code)  # equal images => equal codes
         # a g-null family, if any, has code 0: the key a single-part join looks up
-        assert all((code == 0) == (not image) for code, image in images.items())
+        assert all((code == 0) == (not image) for code, image in by_code.items())
 
 
 def _digest(report):
@@ -315,8 +336,8 @@ def test_o6_single_degree_witnesses_at_seven():
         assert not boundary(fc.chain, O6)
         assert evaluate(ETA, fc.chain) == fc.value != 0
     witness, _, _, value, _ = named_cycle("eta7")
-    keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
-    assert _sign_normal_chain(witness) in keys
+    keys = {_sign_normal_key(fc.chain.terms) for fc in rep.found}
+    assert _sign_normal_key(witness.terms) in keys
     assert value == 2
     assert _digest(rep) == "bcbc97a33df9d8dcaf8e33fff85e77a3bb98a130032f983622b876ee37285060"
 
@@ -341,12 +362,15 @@ def test_o6_double_window_clean_at_six():
 @pytest.mark.parametrize(
     "quandle, max_length, probes",
     [
-        ("o6", 6, 112641),
-        ("o6", 7, 116158),
-        ("o6", 8, 191780),
-        ("r7", 6, 279768),
-        ("r7", 7, 280171),
-        ("r7", 8, 340198),
+        pytest.param(quandle, max_length, probes, id="%s-%d" % (quandle, max_length))
+        for quandle, max_length, probes in [
+            ("o6", 6, 112641),
+            ("o6", 7, 116158),
+            ("o6", 8, 191780),
+            ("r7", 6, 279768),
+            ("r7", 7, 280171),
+            ("r7", 8, 340198),
+        ]
     ],
 )
 def test_single_degree_probes(quandle, max_length, probes):
@@ -525,7 +549,7 @@ def test_cycle_recheck_rejects_a_non_cycle():
         cycles.add(broken, "test")
     assert not cycles.found and not cycles.zero
     cycles.add(witness, "test")
-    assert list(cycles.found) == [_sign_normal_chain(witness)]
+    assert list(cycles.found) == [_sign_normal_key(witness.terms)]
 
 
 @pytest.mark.parametrize("quandle, max_length", [("o6", 7), ("r7", 8)])
@@ -544,13 +568,13 @@ def test_cycle_pairing_sums_per_term_values(quandle, max_length):
         with pytest.raises(AssertionError, match="search produced a non-cycle"):
             cycles.add_terms({**terms, flipped: -terms[flipped]}, "test")
         cycles.add_terms(terms, "test")
-        key, value = _sign_normal_chain(chain), evaluate(theta, chain)
+        key, value = _sign_normal_key(chain.terms), evaluate(theta, chain)
         assert sum(c * cycles.values[t] for t, c in terms.items()) % theta.modulus == value
         if value:
             assert cycles.found[key].value == value and cycles.found[key].chain.terms == terms
         else:
             assert key in cycles.zero
-    assert set(cycles.found) == {_sign_normal_chain(fc.chain) for fc in rep.found}
+    assert set(cycles.found) == {_sign_normal_key(fc.chain.terms) for fc in rep.found}
     assert cycles.zero == rep.zero_cycles
     assert len(rep.found) + len(rep.zero_cycles) == len(chains) > 0
     assert cycles.values.keys() == cycles.images.keys()
@@ -605,9 +629,10 @@ def test_single_window_is_invariant_under_relabelling():
     rep = search_min_cycles(SearchConfig(q, theta, max_length=7))
     expected = cached_search("o6", 7)
     back = [relabel_chain(fc.chain, inv) for fc in rep.found]
-    assert {_sign_normal_chain(c) for c in back} == {_sign_normal_chain(fc.chain) for fc in expected.found}
+    keys = {_sign_normal_key(fc.chain.terms) for fc in expected.found}
+    assert {_sign_normal_key(c.terms) for c in back} == keys
     assert all(fc.value == evaluate(ETA, c) for fc, c in zip(rep.found, back))
-    zero = {_sign_normal_chain(relabel_chain(Chain(3, True, key), inv)) for key in rep.zero_cycles}
+    zero = {_sign_normal_key(relabel_chain(Chain(3, True, key), inv).terms) for key in rep.zero_cycles}
     assert zero == expected.zero_cycles
     assert rep.component_counts == expected.component_counts
     assert rep.covered == expected.covered
@@ -645,9 +670,9 @@ def test_double_window_witness_reverses_lie_outside_the_window():
     # layer, so the double window (2- or 3-term bottom layer) never lists it.
     rep = cached_search("o6", 7, "double", "BC")
     assert len(rep.found) == 48
-    keys = {_sign_normal_chain(fc.chain) for fc in rep.found}
+    keys = {_sign_normal_key(fc.chain.terms) for fc in rep.found}
     reverses = [reverse_o6(fc.chain, O6) for fc in rep.found]
-    assert len({_sign_normal_chain(c) for c in reverses}) == 48
+    assert len({_sign_normal_key(c.terms) for c in reverses}) == 48
     for c in reverses:
         assert degrees(c) == [-1, 0]
         assert [length(degree_bucket(c, d)) for d in (-1, 0)] == [5, 2]
@@ -655,4 +680,4 @@ def test_double_window_witness_reverses_lie_outside_the_window():
         assert evaluate(ETA, c) != 0
         shifted = sigma_shift(c, 1)
         assert not boundary(shifted, O6)
-        assert _sign_normal_chain(shifted) not in keys
+        assert _sign_normal_key(shifted.terms) not in keys
