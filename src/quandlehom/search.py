@@ -7,33 +7,33 @@ use the one residual-guided cancellation search, structure.cancel_search,
 that also derives the family census:
 
 * single degree: every cycle supported at one degree splits its terms, per
-  index, into minimal families with vanishing f-image.  Families of sizes 2
-  to 5 come from the symbolic census and are joined across indices by the
-  exact integer codes of their g-images, each the sum over its terms of a
-  per-term code with one balanced base-2**6 digit per g-face: the smaller
-  parts are listed and the largest part is looked up by the g-code that
-  cancels them.  One store per size maps each g-code to its families, built
-  whole when the size's index is: every census color family, stamped at
-  every index.  A stamped family names its terms by their positions in the
-  sorted term table, so the join merges and compares small ints in the
-  terms' own order and maps them back to terms only when a cycle closes.  A
-  size that is only looked up is built for exactly the g-codes its lookups
-  ask for (0 and the negated codes of the listed families it can follow),
-  and the family counts a certificate prints come from the census at four
-  colors, not from instantiating every family.  At the last prefix level
-  the lookup comes first: a prefix whose lookup is empty is neither merged
-  nor counted as a probe.  The join lists each cycle with one global sign:
-  the one whose least family of the smallest part size is below the
-  negative of every family of that size.  The sorted order meets that
-  sign first, so the chains a report prints are the ones it kept when both
-  signs were listed.  That order follows the element labels:
-  relabelling the quandle may change the probes line and which sign of a
-  cycle is printed, but not the key sets or the counts.  A cycle
-  consisting of one larger family (sizes 6 up; a smaller cofactor is
-  impossible below length 8) is found by the cancellation search, g
-  residual first, at the least index of each Aut(Q)-orbit, and expanded
-  over Aut(Q): one scan of the largest size files the closures of every
-  size 6..max_length by size.
+  index, into minimal families with vanishing f-image.  A cycle of several
+  such families has parts of sizes 2 to 5 (a part of 6 or more with a
+  cofactor is impossible below length 8); those come from the symbolic
+  census and are joined across indices by the exact integer codes of their
+  g-images, each the sum over its terms of a per-term code with one
+  balanced base-2**6 digit per g-face: the smaller parts are listed and the
+  largest part is looked up by the g-code that cancels them.  One store per
+  size maps each g-code to its families, built whole when the size's index
+  is: every census color family, stamped at every index.  A stamped family
+  names its terms by their positions in the sorted term table, so the join
+  merges and compares small ints in the terms' own order and maps them back
+  to terms only when a cycle closes.  A size that is only looked up is
+  built for exactly the g-codes its lookups ask for (the negated codes of
+  the listed families it can follow), and the family counts a certificate
+  prints come from the census at four colors, not from instantiating every
+  family.  At the last prefix level the lookup comes first: a prefix whose
+  lookup is empty is neither merged nor counted as a probe.  The join lists
+  each cycle with one global sign: the one whose least family of the
+  smallest part size is below the negative of every family of that size.
+  The sorted order meets that sign first, so the chains a report prints are
+  the ones it kept when both signs were listed.  That order follows the
+  element labels: relabelling the quandle may change the probes line and
+  which sign of a cycle is printed, but not the key sets or the counts.  A
+  cycle consisting of one family, of any size, is found by the cancellation
+  search, g residual first, at the least index of each Aut(Q)-orbit, and
+  expanded over Aut(Q): one scan of size max_length files the closures of
+  every size 2..max_length by size.
 
 * two adjacent degrees: one boundary scan lists every cycle over degrees 0
   and 1 with at most 2 (profile B) or 3 terms at degree 0: cancel_search on
@@ -107,8 +107,9 @@ assert 3 * MAX_SEARCH_LENGTH < 2 ** (_DIGIT_BITS - 1)
 # A family size h with 2h > L is never a prefix part of a join, only the
 # looked-up largest part, so its prefix holds at most L - h terms.  Two parts
 # take at least 2 + 2, and L - h < 4 for every h > L/2 while L < 9: the
-# prefix is empty or one part, and the g-codes a lookup of size h can ask
-# for are 0 and -gcode(F) for the listed families F of sizes 2..L-h.
+# prefix of a join, which has two parts or more, is exactly one part, and
+# the g-codes a lookup of size h can ask for are -gcode(F) for the listed
+# families F of sizes 2..L-h.
 assert MAX_SEARCH_LENGTH - (MAX_SEARCH_LENGTH // 2 + 1) < 2 + 2
 
 
@@ -356,12 +357,11 @@ class _FamilyIndex:
 
     A size that is only looked up is built with ``prefixes``, the listed
     (family, g-code) pairs its lookups follow.  It holds exactly the g-codes
-    they ask for (``codes``: 0 and each negated g-code), each in the store
-    even when empty, and raises on a lookup of any other, or on families().
+    they ask for (``codes``: each negated g-code), each in the store even
+    when empty, and raises on a lookup of any other, or on families().
     Equal g-codes have equal projected codes (``pcode``: the g-faces with
     their index dropped, the same at every index), so only the color
-    families of the asked projected codes are instantiated.  ``count``, the
-    number of all families, comes from the census counts either way.
+    families of the asked projected codes are instantiated.
     """
 
     def __init__(self, table, q, size, gcode, pcode, prefixes=None):
@@ -371,8 +371,8 @@ class _FamilyIndex:
             pairs[u][1, w], pairs[u][-1, w] = (1, i), (-1, i)
         self.codes = wanted = None
         if prefixes is not None:
-            self.codes = {0} | {-gkey for _, gkey in prefixes}
-            wanted = {0} | {-sum([sign * pcode[terms[i][2]] for sign, i in fam]) for fam, _ in prefixes}
+            self.codes = {-gkey for _, gkey in prefixes}
+            wanted = {-sum([sign * pcode[terms[i][2]] for sign, i in fam]) for fam, _ in prefixes}
         store = {}
         for fam in concrete_families(q, size, None if wanted is None else (pcode, wanted)):
             for at in pairs:
@@ -384,7 +384,6 @@ class _FamilyIndex:
             fams.sort()  # fixes which sign of a cycle is stored first, and so the certificate
         self.store = store
         self.absent = () if self.codes is None else None  # what get() finds for an unstored g-code
-        self.count = q.size * family_count(q.size, size)
         self.listing = None
         self.signs = None
 
@@ -415,8 +414,8 @@ class _FamilyIndex:
 
 
 def _join_partition(partition, index, budget, on_cycle):
-    """Enumerate unions of minimal families over one size partition with
-    vanishing total g-image, each with one global sign.
+    """Enumerate unions of minimal families over one size partition of two
+    parts or more with vanishing total g-image, each with one global sign.
 
     Parts are chosen in ascending size order from `index`, size ->
     _FamilyIndex: prefix parts from its sorted listing, the largest part
@@ -435,22 +434,13 @@ def _join_partition(partition, index, budget, on_cycle):
     the chain a report keeps for each cycle is the same as when both were
     listed.
     """
+    if len(partition) < 2:
+        raise AssertionError("a join needs two parts or more; one family alone is the component scan's")
     parts = sorted(partition)  # ascending; look up the largest size
     hash_size = parts[-1]
     prefix_sizes = parts[:-1]
     largest = index[hash_size]
     terms = largest.terms
-
-    # A single-part partition probes every family once and keeps the g-null
-    # ones of one sign: the empty image has code 0.
-    if not prefix_sizes:
-        budget.spend(largest.count)
-        for fam in largest.get(0):
-            counter2 = {}
-            if fam < _negated(fam) and _merge_terms(counter2, fam, []):
-                on_cycle({terms[i]: c for i, c in counter2.items()})
-        return
-
     counter = {}
     small = prefix_sizes[0]
     negated, positive = index[small].signed()
@@ -498,18 +488,18 @@ def _join_partition(partition, index, budget, on_cycle):
         rec = None  # rec refers to itself: free the search's working set now, not at a gc run
 
 
-def _orbit_components(table, sizes, group, budget):
+def _orbit_components(table, max_length, group, budget):
     """Minimal f-null families at one index that are also g-null: the single
     components that alone form a one-degree cycle, as sorted tuples with the
-    least term positive, by size, for every size in `sizes`; sorted.
+    least term positive, by size, for every size 2..max_length; sorted.
 
-    One cancellation scan of the largest size runs from the terms at the
+    One cancellation scan of size max_length runs from the terms at the
     least index of each orbit of `group` (the trivial group scans every
     index): a closure returns without extending and the residual prune only
     loosens as the size grows, so that scan passes every state of each
     smaller size's.  f and g commute with automorphisms, so the families at
     index p(u) are p of those at u, each put back in the scan's form."""
-    hits = {size: set() for size in sizes}
+    hits = {size: set() for size in range(2, max_length + 1)}
 
     def close(family, gres):
         if not gres and len(family) in hits and table.is_minimal_null(family):
@@ -520,21 +510,22 @@ def _orbit_components(table, sizes, group, budget):
 
     for u in sorted({min(p[v] for p in group) for v in range(len(group[0]))}):
         cancel_search(
-            table.f, table.f_cancel, max(sizes), close, [t for t in table.terms if t[1] == u],
+            table.f, table.f_cancel, max_length, close, [t for t in table.terms if t[1] == u],
             g=(table.g, table.g_cancel[u]), budget=budget,
         )
     return {size: sorted(fams) for size, fams in hits.items()}
 
 
 def _family_indexes(table, q, max_length):
-    """size -> _FamilyIndex for the join's part sizes up to max_length.  A
-    size h with 2h > max_length is only looked up, after no listed part or
-    one (see the assertion on MAX_SEARCH_LENGTH): a family of the signed
-    listing of a size 2..max_length-h.  It is built for exactly the g-codes
-    those lookups ask for."""
+    """size -> _FamilyIndex for the part sizes of the joins up to
+    max_length: 2..max_length-2, at most the census's largest.  A size h
+    with 2h > max_length is only looked up, after one listed part (see the
+    assertion on MAX_SEARCH_LENGTH): a family of the signed listing of a
+    size 2..max_length-h.  It is built for exactly the g-codes those
+    lookups ask for."""
     gcode, pcode = _g_codes(table)
     index = {}
-    for size in range(2, min(MAX_FAMILY_SIZE, max_length) + 1):
+    for size in range(2, min(MAX_FAMILY_SIZE, max_length - 2) + 1):
         prefixes = None
         if 2 * size > max_length:
             prefixes = [entry for s in range(2, max_length - size + 1) for entry in index[s].signed()[1]]
@@ -543,41 +534,39 @@ def _family_indexes(table, q, max_length):
 
 
 def _search_single_degree(cfg, report):
-    q = cfg.quandle
+    q, max_length = cfg.quandle, cfg.max_length
     budget = ProbeBudget(cfg.budget, "single-degree join")
     table = TermTable(q, 0)
-    index = _family_indexes(table, q, cfg.max_length)
-    for size, sized in index.items():
-        report.component_counts[size] = sized.count
-
+    index = _family_indexes(table, q, max_length)
+    for size in range(2, min(MAX_FAMILY_SIZE, max_length) + 1):
+        report.component_counts[size] = q.size * family_count(q.size, size)
     cycles = _Cycles(q, cfg.cocycle)
-    partitions = []
-    for l in range(2, cfg.max_length + 1):
-        partitions.extend((l, p) for p in _partitions_into_parts(l, min(MAX_FAMILY_SIZE, l)))
-    for l, partition in sorted(partitions):
-        shape = "degree0 parts %s" % (list(partition),)
-        _join_partition(
-            partition,
-            index,
-            budget,
-            lambda terms, shape=shape: cycles.add_terms(terms, shape),
-        )
-        report.covered.append("length %d as %s" % (l, list(partition)))
+    # Every partition of a length into census sizes: one of two parts or
+    # more is a join, one part the one-family cycles of the scan below.
+    partitions = sorted(
+        (l, p) for l in range(2, max_length + 1) for p in _partitions_into_parts(l, min(MAX_FAMILY_SIZE, l))
+    )
+    for l, partition in partitions:
+        if len(partition) > 1:
+            shape = "degree0 parts %s" % (list(partition),)
+            _join_partition(partition, index, budget, lambda terms, shape=shape: cycles.add_terms(terms, shape))
 
-    # one large family alone (sizes 6..max_length); a large family plus any
-    # other part needs length >= 6 + 2 > 7, so below length 8 this closes
-    # the census.  At length 8 the split 6+2 is left open: a gap.
+    # One family alone, of every size 2..max_length.  A family of 6 or more
+    # plus any other part needs length >= 6 + 2 > 7, so below length 8 the
+    # joins and this scan close the census.  At length 8 the split 6+2 is
+    # left open: a gap.
     budget.phase = "component search"
-    sizes = range(MAX_FAMILY_SIZE + 1, cfg.max_length + 1)
-    if sizes:
-        hits = _orbit_components(table, sizes, automorphisms(q), budget)
-        for size in sizes:
-            for fam in hits[size]:
-                chain = Chain.from_signed_terms(fam, arity=3, graded=True)
-                cycles.add(chain, "degree0 single family of %d" % size)
-            report.covered.append(
-                "length %d as one family (index scan, %d hits)" % (size, len(hits[size]))
-            )
+    scanned = {}
+    for size, fams in _orbit_components(table, max_length, automorphisms(q), budget).items():
+        for fam in fams:
+            cycles.add(Chain.from_signed_terms(fam, arity=3, graded=True), "degree0 single family of %d" % size)
+        scanned[size] = "length %d as one family (index scan, %d hits)" % (size, len(fams))
+    # The covered lines keep their order: a length's one-family line follows
+    # its joins, where its one-part partition sorts, and the sizes past the
+    # census come last.
+    report.covered = [
+        "length %d as %s" % (l, list(p)) if len(p) > 1 else scanned[l] for l, p in partitions
+    ] + [scanned[size] for size in range(MAX_FAMILY_SIZE + 1, max_length + 1)]
     if cfg.max_length >= MAX_FAMILY_SIZE + 3:
         report.gaps.append("length %d split 6+2 (outside the certified window)" % cfg.max_length)
 

@@ -88,8 +88,9 @@ def test_join_matches_direct_scan_small():
 
 
 def test_join_matches_direct_scan_at_six():
-    # At length 6 the sizes 4 and 5 are only ever the largest part, looked
-    # up through their projected codes, under [4], [5] and [4, 2].
+    # At length 6 the size 4 is only ever the largest part, looked up through
+    # its projected codes under [4, 2]; one family of 4, 5 or 6 terms alone
+    # comes from the component scan.
     oracle = oracle_cycles(O6.table, 6)
     assert reached_keys(cached_search("o6", 6)) == oracle
     assert len(oracle) == 1010
@@ -115,77 +116,99 @@ def test_join_matches_the_oracle_at_seven():
 
 
 def test_join_matches_the_oracle_with_two_index_orbits():
-    # The single families of sizes 6 and 7 are scanned at indices 0 and 3
-    # only and expanded over Aut(Q); a zero cocycle keeps every cycle.
+    # The single families of every size are scanned at indices 0 and 3 only
+    # and expanded over Aut(Q); a zero cocycle keeps every cycle.
     zero = ThreeCocycle(R3_PLUS_POINT, 3, {}, name="zero")
-    for max_length, cycles, hits in ((6, 1438, (50,)), (7, 4828, (50, 150))):
+    for max_length, cycles in ((6, 1438), (7, 4828)):
         rep = search_min_cycles(SearchConfig(R3_PLUS_POINT, zero, max_length=max_length))
         oracle = oracle_cycles(R3_PLUS_POINT.table, max_length)
         assert reached_keys(rep) == oracle
         assert not rep.found and rep.zero_value_cycles == cycles
         assert len(oracle) == cycles
-        for size, count in zip((6, 7), hits):
+        for size, count in zip(range(2, max_length + 1), (6, 18, 27, 24, 50, 150)):
             assert "length %d as one family (index scan, %d hits)" % (size, count) in rep.covered
 
 
-def _full_indexes(table, q):
-    """Every family size 2..5, unfiltered."""
-    gcode, pcode = _g_codes(table)
-    return {size: _FamilyIndex(table, q, size, gcode, pcode) for size in range(2, 6)}
+@pytest.fixture(scope="module")
+def full_indexes():
+    """q -> (its degree-0 TermTable, every family size 2..5 unfiltered),
+    built once per quandle and freed with the module: the R7 size-5 store
+    alone stamps 229,320 families."""
+    built = {}
+
+    def get(q):
+        key = tuple(map(tuple, q.table))
+        if key not in built:
+            table = TermTable(q, 0)
+            gcode, pcode = _g_codes(table)
+            built[key] = table, {size: _FamilyIndex(table, q, size, gcode, pcode) for size in range(2, 6)}
+        return built[key]
+
+    yield get
+    built.clear()
+
+
+def _join_partitions(max_length):
+    """Every partition a join lists up to max_length: two parts or more,
+    each of a census size 2..5."""
+    return [p for l in range(2, max_length + 1) for p in _partitions_into_parts(l, min(5, l - 2))]
 
 
 @pytest.mark.parametrize(
     "q, max_length", [(O6, 6), (R7, 6), (make_dihedral(3), 7)], ids=["o6", "r7", "r3"]
 )
-def test_join_lists_each_cycle_once_per_partition(q, max_length):
+def test_join_lists_each_cycle_once_per_partition(q, max_length, full_indexes):
     # A cycle and its negative are listed by one join, from the sign whose
     # least family of the smallest part size is below the negative of every
     # family of that size: each partition lists a cycle at most once, and
-    # all of them together list every cycle the oracle finds.
-    index = _full_indexes(TermTable(q, 0), q)
+    # together with the one-family cycles of the component scan they list
+    # every cycle the oracle finds.
+    table, index = full_indexes(q)
     budget = ProbeBudget(10**9, "test")
     union = set()
-    for l in range(2, max_length + 1):
-        for partition in _partitions_into_parts(l, 5):
-            listed = []
-            _join_partition(
-                partition, index, budget, lambda counter: listed.append(Chain(3, True, counter))
-            )
-            keys = [_sign_normal_key(chain.terms) for chain in listed]
-            assert len(set(keys)) == len(keys), partition
-            union.update(keys)
+    for partition in _join_partitions(max_length):
+        listed = []
+        _join_partition(partition, index, budget, lambda counter: listed.append(Chain(3, True, counter)))
+        keys = [_sign_normal_key(chain.terms) for chain in listed]
+        assert len(set(keys)) == len(keys), partition
+        union.update(keys)
+    for fams in _orbit_components(table, max_length, automorphisms(q), budget).values():
+        union.update(_sign_normal_key(Chain.from_signed_terms(fam, arity=3, graded=True).terms) for fam in fams)
     assert union == oracle_cycles(q.table, max_length)
+    # one family alone is the component scan's, never a join's
+    with pytest.raises(AssertionError, match="two parts or more"):
+        _join_partition((5,), index, budget, union.add)
 
 
 @pytest.mark.parametrize("n", [6, 7, 5, 3], ids=["o6", "r7", "r5", "r3"])
-def test_lookup_only_sizes_hold_the_full_buckets_of_their_codes(n):
-    # A size h with 2h > L holds exactly the g-codes its lookups ask for: 0
-    # and -gcode(F) for every family F of the signed listings of the sizes
-    # 2..L-h.  Each holds exactly the full index's families of that code.
+def test_lookup_only_sizes_hold_the_full_buckets_of_their_codes(n, full_indexes):
+    # The join's part sizes are 2..min(5, L - 2).  A size h with 2h > L
+    # holds exactly the g-codes its lookups ask for: -gcode(F) for every
+    # family F of the signed listings of the sizes 2..L-h.  Each holds
+    # exactly the full index's families of that code.
     q = O6 if n == 6 else make_dihedral(n)
-    table = TermTable(q, 0)
-    full = _full_indexes(table, q)
+    table, full = full_indexes(q)
     for max_length in range(2, 9):
-        for size, sized in _family_indexes(table, q, max_length).items():
-            assert sized.count == full[size].count
+        indexes = _family_indexes(table, q, max_length)
+        assert list(indexes) == list(range(2, min(5, max_length - 2) + 1))
+        for size, sized in indexes.items():
             assert (sized.codes is None) == (2 * size <= max_length)
             if sized.codes is None:
                 assert sized.store == full[size].store, (max_length, size)
                 continue
-            asked = {0} | {-gkey for s in range(2, max_length - size + 1) for _, gkey in full[s].signed()[1]}
+            asked = {-gkey for s in range(2, max_length - size + 1) for _, gkey in full[s].signed()[1]}
             assert sized.codes == asked == sized.store.keys()
             for gkey in asked:
                 assert list(sized.get(gkey)) == list(full[size].get(gkey)), (max_length, size)
 
 
 @pytest.mark.parametrize("q", [O6, R7], ids=["o6", "r7"])
-def test_join_listings_are_the_same_with_lookup_only_indexes(q):
+def test_join_listings_are_the_same_with_lookup_only_indexes(q, full_indexes):
     # Every partition lists the same cycles in the same order, for the same
     # probes, from the search's indexes as from full ones.  At L = 8 only
-    # the partitions whose largest part is lookup-only are listed: (5,),
-    # (5, 2) and (5, 3).
-    table = TermTable(q, 0)
-    full = _full_indexes(table, q)
+    # the partitions whose largest part is lookup-only are listed: (5, 2)
+    # and (5, 3).
+    table, full = full_indexes(q)
 
     def listing(partition, index):
         budget, listed = ProbeBudget(10**9, "test"), []
@@ -195,22 +218,21 @@ def test_join_listings_are_the_same_with_lookup_only_indexes(q):
     expected = {}
     for max_length in range(2, 9):
         index = _family_indexes(table, q, max_length)
-        for l in range(2, max_length + 1):
-            for partition in _partitions_into_parts(l, min(5, l)):
-                if max_length == 8 and 2 * partition[0] <= max_length:
-                    continue
-                if partition not in expected:
-                    expected[partition] = listing(partition, full)
-                assert listing(partition, index) == expected[partition], (max_length, partition)
-    assert {(5,), (5, 2), (5, 3)} <= expected.keys()
+        for partition in _join_partitions(max_length):
+            if max_length == 8 and 2 * partition[0] <= max_length:
+                continue
+            if partition not in expected:
+                expected[partition] = listing(partition, full)
+            assert listing(partition, index) == expected[partition], (max_length, partition)
+    assert {(5, 2), (5, 3)} <= expected.keys()
 
 
-def test_lookup_only_index_refuses_other_codes():
-    table = TermTable(O6, 0)
-    sized = _family_indexes(table, O6, 7)[5]
-    full = _full_indexes(table, O6)[5]
-    assert full.get(0)  # eta7's family
-    assert sized.get(0) == full.get(0)
+def test_lookup_only_index_refuses_other_codes(full_indexes):
+    table, full = full_indexes(O6)
+    sized, full = _family_indexes(table, O6, 7)[5], full[5]
+    assert any(full.get(gkey) for gkey in sized.codes)
+    for gkey in sized.codes:
+        assert list(sized.get(gkey)) == list(full.get(gkey))
     # a g-code that holds families in the full index, and one that holds none
     outside = [
         next(gkey for gkey in sorted(full.store) if gkey not in sized.codes),
@@ -224,29 +246,23 @@ def test_lookup_only_index_refuses_other_codes():
 
 
 @pytest.mark.parametrize(
-    "q, sizes",
-    [(O6, (6, 7)), (R7, (6, 7)), (R3_PLUS_POINT, (6, 7, 8))],
-    ids=["o6", "r7", "r3+point"],
+    "q, max_length", [(O6, 7), (R7, 7), (R3_PLUS_POINT, 8)], ids=["o6", "r7", "r3+point"]
 )
-def test_orbit_components_are_the_scan_at_every_index(q, sizes):
+def test_orbit_components_are_the_scan_at_every_index(q, max_length):
     # The trivial group scans every index: the reference for the scan at
     # one index per Aut(Q)-orbit, expanded over Aut(Q).
     table = TermTable(q, 0)
 
-    def scan(sizes, group=automorphisms(q)):
-        budget = ProbeBudget(10**9, "test")
-        return _orbit_components(table, sizes, group, budget), budget.probes
+    def scan(max_length, group=automorphisms(q)):
+        return _orbit_components(table, max_length, group, ProbeBudget(10**9, "test"))
 
-    hits, probes = scan(sizes)
-    assert sorted(hits) == list(sizes)
-    for size in sizes:
-        every, _ = scan((size,), [tuple(range(q.size))])
-        assert hits[size] == every[size]
-        # one scan over every size files the hits of each size's own scan
-        alone, alone_probes = scan((size,))
-        assert hits[size] == alone[size]
-    # and walks exactly the states of the largest size's scan alone
-    assert probes == alone_probes
+    hits = scan(max_length)
+    assert sorted(hits) == list(range(2, max_length + 1))
+    every = scan(max_length, [tuple(range(q.size))])
+    assert hits == every
+    # one scan of size L files the hits of each smaller size's own scan
+    for size in range(2, max_length):
+        assert hits[size] == scan(size)[size], size
 
 
 def _oracle_window(keys, table, sizes, max_length):
@@ -274,14 +290,14 @@ def test_double_window_matches_the_oracle_at_six():
 
 
 @pytest.mark.parametrize("q", [O6, R7], ids=["o6", "r7"])
-def test_g_codes_are_exact(q):
+def test_g_codes_are_exact(q, full_indexes):
     # The codes are exact while every coefficient stays below 2**(D-1):
     # each term has at most 3 g-faces, each with coefficient +-1.
     assert 3 * MAX_SEARCH_LENGTH < 2 ** (_DIGIT_BITS - 1)
-    table = TermTable(q, 0)
+    table, full = full_indexes(q)
     assert all(len(faces) <= 3 and all(abs(c) == 1 for _, c in faces) for faces in table.g.values())
     assert table.terms == sorted(table.terms)  # so term ids sort as the terms do
-    gcode, pcode = _g_codes(table)
+    _, pcode = _g_codes(table)
     # Each term's g-faces as (face number, color word number, coefficient),
     # numbered as met; an image is kept as the bytes of its sorted nonzero
     # (number, coefficient) pairs, one per family of every size.
@@ -292,7 +308,7 @@ def test_g_codes_are_exact(q):
     ]
     images, projections = {}, {}  # code -> image
     for size in range(2, 6):
-        for fam, gkey in _FamilyIndex(table, q, size, gcode, pcode).families():
+        for fam, gkey in full[size].families():
             image, projected = {}, {}
             for sign, i in fam:
                 for face, word, c in faces[i]:
@@ -304,7 +320,7 @@ def test_g_codes_are_exact(q):
                 assert by_code.setdefault(code, found) == found  # equal codes => equal images
     for by_code in (images, projections):
         assert len(set(by_code.values())) == len(by_code)  # equal images => equal codes
-        # a g-null family, if any, has code 0: the key a single-part join looks up
+        # a g-null family, if any, has code 0, the code of the empty image
         assert all((code == 0) == (not image) for code, image in by_code.items())
 
 
@@ -312,7 +328,7 @@ def _digest(report):
     return hashlib.sha256(report.certificate_text().encode()).hexdigest()
 
 
-# The certificate digests below pin the census, the join, the size-6
+# The certificate digests below pin the census, the join, the one-family
 # component search and the two-degree boundary scan, and through the probes
 # line of each certificate the probe counts of the whole run.  A change that
 # alters probe counts or coverage text must update them and say why.
@@ -323,7 +339,7 @@ def test_o6_single_degree_clean_below_seven():
     assert rep.exhausted
     assert rep.zero_value_cycles > 0
     assert "EXHAUSTED" in rep.certificate_text()
-    assert _digest(rep) == "5487b506dfa81855f0c2e54dd6926ad9eb1c82b9a03884560e0262f5fcc4590a"
+    assert _digest(rep) == "a2cdee95a4a73a40455b90d31525079c49be8995420b000e6cec013ee69a876d"
 
 
 def test_o6_single_degree_witnesses_at_seven():
@@ -339,7 +355,7 @@ def test_o6_single_degree_witnesses_at_seven():
     keys = {_sign_normal_key(fc.chain.terms) for fc in rep.found}
     assert _sign_normal_key(witness.terms) in keys
     assert value == 2
-    assert _digest(rep) == "bcbc97a33df9d8dcaf8e33fff85e77a3bb98a130032f983622b876ee37285060"
+    assert _digest(rep) == "3344abe94b8cf0e5f85b1b8e5127e6050739c6e6ee2a82e31fb5da3d691a86d0"
 
 
 def test_r7_single_degree_is_empty_to_seven():
@@ -347,7 +363,7 @@ def test_r7_single_degree_is_empty_to_seven():
     assert rep.exhausted
     assert rep.zero_value_cycles == 0
     assert len(rep.found) == 0
-    assert _digest(rep) == "9a4a74cfb87957d65f4d87433dae38e204868b32c0246e883134d4c6fde7a0a9"
+    assert _digest(rep) == "80432579807d1168adb75c44fd4b07ecd760e138a7ccc1eeb9c63cf85babd787"
 
 
 def test_o6_double_window_clean_at_six():
@@ -357,19 +373,20 @@ def test_o6_double_window_clean_at_six():
     assert _digest(rep) == "c5ac2a3823ce36498763fea1ee1913b9b19d9d6ca0080d4a6d943a4f7a5a6ed4"
 
 
-# The single window's probes: the join, then the scan of sizes 6 and up at
-# one index per Aut(Q)-orbit (O6 and R7 have one orbit each).
+# The single window's probes: the joins of two parts or more, then the scan
+# of one family of every size 2..L at one index per Aut(Q)-orbit (O6 and R7
+# have one orbit each).
 @pytest.mark.parametrize(
     "quandle, max_length, probes",
     [
         pytest.param(quandle, max_length, probes, id="%s-%d" % (quandle, max_length))
         for quandle, max_length, probes in [
-            ("o6", 6, 112641),
-            ("o6", 7, 116158),
-            ("o6", 8, 191780),
-            ("r7", 6, 279768),
-            ("r7", 7, 280171),
-            ("r7", 8, 340198),
+            ("o6", 6, 8061),
+            ("o6", 7, 11578),
+            ("o6", 8, 87200),
+            ("r7", 6, 7524),
+            ("r7", 7, 7927),
+            ("r7", 8, 67954),
         ]
     ],
 )
@@ -388,22 +405,23 @@ def test_r7_single_degree_at_eight_is_incomplete():
     assert rep.certificate_text().splitlines()[-1].startswith("INCOMPLETE")
 
 
-# The single-window certificates without their probes line, recorded while
-# the join still listed every cycle with both global signs: listing each
-# with one sign moved the probe counts and nothing else.  O6 at L=5 and R7
-# at L=5 and 6 were recorded before the join skipped a last prefix whose
-# lookup is empty, which moved their probe counts too.
+# The single-window certificates without their probes line.  They were
+# last re-recorded when the one-family cycles of sizes 2..5 moved from the
+# join to the component scan, which changed those sizes' covered lines.
 @pytest.mark.parametrize(
     "quandle, max_length, digest",
     [
-        ("o6", 5, "7eba12cd034a62dca860027751d8572cd17973207e5a9cbea9e1dbbdb6e433b3"),
-        ("o6", 6, "e3919c848bfaa5f516f9983ca7ca97fb3d226594b662994c8c62a40686885185"),
-        ("o6", 7, "fccfd4590bb5bebb3b6a9978e1243e88f04b6f9cc5a9850b48f0ae0c90e0dd9b"),
-        ("o6", 8, "c346067861823dbfee5240170b99bd7565db551f73c824878ee69f7fa636df3b"),
-        ("r7", 5, "0b0ac214d57bd07c5b6663b7841f9afd57abc4a43fb1194872013f830ab27839"),
-        ("r7", 6, "81eb1f4cd213cf163e18b4c77fc0f50683d5ed167bb5eb3133a2df84ed027261"),
-        ("r7", 7, "2fb758193392c9a309663c7b87cdeae002f81ad6901fd4af0352e57602429407"),
-        ("r7", 8, "bdc969d0e59dbe7e66c83951817e583dc6a4d4c1f940b3168de6a547c877a941"),
+        pytest.param(quandle, max_length, digest, id="%s-%d" % (quandle, max_length))
+        for quandle, max_length, digest in [
+            ("o6", 5, "0e5202ab312df3d4a8a25ad9a1d539f5cc5237ae5123c81b6009f730d3a01957"),
+            ("o6", 6, "c0d39e549a700e2c1f45d3def843af525415c9bace3d703e488836b4c62afa2d"),
+            ("o6", 7, "8add4fefbd9f278e33fd135fe6b4c94e336a2cf46e06c4f0cb5c45d76078f65b"),
+            ("o6", 8, "93e043ccf43a990e6a76a0e87575753cb22c4ab3d990d899714b488a1e137870"),
+            ("r7", 5, "78ca7be50a42a7040c575454c6b81711b3a867a6926fa366c4cf9761d96456c7"),
+            ("r7", 6, "15a52c47ff8d15786b1960290be42b32a03deb9ebabccd2df05bb6580608d770"),
+            ("r7", 7, "2089b1f06b266b122cead691f108a67f7262440c4afd3b681ffe4eea136a2050"),
+            ("r7", 8, "dbbaf2a5c18e6d65a3569824bc5835437682b859fe8cd02e0d725c4a9047fcf6"),
+        ]
     ],
 )
 def test_single_degree_certificates_apart_from_probes(quandle, max_length, digest):
@@ -418,14 +436,17 @@ def test_single_degree_certificates_apart_from_probes(quandle, max_length, diges
 @pytest.mark.parametrize(
     "quandle, max_length, digest",
     [
-        ("o6", 2, "265e9de8690a6de97bd527c36ca2bb7c7f5c992c0068be0935dcb9dd16880eab"),
-        ("o6", 3, "73727b78f2a02540bd0bda53002e7d548c8b2a18e2780c849a6ba9a71278ee4f"),
-        ("o6", 4, "f7b72c163356836f58927a78618c0d8d4b1ea72805045fc126c347df3056eced"),
-        ("o6", 5, "912bd19d0fb91429a3fc1bb5b24dd76ad0397b18fa1e298e8631831330aee457"),
-        ("r7", 2, "b515f93a67b7d659f07dcb68f29ccfc7de78215c71d7bd9ca8351d1f4d54b171"),
-        ("r7", 3, "30e97ab0367ca15764e86c12a00ebd8ea9aa01b83119ec41088313aa6f214eea"),
-        ("r7", 4, "ca900150eac9714543cd57f2cbca525393c15c040b3c1986f459e61d3ce5a8f2"),
-        ("r7", 5, "d7b784c813b2be7a31130360666045f76bfed0a5646b325a815b957a43672fb8"),
+        pytest.param(quandle, max_length, digest, id="%s-%d" % (quandle, max_length))
+        for quandle, max_length, digest in [
+            ("o6", 2, "8b31288e4c704c3a97beef1576cbe7df2b808260464990f1d0a9fc77d3f5cce7"),
+            ("o6", 3, "bce0521dd048598351043e2b1607f1630824e772462f699ef32efe6663afb78b"),
+            ("o6", 4, "9e618a7e99ce59ccf14974e2ec8409f2d6ed92b8bbebc8ea7e894daf43d25908"),
+            ("o6", 5, "475c700463b56f51bb4a5d7ae1363bf86b227a2cbd09bb0cf849bb7e6eb8be9b"),
+            ("r7", 2, "9435a25195231c7cc4cbfd4c66fe6058a5a1bb658ab8456f61214aca71ae5968"),
+            ("r7", 3, "c1c78dd87983dfbedfd47cf6f8a02cfa66079ef0f90bc72b2b6263cc091ca6ad"),
+            ("r7", 4, "23813883bafa420d4a47233b25f011ba8944d0b2827a4b58aace0356ec10a696"),
+            ("r7", 5, "dd1e3577cc08263e5299e912e9aa2c5edda759e4cc2276ccd4ac98230ddae405"),
+        ]
     ],
 )
 def test_single_degree_certificates_at_the_lookup_edges(quandle, max_length, digest):
@@ -516,26 +537,51 @@ def test_cocycle_must_live_on_the_searched_quandle():
         search_min_cycles(SearchConfig(make_dihedral(5), mochizuki(7)))
 
 
+def _phase_probes(q, max_length):
+    """The probes of the single window's two phases, run apart: every join
+    of two parts or more on the search's indexes, then the component scan
+    of one family of every size."""
+    table = TermTable(q, 0)
+    index = _family_indexes(table, q, max_length)
+    budget = ProbeBudget(10**9, "test")
+    for partition in _join_partitions(max_length):
+        _join_partition(partition, index, budget, lambda terms: None)
+    joined = budget.probes
+    _orbit_components(table, max_length, automorphisms(q), budget)
+    return joined, budget.probes - joined
+
+
+@pytest.mark.parametrize(
+    "quandle, max_length", [("o6", 4), ("o6", 7), ("r7", 5), ("r7", 7)], ids=["o6-4", "o6-7", "r7-5", "r7-7"]
+)
+def test_single_window_probes_are_its_joins_and_its_scan(quandle, max_length):
+    # Every probe of a run is a join state or a scan state: no phase
+    # charges a count for work it does not do.
+    q = O6 if quandle == "o6" else R7
+    joined, scanned = _phase_probes(q, max_length)
+    assert joined and scanned
+    assert cached_search(quandle, max_length).probes == joined + scanned
+
+
 @pytest.mark.parametrize("q, theta", [(O6, ETA), (R7, ZETA)], ids=["o6", "r7"])
 def test_single_window_budget_is_exact(q, theta):
-    # Every probe of the join counts against the budget: a run of P probes
-    # completes under budget P and is refused under P - 1, at its P-th probe.
-    refusal = "single-degree join exceeded the probe budget (after %d probes)"
-    runs = {}
+    # Every probe of the join and of the component scan counts against the
+    # budget, one at a time: a run of P probes completes under budget P,
+    # and every budget b < P is refused at probe b + 1, in the phase that
+    # probe belongs to.  The scan runs last, so P - 1 is refused there.
+    refusal = "%s exceeded the probe budget (after %d probes)"
     for max_length in range(2, 6):
-        runs[max_length] = search_min_cycles(SearchConfig(q, theta, max_length=max_length))
-        p = runs[max_length].probes
+        p = search_min_cycles(SearchConfig(q, theta, max_length=max_length)).probes
         rep = search_min_cycles(SearchConfig(q, theta, max_length=max_length, budget=p))
         assert rep.refused is None and rep.probes == p
         rep = search_min_cycles(SearchConfig(q, theta, max_length=max_length, budget=p - 1))
-        assert rep.refused == refusal % p
-    # At length 4 the join [2, 2] runs between the single-part partitions
-    # [3] and [4], which count their families at once; there each probe is
-    # counted alone, so a budget b is refused at probe b + 1.
-    start, end = runs[3].probes, runs[4].probes - runs[4].component_counts[4]
-    for b in range(start, end, (end - start) // 6):
-        rep = search_min_cycles(SearchConfig(q, theta, max_length=4, budget=b))
-        assert rep.refused == refusal % (b + 1)
+        assert rep.refused == refusal % ("component search", p)
+    joined, scanned = _phase_probes(q, 5)
+    assert joined + scanned == p
+    for b in sorted({1, joined - 1, joined, joined + 1, *range(1, p, p // 7)}):
+        rep = search_min_cycles(SearchConfig(q, theta, max_length=5, budget=b))
+        phase = "single-degree join" if b < joined else "component search"
+        assert rep.refused == refusal % (phase, b + 1), b
 
 
 def test_cycle_recheck_rejects_a_non_cycle():
@@ -600,7 +646,8 @@ def test_searches_leave_no_cyclic_garbage():
     configs = [
         SearchConfig(O6, ETA, max_length=7),
         SearchConfig(O6, ETA, max_length=6, window="double", profile="B"),
-        SearchConfig(O6, ETA, max_length=7, budget=50_000),
+        SearchConfig(O6, ETA, max_length=7, budget=5_000),  # refused in the join
+        SearchConfig(O6, ETA, max_length=7, budget=10_000),  # refused in the component scan
     ]
     cached_search("o6", 7), cached_search("o6", 6, "double", "B")  # fill the per-process caches
     gc.collect()
