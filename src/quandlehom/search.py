@@ -20,8 +20,8 @@ that also derives the family census:
   merges and compares small ints in the terms' own order and maps them back
   to terms only when a cycle closes.  A size that is only looked up is
   built for exactly the g-codes its lookups ask for (the negated codes of
-  the listed families it can follow), and the family counts a certificate
-  prints come from the census at four colors, not from instantiating every
+  the listed families it can follow).  The family counts a certificate
+  prints come from the census at four colors, not from listing every
   family.  At the last prefix level the lookup comes first: a prefix whose
   lookup is empty is neither merged nor counted as a probe.  The join lists
   each cycle with one global sign: the one whose least family of the
@@ -361,7 +361,7 @@ class _FamilyIndex:
     when empty, and raises on a lookup of any other, or on families().
     Equal g-codes have equal projected codes (``pcode``: the g-faces with
     their index dropped, the same at every index), so only the color
-    families of the asked projected codes are instantiated.
+    families of the asked projected codes are listed.
     """
 
     def __init__(self, table, q, size, gcode, pcode, prefixes=None):

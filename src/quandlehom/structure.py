@@ -9,7 +9,10 @@ f never consults the quandle operation, the f-connected families of a given
 size admit a quandle-independent symbolic census; it is re-derived here over
 four symbols, once per orbit under global sign and symbol renaming, and
 deduplicated up to those and the two concrete shapes of a bigon term
-(a, b, a) ~ (b, a, b).
+(a, b, a) ~ (b, a, b).  Over a quandle, every family is the order-keeping
+renaming of a family on colors 0..m-1, or of its negative, onto its own m
+colors, so one listing of those families gives the concrete families and
+their counts.
 
 The census and the cycle searches share two tools defined here: TermTable,
 every 3-term of one degree with its f- and g-images and per-face cancel
@@ -369,15 +372,6 @@ def identifications(pattern):
 
 
 @dataclass(frozen=True)
-class TemplateVariant:
-    """One instantiable concrete shape of a family template: a symbol
-    identification plus a choice of concrete bigon forms."""
-
-    merge: tuple  # partition of the template symbols, sorted blocks
-    entries: tuple  # ((sign, (x, y, z)), ...) over block representatives
-
-
-@dataclass(frozen=True)
 class FamilyTemplate:
     """A symbolic pattern whose admissible instantiations are minimal
     families with vanishing f-image."""
@@ -386,7 +380,7 @@ class FamilyTemplate:
     family_id: str
     symbols: int
     pattern: tuple  # canonical bigon-collapsed entries
-    variants: tuple  # all valid TemplateVariants
+    variants: tuple  # valid concrete families of the pattern and its identifications
 
     def render(self):
         names = "abcde"
@@ -436,29 +430,37 @@ PATTERN_CATALOG = {
 
 
 @lru_cache(maxsize=None)
-def enumerate_f_connected(k):
-    """Census of size-k families with vanishing, subset-minimal f-image.
-
-    Found by _null_families on four symbols, one family per orbit under
-    global sign and symbol renaming, canonicalized up to those and bigon
-    shape; classes reachable from a larger class by a shape-preserving symbol
-    identification are folded into it as a variant rather than counted
-    separately.  Returns FamilyTemplates labelled against the catalogue
-    above.  k = 1 yields nothing; sizes above MAX_FAMILY_SIZE are refused
-    (the census cost grows steeply).
-    """
+def _minimal_representatives(k):
+    """One minimal f-null family of size k per orbit under symbol renaming
+    and global sign, from _null_families on four symbols.  k = 1 yields
+    nothing; sizes above MAX_FAMILY_SIZE are refused (the census cost grows
+    steeply)."""
     if k < 1:
         raise StructureError("family size must be positive")
     if k > MAX_FAMILY_SIZE:
         raise StructureError(
             "size %d is above the supported census limit %d" % (k, MAX_FAMILY_SIZE)
         )
-    seen, classes = set(), set()
-    for fam in _null_families(k):  # minimality and canonical form are orbit invariants
+    seen, reps = set(), []
+    for fam in _null_families(k):  # minimality is an orbit invariant
         if fam not in seen:
             seen.update(_relabellings(fam))
             if _is_minimal_null(fam):
-                classes.add(canonical_family(fam))
+                reps.append(fam)
+    return tuple(reps)
+
+
+@lru_cache(maxsize=None)
+def enumerate_f_connected(k):
+    """Census of size-k families with vanishing, subset-minimal f-image.
+
+    The minimal representatives, canonicalized up to global sign, symbol
+    renaming and bigon shape; classes reachable from a larger class by a
+    shape-preserving symbol identification are folded into it as a variant
+    rather than counted separately.  Returns FamilyTemplates labelled
+    against the catalogue above.
+    """
+    classes = {canonical_family(fam) for fam in _minimal_representatives(k)}
     if not classes:
         return ()
 
@@ -467,16 +469,14 @@ def enumerate_f_connected(k):
     expansions, degenerations = {}, {}
     for pattern in classes:
         found = identifications(pattern)
-        identity, families = next(found)
+        _, families = next(found)
         if not families:
             raise StructureError("census class %r has no valid expansion" % (pattern,))
-        expansions[pattern] = [TemplateVariant(identity, f) for f in families]
+        expansions[pattern] = families
         degenerations[pattern] = {}
-        for blocks, families in found:
+        for _, families in found:
             if families:
-                degenerations[pattern].setdefault(canonical_family(families[0]), []).extend(
-                    TemplateVariant(blocks, f) for f in families
-                )
+                degenerations[pattern].setdefault(canonical_family(families[0]), []).extend(families)
 
     folded = set()
     for pattern in classes:
@@ -495,7 +495,7 @@ def enumerate_f_connected(k):
     reachable = set()
     for pattern, variants in templates:
         for v in variants:
-            reachable.add(canonical_family(v.entries))
+            reachable.add(canonical_family(v))
     missing = set(classes) - reachable
     if missing:
         raise StructureError("census classes not covered by templates: %r" % (missing,))
@@ -529,78 +529,63 @@ def enumerate_f_connected(k):
 
 
 # ---------------------------------------------------------------------------
-# concrete instantiation over a quandle
+# concrete families over a quandle
 
 
-def instantiate_template(template, n, codes=None):
-    """Yield concrete minimal f-null color families over n colors as sorted
-    tuples of (sign, color word): per admissible assignment and bigon shape,
-    the family and its negative.  Families share one pair per sign and word.
+@lru_cache(maxsize=None)
+def _placed_families(k):
+    """Every minimal f-null family of size k whose colors are exactly 0..m-1
+    for some m and whose term of least color word is positive, sorted, as
+    (m, family) pairs.  A renaming that keeps the order of the colors keeps
+    a family's words in order, so every concrete family is the image of
+    exactly one of these, or of its negative, on its own color set.  The
+    families share one pair per sign and word."""
+    placed, pairs = set(), {}
+    for rep in _minimal_representatives(k):
+        for fam in _relabellings(rep):
+            colors = {x for _, w in fam for x in w}
+            if colors == set(range(len(colors))) and min(fam, key=itemgetter(1))[0] > 0:
+                placed.add((len(colors), tuple(pairs.setdefault(t, t) for t in fam)))
+    return tuple(sorted(placed))
 
-    Each variant reads its color words straight from the assignment, one
-    operator.itemgetter per term.  codes = (word_code, wanted) keeps only
-    the families whose code, the sum of sign * word_code[w] over their
-    terms, lies in `wanted`: the code is summed from the words before any
-    family is built, and a family is built only when it or its negative
-    (the code negated) is kept.
 
-    Instances may repeat when the pattern has internal symmetry; callers that
-    need each family once should deduplicate on the yielded tuple.
+def concrete_families(q, k, codes=None):
+    """Every minimal f-null color family of size k over q (k <=
+    MAX_FAMILY_SIZE), each once, as a sorted tuple of (sign, color word):
+    each placed family renamed in order onto every m-set of q's colors, and
+    its negative.  Families share one pair per sign and word.  f never
+    consults the index, so each is such a family at degree 0 and any one
+    index its words are given.
+
+    codes = (word_code, wanted) keeps only the families whose code, the sum
+    of sign * word_code[w] over their terms, lies in `wanted`: the code is
+    summed from the words before any family is built, and a family is built
+    only when it or its negative (the code negated) is kept.
     """
-    # one shared (sign, word) pair per sign and word, and the signed codes
-    pair = {s: {w: (s, w) for w in color_words(n, 3)} for s in (1, -1)}
+    pair = {s: {w: (s, w) for w in color_words(q.size, 3)} for s in (1, -1)}
     word_code, wanted = codes or (None, None)
     if word_code is not None:
         signed_code = {1: word_code, -1: {w: -c for w, c in word_code.items()}}
-    for variant in template.variants:
-        reps = sorted({min(b) for b in variant.merge})
-        slot = {x: i for i, x in enumerate(reps)}
-        words_of = [itemgetter(*[slot[x] for x in colors]) for _, colors in variant.entries]
-        plus = [pair[s] for s, _ in variant.entries]
-        minus = [pair[-s] for s, _ in variant.entries]
-        coded = None if word_code is None else [signed_code[s] for s, _ in variant.entries]
-        for images in itertools.permutations(range(n), len(reps)):
-            words = [get(images) for get in words_of]
+    out = []
+    for m, fam in _placed_families(k):
+        words_of = [itemgetter(*w) for _, w in fam]
+        plus = [pair[s] for s, _ in fam]
+        minus = [pair[-s] for s, _ in fam]
+        coded = None if word_code is None else [signed_code[s] for s, _ in fam]
+        for colors in itertools.combinations(range(q.size), m):
+            words = [get(colors) for get in words_of]
             keep = flip = True
             if coded is not None:
                 code = sum(map(getitem, coded, words))
                 keep, flip = code in wanted, -code in wanted
             if keep:
-                yield tuple(sorted(map(getitem, plus, words)))
+                out.append(tuple(map(getitem, plus, words)))
             if flip:
-                yield tuple(sorted(map(getitem, minus, words)))
-
-
-def concrete_families(q, k, codes=None):
-    """The set of distinct minimal f-null color families of size k over q,
-    instantiated from the symbolic census (k <= MAX_FAMILY_SIZE), each a
-    sorted tuple of (sign, color word); codes filters them as in
-    instantiate_template.  f never consults the index, so each is such a
-    family at degree 0 and any one index its words are given."""
-    return {
-        fam for template in enumerate_f_connected(k) for fam in instantiate_template(template, q.size, codes)
-    }
+                out.append(tuple(sorted(map(getitem, minus, words))))
+    return out
 
 
 def family_count(n, k):
-    """len(concrete_families(q, k)) for every quandle q of n elements, from
-    the census at _SYMBOLS colors alone.  f never consults the operation,
-    and the families whose color set is a given m-set are the images of
-    those with color set {0..m-1} under the order-keeping renaming, so the
-    count is sum over m of E(m) * C(n, m)."""
-    exact = _exact_color_counts(enumerate_f_connected(k))
-    return sum(e * math.comb(n, m) for m, e in enumerate(exact))
-
-
-@lru_cache(maxsize=None)
-def _exact_color_counts(templates):
-    """E(m) for m = 0.._SYMBOLS: how many families instantiated from
-    `templates` have color set exactly {0..m-1}.  No census family uses more
-    than _SYMBOLS colors, so one instantiation at _SYMBOLS colors holds them
-    all."""
-    exact = [0] * (_SYMBOLS + 1)
-    for fam in {fam for template in templates for fam in instantiate_template(template, _SYMBOLS)}:
-        colors = {x for _, w in fam for x in w}
-        if colors == set(range(len(colors))):
-            exact[len(colors)] += 1
-    return tuple(exact)
+    """len(concrete_families(q, k)) for every quandle q of n elements: each
+    placed family on m colors gives two families per m-set."""
+    return sum(2 * math.comb(n, m) for m, _ in _placed_families(k))

@@ -17,7 +17,6 @@ from quandlehom.structure import (
     concrete_families,
     enumerate_f_connected,
     family_count,
-    instantiate_template,
     reflection,
     relabel_chain,
     reverse,
@@ -260,27 +259,27 @@ def test_family_count_is_the_number_of_concrete_families(n):
 
 @pytest.mark.parametrize("q", [O6, R7, make_dihedral(5)], ids=["o6", "r7", "r5"])
 def test_code_first_instantiation_keeps_the_wanted_codes(q):
-    # Filtered by codes, instantiate_template yields exactly the families of
-    # the unfiltered one whose code is wanted, in the same order.
+    # Filtered by codes, concrete_families lists exactly the families of the
+    # unfiltered listing whose code is wanted, in the same order.
     _, word_code = _g_codes(TermTable(q, 0))
     rng = random.Random(q.size)
     for k in range(2, 6):
-        for template in enumerate_f_connected(k):
-            every = list(instantiate_template(template, q.size))
-            code = {fam: sum(sign * word_code[w] for sign, w in fam) for fam in every}
-            codes = sorted(set(code.values()))
-            wanted = {0} | set(rng.sample(codes, len(codes) // 3))
-            kept = list(instantiate_template(template, q.size, (word_code, wanted)))
-            assert kept == [fam for fam in every if code[fam] in wanted], template.family_id
+        every = concrete_families(q, k)
+        code = {fam: sum(sign * word_code[w] for sign, w in fam) for fam in every}
+        codes = sorted(set(code.values()))
+        wanted = {0} | set(rng.sample(codes, len(codes) // 3))
+        kept = concrete_families(q, k, (word_code, wanted))
+        assert kept == [fam for fam in every if code[fam] in wanted], k
 
 
 def test_census_bytes_are_pinned():
-    # Templates, variants and their order: concrete_families instantiates
-    # exactly these, so any change to them changes every search.
+    # Templates, variants and their order: the catalogue the index-pattern
+    # tables refer to and the census `enumerate families` prints.  The
+    # searches take their families from the placed listing, not from these.
     census = repr([enumerate_f_connected(k) for k in range(1, 6)]).encode()
     assert (
         hashlib.sha256(census).hexdigest()
-        == "7f63189535b9eb70d9c5d98e393c6ebc793c34781f81839adda11080ac06661f"
+        == "0fbd2e17cf0e4ecd08182b9e73a80e1dc1868fefa56ca8ae417bc0e55966c3f0"
     )
 
 
@@ -302,9 +301,15 @@ def test_census_matches_five_symbol_search_from_every_anchor():
         assert all(len({x for _, w in fam for x in w}) <= 4 for fam in minimal)
         classes = {canonical_family(fam) for fam in minimal}
         assert len(classes) == [1, 2, 6, 11][k - 2]
-        assert classes == {
-            canonical_family(v.entries) for t in enumerate_f_connected(k) for v in t.variants
-        }
+        assert classes == {canonical_family(v) for t in enumerate_f_connected(k) for v in t.variants}
+        # Over five colors, every family of the listing once, as a sorted
+        # tuple (the join's stamping keeps the order): each minimal family
+        # found from its least term, and its negative.
+        listed = concrete_families(make_dihedral(5), k)
+        negatives = {tuple(sorted((-s, w) for s, w in fam)) for fam in minimal}
+        assert set(listed) == set(minimal) | negatives
+        assert len(listed) == len(set(listed)) == [20, 240, 1020, 5040][k - 2]
+        assert all(fam == tuple(sorted(fam)) for fam in listed)
 
 
 def test_census_rejects_large_k():
