@@ -19,7 +19,7 @@ A stored coefficient is never zero: `Chain.__bool__`, `__eq__` and `length`
 rely on it.  Every sum of coefficients into a term dict, here and in the
 modules above, goes through the one writer `_accumulate`, but for two that
 write their own: `_face_pass` sums each face where it makes it, and the
-single-degree join's `search._merge_terms` stops at the first cancellation.
+single-degree join's `search._merged` stops at the first cancellation.
 """
 
 from __future__ import annotations

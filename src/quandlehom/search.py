@@ -251,25 +251,16 @@ def _partitions_into_parts(total, largest):
     return out
 
 
-def _merge_terms(counter, parts, undo):
-    """Accumulate (sign, term id) pairs; return False on any cancellation."""
+def _merged(counter, parts):
+    """counter plus the (sign, term id) pairs, as a new dict; None at the
+    first term that cancels."""
+    out = dict(counter)
     for sign, term in parts:
-        new = counter.get(term, 0) + sign
-        undo.append((term, counter.get(term, 0)))
-        if new == 0:
-            del counter[term]
-            return False
-        counter[term] = new
-    return True
-
-
-def _unmerge(counter, undo):
-    while undo:
-        term, old = undo.pop()
-        if old == 0:
-            counter.pop(term, None)
-        else:
-            counter[term] = old
+        new = out.get(term, 0) + sign
+        if not new:
+            return None
+        out[term] = new
+    return out
 
 
 class _Cycles:
@@ -441,7 +432,6 @@ def _join_partition(partition, index, budget, on_cycle):
     prefix_sizes = parts[:-1]
     largest = index[hash_size]
     terms = largest.terms
-    counter = {}
     small = prefix_sizes[0]
     negated, positive = index[small].signed()
     listings = [positive] + [index[size].families() for size in prefix_sizes[1:]]
@@ -451,18 +441,17 @@ def _join_partition(partition, index, budget, on_cycle):
 
     # hits: the looked-up families that can close the full prefix.  first:
     # the family chosen at level 0 (F1); last_fam: the latest one.
-    def close(first, last_fam, hits):
+    def close(counter, first, last_fam, hits):
         budget.spend()
         for fam in hits:
             if same_size and fam < last_fam or one_size and negated[fam] < first:
                 continue
             budget.spend()
-            undo = []
-            if _merge_terms(counter, fam, undo):
-                on_cycle({terms[i]: c for i, c in counter.items()})
-            _unmerge(counter, undo)
+            cycle = _merged(counter, fam)
+            if cycle is not None:
+                on_cycle({terms[i]: c for i, c in cycle.items()})
 
-    def rec(level, first, last_fam, neg_g):
+    def rec(counter, level, first, last_fam, neg_g):
         budget.spend()
         lower = last_fam if (level and prefix_sizes[level - 1] == prefix_sizes[level]) else None
         signed = level and prefix_sizes[level] == small
@@ -474,16 +463,16 @@ def _join_partition(partition, index, budget, on_cycle):
                 hits = get(neg_g - gkey)
                 if not hits:
                     continue
-            undo = []
-            if _merge_terms(counter, fam, undo):
-                if final:
-                    close(first or fam, fam, hits)
-                else:
-                    rec(level + 1, first or fam, fam, neg_g - gkey)
-            _unmerge(counter, undo)
+            merged = _merged(counter, fam)
+            if merged is None:
+                continue
+            if final:
+                close(merged, first or fam, fam, hits)
+            else:
+                rec(merged, level + 1, first or fam, fam, neg_g - gkey)
 
     try:
-        rec(0, (), (), 0)
+        rec({}, 0, (), (), 0)
     finally:
         rec = None  # rec refers to itself: free the search's working set now, not at a gc run
 

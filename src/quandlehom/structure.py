@@ -7,12 +7,13 @@ A set of same-degree 3-terms is f-connected when its f-image vanishes and no
 proper nonempty subset has vanishing f-image (g-connected likewise).  Since
 f never consults the quandle operation, the f-connected families of a given
 size admit a quandle-independent symbolic census; it is re-derived here over
-four symbols, once per orbit under global sign and symbol renaming, and
-deduplicated up to those and the two concrete shapes of a bigon term
-(a, b, a) ~ (b, a, b).  Over a quandle, every family is the order-keeping
-renaming of a family on colors 0..m-1, or of its negative, onto its own m
-colors, so one listing of those families gives the concrete families and
-their counts.
+four symbols, once per orbit under global sign and symbol renaming.  Up to
+those and the two concrete shapes of a bigon term (a, b, a) ~ (b, a, b), its
+classes are the catalogued templates and the shape-preserving symbol
+identifications of them, which the census checks.  Over a quandle, every
+family is the order-keeping renaming of a family on colors 0..m-1, or of its
+negative, onto its own m colors, so one listing of those families gives the
+concrete families and their counts.
 
 The census and the cycle searches share two tools defined here: TermTable,
 every 3-term of one degree with its f- and g-images and per-face cancel
@@ -394,9 +395,9 @@ class FamilyTemplate:
         return " ".join(bits)
 
 
-# Identification of the census output with its published labelling: the
-# canonical pattern of each family, keyed by size and roman numeral.  Symbols
-# a, b, c, d are 0, 1, 2, 3.  Golden index-pattern tables refer to these ids.
+# The census templates in their published labelling: a pattern of each
+# family, keyed by size and roman numeral.  Symbols a, b, c, d are 0, 1, 2,
+# 3.  Golden index-pattern tables refer to these ids.
 _T = lambda s, colors: (s, "T", colors)
 _B = lambda s, colors: (s, "B", colors)
 PATTERN_CATALOG = {
@@ -454,78 +455,32 @@ def _minimal_representatives(k):
 def enumerate_f_connected(k):
     """Census of size-k families with vanishing, subset-minimal f-image.
 
-    The minimal representatives, canonicalized up to global sign, symbol
-    renaming and bigon shape; classes reachable from a larger class by a
-    shape-preserving symbol identification are folded into it as a variant
-    rather than counted separately.  Returns FamilyTemplates labelled
-    against the catalogue above.
+    One FamilyTemplate per catalogue entry, in catalogue order: its
+    canonical pattern, and as variants the valid families of the pattern,
+    then those of each other shape-preserving identification, grouped by
+    the class they reach.  The catalogue is checked against the census
+    classes of _minimal_representatives: the templates and their variants
+    reach exactly those classes, no two templates share a pattern, and none
+    is an identification of another.
     """
     classes = {canonical_family(fam) for fam in _minimal_representatives(k)}
-    if not classes:
-        return ()
-
-    # Valid concrete expansions per class, and its shape-preserving
-    # degenerations: pattern -> {smaller pattern: variants}.
-    expansions, degenerations = {}, {}
-    for pattern in classes:
-        found = identifications(pattern)
-        _, families = next(found)
-        if not families:
-            raise StructureError("census class %r has no valid expansion" % (pattern,))
-        expansions[pattern] = families
-        degenerations[pattern] = {}
-        for _, families in found:
+    templates, identified = [], set()
+    for rid, entry in PATTERN_CATALOG.get(k, {}).items():
+        pattern = canonical_family(next(_expand_pattern(entry)))
+        (_, variants), *others = identifications(pattern)  # the identity first
+        degenerations = {}
+        for _, families in others:
             if families:
-                degenerations[pattern].setdefault(canonical_family(families[0]), []).extend(families)
-
-    folded = set()
-    for pattern in classes:
-        folded.update(degenerations[pattern])
-
-    templates = []
-    for pattern in sorted(classes):
-        if pattern in folded:
-            continue
-        variants = list(expansions[pattern])
-        for target_variants in degenerations[pattern].values():
-            variants.extend(target_variants)
-        templates.append((pattern, tuple(variants)))
-
-    # Every census class must be reachable from some kept template.
-    reachable = set()
-    for pattern, variants in templates:
-        for v in variants:
-            reachable.add(canonical_family(v))
-    missing = set(classes) - reachable
-    if missing:
-        raise StructureError("census classes not covered by templates: %r" % (missing,))
-
-    catalog = {
-        canonical_family(next(_expand_pattern(p))): rid
-        for rid, p in PATTERN_CATALOG.get(k, {}).items()
-    }
-    out = []
-    for pattern, variants in templates:
-        rid = catalog.get(pattern)
-        if rid is None:
-            raise StructureError("census found an uncatalogued size-%d family: %r" % (k, pattern))
-        out.append(
-            FamilyTemplate(
-                size=k,
-                family_id="%d-%s" % (k, rid),
-                symbols=len(_family_symbols(pattern)),
-                pattern=pattern,
-                variants=variants,
-            )
-        )
-    if len(out) != len(PATTERN_CATALOG.get(k, {})):
-        raise StructureError(
-            "census size mismatch at k=%d: %d found, %d catalogued"
-            % (k, len(out), len(PATTERN_CATALOG.get(k, {})))
-        )
-    order = {rid: i for i, rid in enumerate(PATTERN_CATALOG.get(k, {}))}
-    out.sort(key=lambda t: order[t.family_id.split("-", 1)[1]])
-    return tuple(out)
+                degenerations.setdefault(canonical_family(families[0]), []).extend(families)
+        identified.update(degenerations)
+        variants = tuple(itertools.chain(variants, *degenerations.values()))
+        symbols = len(_family_symbols(pattern))
+        templates.append(FamilyTemplate(k, "%d-%s" % (k, rid), symbols, pattern, variants))
+    patterns = {t.pattern for t in templates}
+    reached = patterns | {canonical_family(v) for t in templates for v in t.variants}
+    if reached != classes or patterns & identified or len(patterns) < len(templates):
+        raise StructureError("the size-%d catalogue does not match the census" % k)
+    return tuple(templates)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -77,6 +78,19 @@ def test_enumerate_families(capsys):
     assert code == 0 and out.strip() == "none"
     code, _, err = run(capsys, "enumerate", "families", "--size", "6")
     assert code == 2 and "census" in err
+
+
+def test_enumerate_families_output_is_pinned(capsys):
+    # Exit code, stdout and stderr of every size 0..6, in text and json.
+    runs = [
+        (fmt, k) + run(capsys, "enumerate", "families", "--size", str(k), "--format", fmt)
+        for fmt in ("text", "json")
+        for k in range(7)
+    ]
+    assert (
+        hashlib.sha256(repr(runs).encode()).hexdigest()
+        == "1bd54f95fa84cd58f1fdc08e939c0cb0bc07f7915a559f9dfd9878ea5ac114f6"
+    )
 
 
 def test_enumerate_index_tables_match_goldens(capsys):

@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, imports only at
-module level, and every public function it defines is reached from the
-package or the benchmark."""
+module level, and every function and class it defines at module level,
+public or private, is reached from the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -67,14 +67,15 @@ def _references(node):
     return names, attrs
 
 
-def unreferenced_functions(package, readers):
-    """(module, function) for each public module-level function of the
-    package's modules that nothing loads, as a Name or as ``<module>.name``,
-    in the package outside the function's own body or in ``readers``."""
+def unreferenced_definitions(package, readers):
+    """(module, name) for each module-level function or class of the
+    package's modules, public or private, that nothing loads, as a Name or
+    as ``<module>.name``, in the package outside its own body or in
+    ``readers``."""
     defined, uses = [], []
     for path in sorted(package.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((path.stem, stmt.name))
                 uses.append(((path.stem, stmt.name), _references(stmt)))
             else:
@@ -92,7 +93,7 @@ def unreferenced_functions(package, readers):
 
 
 def test_package_functions_are_reached_outside_the_tests():
-    unreached = unreferenced_functions(PACKAGE, PERFBENCH.glob("*.py"))
+    unreached = unreferenced_definitions(PACKAGE, PERFBENCH.glob("*.py"))
     assert [(m, n) for m, n in unreached if n not in TEST_ONLY] == []
 
 

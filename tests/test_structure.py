@@ -12,11 +12,13 @@ from quandlehom.structure import (
     PATTERN_CATALOG,
     StructureError,
     TermTable,
+    _minimal_representatives,
     cancel_search,
     canonical_family,
     concrete_families,
     enumerate_f_connected,
     family_count,
+    identifications,
     reflection,
     relabel_chain,
     reverse,
@@ -318,18 +320,39 @@ def test_census_rejects_large_k():
 
 
 def test_census_matches_catalog_pattern_for_pattern():
+    # Oracle: the census classes less every class that a shape-preserving
+    # identification of some class, other than the identity, reaches.
     for k in range(2, 6):
-        got = {t.pattern for t in enumerate_f_connected(k)}
-        want = {
-            canonical_family(
-                [
-                    (s, colors if kind == "T" else (colors[0], colors[1], colors[0]))
-                    for s, kind, colors in pat
-                ]
-            )
-            for pat in PATTERN_CATALOG[k].values()
-        }
-        assert got == want
+        classes = {canonical_family(fam) for fam in _minimal_representatives(k)}
+        reached = set()
+        for pattern in classes:
+            found = identifications(pattern)
+            next(found)
+            reached.update(canonical_family(fam) for _, fams in found for fam in fams)
+        assert sorted(t.pattern for t in enumerate_f_connected(k)) == sorted(classes - reached)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda entries: entries.pop("v"),
+        # a size-4 class that identifying two symbols of a template reaches
+        lambda entries: entries.setdefault(
+            "vi", ((-1, "T", (0, 1, 2)), (-1, "T", (0, 2, 1)), (1, "T", (1, 2, 0)), (1, "T", (2, 1, 0)))
+        ),
+    ],
+    ids=["drop-v", "add-folded"],
+)
+def test_census_refuses_a_mismatched_catalog(monkeypatch, change):
+    entries = dict(PATTERN_CATALOG[4])
+    change(entries)
+    monkeypatch.setitem(PATTERN_CATALOG, 4, entries)
+    enumerate_f_connected.cache_clear()
+    try:
+        with pytest.raises(StructureError):
+            enumerate_f_connected(4)
+    finally:
+        enumerate_f_connected.cache_clear()
 
 
 def test_quoted_size_four_template_is_present():
