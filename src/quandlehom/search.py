@@ -15,15 +15,23 @@ that also derives the family census:
   balanced base-2**6 digit per g-face: the smaller parts are listed and the
   largest part is looked up by the g-code that cancels them.  One store per
   size maps each g-code to its families, built whole when the size's index
-  is: every census color family, stamped at every index.  A stamped family
-  names its terms by their positions in the sorted term table, so the join
-  merges and compares small ints in the terms' own order and maps them back
-  to terms only when a cycle closes.  A size that is only looked up is
-  built for exactly the g-codes its lookups ask for (the negated codes of
-  the listed families it can follow).  The family counts a certificate
+  is: every census color family, stamped at every index.  Stamps and
+  g-codes come a column at a time: one column per (sign, color word) holds
+  that pair's stamp and g-code at every index, and a family's columns, read
+  across and summed, give its stamps and g-codes at every index at once.  A
+  stamped family names its terms by their positions in the sorted term
+  table, so the join merges and compares small ints in the terms' own order
+  and maps them back to terms only when a cycle closes.  A size that is
+  only looked up is built for exactly the g-codes its lookups ask for (the
+  negated codes of the listed families it can follow): concrete_families
+  keeps the color families whose projected code is asked for, summed
+  column-wise over the m-sets of colors, and each is stamped only at the
+  indices whose g-code is asked for.  The family counts a certificate
   prints come from the census at four colors, not from listing every
   family.  At the last prefix level the lookup comes first: a prefix whose
-  lookup is empty is neither merged nor counted as a probe.  The join lists
+  lookup is empty is neither merged nor counted as a probe, and a level of
+  the same size as the one before starts, by bisection, at that level's
+  family.  The join lists
   each cycle with one global sign: the one whose least family of the
   smallest part size is below the negative of every family of that size.
   The sorted order meets that sign first, so the chains a report prints are
@@ -46,7 +54,9 @@ Every candidate is re-verified through the boundary map, as the sum of its
 terms' boundary images, and paired with the cocycle, as the sum of its
 terms' values; each image and value is taken once per search, by
 chains.boundary and cocycles.evaluate on the one-term chain, independent of
-the tables and codes the search used.  A report lists the cycles with
+the tables and codes the search used.  An image is kept as one integer
+code, a balanced base-2**6 digit per face, so the re-check is an integer
+sum, exact for cycles of up to MAX_SEARCH_LENGTH terms.  A report lists the cycles with
 nonzero pairing and keeps the keys of the zero-pairing ones.  Searches are
 deterministic and run in one process; reports record exactly what was
 covered and, as gaps, what was not.  A probe budget on the summed probes
@@ -56,9 +66,12 @@ silently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import filterfalse, islice
+from operator import mul
 
-from .chains import Chain, _accumulate, boundary, chain_to_text, length
+from .chains import Chain, boundary, chain_to_text, length
 from .cocycles import ThreeCocycle, evaluate
 from .quandles import FiniteQuandle, automorphisms
 from .structure import (
@@ -271,13 +284,17 @@ class _Cycles:
 
     Both come from per-term memos, each taken once per search from the
     one-term chain, not from a TermTable or the join's codes: the term's
-    boundary image by chains.boundary, kept in ``images`` as {face number:
-    coefficient} with the faces numbered as met (``faces``; face tuples held
-    per term would outlive the search several times over), and its pairing
-    by cocycles.evaluate, kept in ``values``.  The re-check sums the images,
-    the pairing sums the values (both are linear).  add_terms takes the
-    cycle as {term: coefficient}, the join's form, and builds a checked
-    Chain only for a new cycle with nonzero pairing; add takes a Chain.
+    boundary image by chains.boundary, kept in ``images`` as its integer
+    _code with the faces numbered as met (``faces``; face tuples held per
+    term would outlive the search several times over), and its pairing by
+    cocycles.evaluate, kept in ``values``.  The re-check sums the codes,
+    the pairing sums the values (both are linear).  The summed code is 0
+    exactly when the summed image is: a term's image has each face at
+    most once, with coefficient +-1, so a cycle of at most
+    MAX_SEARCH_LENGTH terms, counted with multiplicity, sums every face
+    below 2**(_DIGIT_BITS-1) in size.  add_terms takes the cycle as {term:
+    coefficient}, the join's form, and builds a checked Chain only for a
+    new cycle with nonzero pairing; add takes a Chain.
     """
 
     def __init__(self, q, theta):
@@ -285,16 +302,10 @@ class _Cycles:
         self.zero, self.found = set(), {}
         self.images, self.faces, self.values = {}, {}, {}
 
-    def _image(self, t):
-        image = self.images.get(t)
-        if image is None:
-            one, faces = Chain(3, True, {t: 1}), self.faces
-            image = self.images[t] = {
-                faces.setdefault(face, len(faces)): c
-                for face, c in boundary(one, self.q).terms.items()
-            }
-            self.values[t] = evaluate(self.theta, one)
-        return image
+    def _take(self, t):
+        one = Chain(3, True, {t: 1})
+        self.images[t] = _code(boundary(one, self.q).terms.items(), self.faces)
+        self.values[t] = evaluate(self.theta, one)
 
     def add(self, chain, shape):
         self.add_terms(chain.terms, shape, chain)
@@ -303,13 +314,11 @@ class _Cycles:
         key = _sign_normal_key(terms)
         if key in self.zero or key in self.found:
             return
-        total, value, values = {}, 0, self.values
-        for t, c in terms.items():
-            _accumulate(total, self._image(t).items(), c)
-            value += c * values[t]
-        if total:
+        for t in filterfalse(self.images.__contains__, terms):
+            self._take(t)
+        if sum(map(mul, terms.values(), map(self.images.__getitem__, terms))):
             raise AssertionError("search produced a non-cycle")
-        value %= self.theta.modulus
+        value = sum(map(mul, terms.values(), map(self.values.__getitem__, terms))) % self.theta.modulus
         if value:
             if chain is None:
                 chain = Chain(3, True, terms)
@@ -323,15 +332,22 @@ class _Cycles:
 
 
 def _g_codes(table):
-    """gcode[i], the code of g(t) for the term t = table.terms[i] of a
-    degree-0 table, and pcode[w], the same with each face's index dropped,
-    per color word w."""
-    gdigits, pdigits = {}, {}
+    """columns and pcode for a degree-0 table.  columns = (stamps, gcodes):
+    per pair (sign, color word w), the column of its stamp (sign, id) at
+    every index u, id the position of the term (0, u, w) in table.terms,
+    and the column of its g-code there, sign times the code of g(0, u, w).
+    pcode[w] is the code of g(0, u, w) with each face's index dropped, the
+    same at every index u."""
+    gdigits, pdigits, ids = {}, {}, {}
+    for i, (_, _, w) in enumerate(table.terms):  # sorted: by index, then word
+        ids.setdefault(w, []).append(i)
     gcode = [_code(table.g[t], gdigits) for t in table.terms]
+    stamps = {(s, w): [(s, i) for i in col] for w, col in ids.items() for s in (1, -1)}
+    gcodes = {(s, w): [s * gcode[i] for i in col] for w, col in ids.items() for s in (1, -1)}
     pcode = {
         t[2]: _code(((f[2], c) for f, c in table.g[t]), pdigits) for t in table.terms if t[1] == 0
     }
-    return gcode, pcode
+    return (stamps, gcodes), pcode
 
 
 class _FamilyIndex:
@@ -340,7 +356,10 @@ class _FamilyIndex:
 
     The census color families, (sign, color word) tuples from
     concrete_families, are stamped at every index when the index is built;
-    ``store`` maps each g-code to its stamped families, sorted.  A stamped
+    ``store`` maps each g-code to its stamped families, sorted.  The
+    ``columns`` of _g_codes give each (sign, word) pair's stamp and g-code
+    at every index, so a family's columns read across stamp it at every
+    index, and summed give its g-code there.  A stamped
     family is a sorted tuple of (sign, id) pairs, id the term's position in
     ``terms`` (the table's terms, which are sorted), so families compare
     and sort as the (sign, term) tuples they stand for while the join
@@ -352,25 +371,28 @@ class _FamilyIndex:
     when empty, and raises on a lookup of any other, or on families().
     Equal g-codes have equal projected codes (``pcode``: the g-faces with
     their index dropped, the same at every index), so only the color
-    families of the asked projected codes are listed.
+    families of the asked projected codes are listed, and each is stamped
+    only at the indices where its g-code is asked for.
     """
 
-    def __init__(self, table, q, size, gcode, pcode, prefixes=None):
+    def __init__(self, table, q, size, columns, pcode, prefixes=None):
         terms = self.terms = table.terms  # id -> term
-        pairs = [{} for _ in range(q.size)]  # index -> {(sign, word): the one (sign, id) pair}
-        for i, (_, u, w) in enumerate(terms):
-            pairs[u][1, w], pairs[u][-1, w] = (1, i), (-1, i)
+        stamps, gcodes = columns
         self.codes = wanted = None
+        store = {}
         if prefixes is not None:
             self.codes = {-gkey for _, gkey in prefixes}
+            store = {gkey: [] for gkey in self.codes}
             wanted = {-sum([sign * pcode[terms[i][2]] for sign, i in fam]) for fam, _ in prefixes}
-        store = {}
         for fam in concrete_families(q, size, None if wanted is None else (pcode, wanted)):
-            for at in pairs:
-                stamped = tuple([at[pair] for pair in fam])
-                store.setdefault(sum([sign * gcode[i] for sign, i in stamped]), []).append(stamped)
-        if self.codes is not None:
-            store = {gkey: store.get(gkey, []) for gkey in self.codes}
+            keys = map(sum, zip(*map(gcodes.__getitem__, fam)))
+            if self.codes is None:
+                for gkey, stamp in zip(keys, zip(*map(stamps.__getitem__, fam))):
+                    store.setdefault(gkey, []).append(stamp)
+                continue
+            for u, gkey in enumerate(keys):
+                if gkey in store:
+                    store[gkey].append(tuple([stamps[pair][u] for pair in fam]))
         for fams in store.values():
             fams.sort()  # fixes which sign of a cycle is stored first, and so the certificate
         self.store = store
@@ -414,7 +436,10 @@ def _join_partition(partition, index, budget, on_cycle):
     integer neg_g.  The lookup is made at the last prefix level, before
     that level's family is merged: a prefix whose lookup is empty costs no
     merge and no probe, and the listing order does not change.  Equal-size
-    parts are kept non-decreasing to list each multiset of families once.
+    parts are kept non-decreasing to list each multiset of families once:
+    such a level starts at the previous level's family, found by bisection
+    in the sorted listing (the entries before it were skipped without a
+    probe, so the probe count is the same).
     The families hold term ids; on_cycle gets {term: coefficient}, mapped
     back only when a cycle closes.
 
@@ -456,8 +481,10 @@ def _join_partition(partition, index, budget, on_cycle):
         lower = last_fam if (level and prefix_sizes[level - 1] == prefix_sizes[level]) else None
         signed = level and prefix_sizes[level] == small
         final = level == last
-        for fam, gkey in listings[level]:
-            if lower is not None and fam < lower or signed and negated[fam] < first:
+        listing = listings[level]
+        start = 0 if lower is None else bisect_left(listing, (lower,))
+        for fam, gkey in islice(listing, start, None):
+            if signed and negated[fam] < first:
                 continue
             if final:
                 hits = get(neg_g - gkey)
@@ -512,13 +539,13 @@ def _family_indexes(table, q, max_length):
     assertion on MAX_SEARCH_LENGTH): a family of the signed listing of a
     size 2..max_length-h.  It is built for exactly the g-codes those
     lookups ask for."""
-    gcode, pcode = _g_codes(table)
+    columns, pcode = _g_codes(table)
     index = {}
     for size in range(2, min(MAX_FAMILY_SIZE, max_length - 2) + 1):
         prefixes = None
         if 2 * size > max_length:
             prefixes = [entry for s in range(2, max_length - size + 1) for entry in index[s].signed()[1]]
-        index[size] = _FamilyIndex(table, q, size, gcode, pcode, prefixes)
+        index[size] = _FamilyIndex(table, q, size, columns, pcode, prefixes)
     return index
 
 

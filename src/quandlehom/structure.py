@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import getitem, itemgetter
+from operator import itemgetter, neg
 
 from .quandles import QuandleError, TAU_O6, _is_degenerate, color_words
 from .chains import Chain, ChainError, _accumulate, f_map, g_map
@@ -140,10 +140,12 @@ class TermTable:
 
     def is_minimal_null(self, family):
         """True when the family's f-image vanishes and that of no proper
-        nonempty subfamily does."""
+        nonempty subfamily does.  Once the whole image vanishes, a null
+        subfamily S leaves F - S null too, so only subfamilies of up to half
+        the family's size are tested."""
         return not self.image(family, self.f) and all(
             self.image(sub, self.f)
-            for r in range(1, len(family))
+            for r in range(1, len(family) // 2 + 1)
             for sub in itertools.combinations(family, r)
         )
 
@@ -491,56 +493,77 @@ def enumerate_f_connected(k):
 def _placed_families(k):
     """Every minimal f-null family of size k whose colors are exactly 0..m-1
     for some m and whose term of least color word is positive, sorted, as
-    (m, family) pairs.  A renaming that keeps the order of the colors keeps
-    a family's words in order, so every concrete family is the image of
-    exactly one of these, or of its negative, on its own color set.  The
-    families share one pair per sign and word."""
+    (m, family, its negative) triples, the negative sorted too.  A renaming
+    that keeps the order of the colors keeps a family's words in order, so
+    every concrete family is the image of exactly one of these, or of its
+    negative, on its own color set.  The families and their negatives share
+    one pair per sign and word."""
     placed, pairs = set(), {}
+    share = lambda fam: tuple(sorted([pairs.setdefault(t, t) for t in fam]))
     for rep in _minimal_representatives(k):
         for fam in _relabellings(rep):
             colors = {x for _, w in fam for x in w}
             if colors == set(range(len(colors))) and min(fam, key=itemgetter(1))[0] > 0:
-                placed.add((len(colors), tuple(pairs.setdefault(t, t) for t in fam)))
-    return tuple(sorted(placed))
+                placed.add((len(colors), share(fam)))
+    return tuple((m, fam, share([(-s, w) for s, w in fam])) for m, fam in sorted(placed))
 
 
 def concrete_families(q, k, codes=None):
     """Every minimal f-null color family of size k over q (k <=
     MAX_FAMILY_SIZE), each once, as a sorted tuple of (sign, color word):
     each placed family renamed in order onto every m-set of q's colors, and
-    its negative.  Families share one pair per sign and word.  f never
-    consults the index, so each is such a family at degree 0 and any one
-    index its words are given.
+    its negative, m-set by m-set.  f never consults the index, so each is
+    such a family at degree 0 and any one index its words are given.
+
+    The renaming works a column at a time: the column of a sign, a word on
+    0..m-1 and m holds that (sign, word) pair renamed onto each m-set in
+    turn, and a placed family's columns read across give its families at
+    every m-set.  Families read from one column share its pairs.  An
+    order-keeping renaming keeps the words in order, so the negative of a
+    placed family reads its columns in one fixed order too.
 
     codes = (word_code, wanted) keeps only the families whose code, the sum
-    of sign * word_code[w] over their terms, lies in `wanted`: the code is
-    summed from the words before any family is built, and a family is built
-    only when it or its negative (the code negated) is kept.
+    of sign * word_code[w] over their terms, lies in `wanted`, in the same
+    order: one column of word_code values per word and m, summed over a
+    placed family's terms, gives its code at every m-set at once, and a
+    family is built only where it or its negative (the code negated) is
+    kept.
     """
-    pair = {s: {w: (s, w) for w in color_words(q.size, 3)} for s in (1, -1)}
     word_code, wanted = codes or (None, None)
+    placed = _placed_families(k)
+    pair_cols, code_cols = {}, {}  # m -> {(sign, word on 0..m-1): column}
+    for m in {m for m, _, _ in placed}:
+        m_sets = list(itertools.combinations(range(q.size), m))
+        pairs, signed_codes = pair_cols[m], code_cols[m] = {}, {}
+        for w in color_words(m, 3):
+            renamed = list(map(itemgetter(*w), m_sets))
+            for s in (1, -1):
+                pairs[s, w] = [(s, x) for x in renamed]
+            if word_code is not None:
+                signed_codes[1, w] = list(map(word_code.__getitem__, renamed))
+                signed_codes[-1, w] = list(map(neg, signed_codes[1, w]))
     if word_code is not None:
-        signed_code = {1: word_code, -1: {w: -c for w, c in word_code.items()}}
+        negated = {-code for code in wanted}  # the codes whose negative is wanted
+        either = wanted | negated
     out = []
-    for m, fam in _placed_families(k):
-        words_of = [itemgetter(*w) for _, w in fam]
-        plus = [pair[s] for s, _ in fam]
-        minus = [pair[-s] for s, _ in fam]
-        coded = None if word_code is None else [signed_code[s] for s, _ in fam]
-        for colors in itertools.combinations(range(q.size), m):
-            words = [get(colors) for get in words_of]
-            keep = flip = True
-            if coded is not None:
-                code = sum(map(getitem, coded, words))
-                keep, flip = code in wanted, -code in wanted
-            if keep:
-                out.append(tuple(map(getitem, plus, words)))
-            if flip:
-                out.append(tuple(sorted(map(getitem, minus, words))))
+    for m, fam, negative in placed:
+        if word_code is not None:
+            family_codes = list(map(sum, zip(*map(code_cols[m].__getitem__, fam))))
+            if either.isdisjoint(family_codes):
+                continue
+        plus, minus = list(map(pair_cols[m].__getitem__, fam)), list(map(pair_cols[m].__getitem__, negative))
+        if word_code is None:
+            out.extend(itertools.chain.from_iterable(zip(zip(*plus), zip(*minus))))
+            continue
+        for j, code in enumerate(family_codes):
+            if code in wanted:
+                out.append(tuple([column[j] for column in plus]))
+            if code in negated:
+                out.append(tuple([column[j] for column in minus]))
     return out
 
 
 def family_count(n, k):
     """len(concrete_families(q, k)) for every quandle q of n elements: each
     placed family on m colors gives two families per m-set."""
-    return sum(2 * math.comb(n, m) for m, _ in _placed_families(k))
+    return sum(2 * math.comb(n, m) for m, _, _ in _placed_families(k))

@@ -140,8 +140,8 @@ def full_indexes():
         key = tuple(map(tuple, q.table))
         if key not in built:
             table = TermTable(q, 0)
-            gcode, pcode = _g_codes(table)
-            built[key] = table, {size: _FamilyIndex(table, q, size, gcode, pcode) for size in range(2, 6)}
+            columns, pcode = _g_codes(table)
+            built[key] = table, {size: _FamilyIndex(table, q, size, columns, pcode) for size in range(2, 6)}
         return built[key]
 
     yield get
@@ -628,15 +628,38 @@ def test_cycle_pairing_sums_per_term_values(quandle, max_length):
         assert value == evaluate(theta, Chain(3, True, {t: 1}))
 
 
+def _decoded(code, face_of):
+    """{face: coefficient} of an image _code: its balanced base-2**_DIGIT_BITS
+    digits, digit i the coefficient of face_of[i]."""
+    image, place, half = {}, 0, 1 << (_DIGIT_BITS - 1)
+    while code:
+        digit = (code + half) % (1 << _DIGIT_BITS) - half
+        if digit:
+            image[face_of[place]] = digit
+        code, place = (code - digit) >> _DIGIT_BITS, place + 1
+    return image
+
+
 def test_cycle_recheck_images_are_the_boundaries_of_the_terms():
+    # Each term's boundary image is kept as one integer code.  Decoded, it
+    # is chains.boundary on the one-term chain, with coefficients +-1 and at
+    # most 3 faces at each of the term's two degrees: so a sum over at most
+    # MAX_SEARCH_LENGTH terms keeps every face below 2**(_DIGIT_BITS-1) in
+    # size, and the re-check's integer sum is exact.
     cycles = _Cycles(O6, ETA)
-    for fc in cached_search("o6", 7).found[:12]:
+    for fc in cached_search("o6", 7).found:
         cycles.add(fc.chain, fc.shape)
     face_of = {number: face for face, number in cycles.faces.items()}
     assert len(face_of) == len(cycles.faces)
     assert cycles.images
-    for t, image in cycles.images.items():
-        assert {face_of[number]: c for number, c in image.items()} == boundary(Chain(3, True, {t: 1}), O6).terms
+    assert MAX_SEARCH_LENGTH < 2 ** (_DIGIT_BITS - 1)
+    for t, code in cycles.images.items():
+        image = _decoded(code, face_of)
+        assert image == boundary(Chain(3, True, {t: 1}), O6).terms
+        assert all(abs(c) == 1 for c in image.values())
+        degrees = [face[0] for face in image]
+        assert set(degrees) <= {t[0], t[0] + 1}
+        assert max(degrees.count(t[0]), degrees.count(t[0] + 1)) <= 3
 
 
 def test_searches_leave_no_cyclic_garbage():

@@ -6,6 +6,7 @@ import pytest
 
 from quandlehom.chains import Chain, ChainError, f_map, g_map, length, sigma_shift
 from quandlehom.quandles import QuandleError, dual, make_dihedral, make_octahedral
+from quandlehom import search
 from quandlehom.search import _g_codes
 from quandlehom.structure import (
     MAX_FAMILY_SIZE,
@@ -13,6 +14,7 @@ from quandlehom.structure import (
     StructureError,
     TermTable,
     _minimal_representatives,
+    _placed_families,
     cancel_search,
     canonical_family,
     concrete_families,
@@ -272,6 +274,86 @@ def test_code_first_instantiation_keeps_the_wanted_codes(q):
         wanted = {0} | set(rng.sample(codes, len(codes) // 3))
         kept = concrete_families(q, k, (word_code, wanted))
         assert kept == [fam for fam in every if code[fam] in wanted], k
+
+
+@pytest.mark.parametrize("q", [O6, R7], ids=["o6", "r7"])
+def test_column_wise_code_filter_matches_the_unfiltered_listing(q, monkeypatch):
+    # The wanted sets are the ones the searches at L = 7 and 8 build for
+    # their lookup-only sizes, recorded as the search hands them over, plus
+    # a seeded one that holds some codes together with their negatives.
+    # Each keeps, in the unfiltered order, a family whose code is wanted and
+    # the negative of one whose negated code is.
+    table = TermTable(q, 0)
+    _, word_code = _g_codes(table)
+    asked = []
+
+    def recording(q, k, codes=None):
+        if codes is not None:
+            asked.append(codes[1])
+        return concrete_families(q, k, codes)
+
+    monkeypatch.setattr(search, "concrete_families", recording)
+    for max_length in (7, 8):
+        search._family_indexes(table, q, max_length)
+    monkeypatch.undo()
+    assert len(asked) == 3  # sizes 4 and 5 at L = 7, size 5 at L = 8
+    every = {k: concrete_families(q, k) for k in range(2, 6)}
+    code = {fam: sum(s * word_code[w] for s, w in fam) for listing in every.values() for fam in listing}
+    picked = random.Random(7).sample(sorted(set(code.values())), len(set(code.values())) // 10)
+    paired = set(picked) | {-c for c in picked[::2]}
+    assert any(c and -c in paired for c in paired)
+    for wanted in asked + [paired]:
+        for k, listing in every.items():
+            kept = concrete_families(q, k, (word_code, wanted))
+            assert kept == [fam for fam in listing if code[fam] in wanted], k
+            kept = set(kept)
+            for fam in listing:
+                negative = tuple(sorted((-s, w) for s, w in fam))
+                assert (negative in kept) == (-code[fam] in wanted)
+    assert any(concrete_families(q, 5, (word_code, wanted)) for wanted in asked)
+
+
+def _null_by_every_subset(table, family):
+    """The oracle for is_minimal_null: the f-image of every nonempty
+    subfamily, summed term by term; null for the whole family only."""
+    images = [{face: sign * c for face, c in table.f[t]} for sign, t in family]
+    for r in range(1, len(family) + 1):
+        for sub in itertools.combinations(images, r):
+            total = {}
+            for image in sub:
+                for face, c in image.items():
+                    total[face] = total.get(face, 0) + c
+            if not any(total.values()) and r < len(family):
+                return False
+            if r == len(family):
+                return not any(total.values())
+
+
+def test_minimality_test_agrees_with_every_subset():
+    # is_minimal_null tests subfamilies of up to half the family's size: a
+    # null subfamily leaves a null complement once the whole image vanishes.
+    table = TermTable(O6, 0)
+    terms = lambda fam: [(s, (0, 0, w)) for s, w in fam]
+    minimal = [terms(fam) for k in range(2, 6) for fam in concrete_families(O6, k)]
+    for family in minimal:
+        assert table.is_minimal_null(family) and _null_by_every_subset(table, family), family
+    # Unions of two families with disjoint terms are null but not minimal.
+    rng = random.Random(5)
+    unions = 0
+    while unions < 300:
+        a, b = rng.sample(minimal, 2)
+        if {t for _, t in a} & {t for _, t in b}:
+            continue
+        union = a + b
+        assert not table.is_minimal_null(union) and not _null_by_every_subset(table, union), union
+        assert not table.image(union, table.f)
+        unions += 1
+    # One term dropped: not null, for either test.
+    for family in minimal[::7]:
+        assert not table.is_minimal_null(family[1:]) and not _null_by_every_subset(table, family[1:])
+    # The census the minimality test feeds is unchanged.
+    assert [len(_minimal_representatives(k)) for k in range(2, 6)] == [1, 2, 9, 24]
+    assert [len(_placed_families(k)) for k in range(2, 6)] == [1, 12, 75, 468]
 
 
 def test_census_bytes_are_pinned():
