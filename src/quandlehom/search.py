@@ -43,12 +43,12 @@ that also derives the family census:
   expanded over Aut(Q): one scan of size max_length files the closures of
   every size 2..max_length by size.
 
-* two adjacent degrees: one boundary scan lists every cycle over degrees 0
-  and 1 with at most 2 (profile B) or 3 terms at degree 0: cancel_search on
-  f + g from each Aut(Q)-orbit of degree-0 terms, past every closure.  A fixed
-  filter keeps the window, a 2-term (profile B) or 3-term (profile C)
-  bottom layer T0 with g(T0) != 0 and length 6 or more, and every kept
-  cycle is expanded over Aut(Q).
+* two adjacent degrees: a cycle over degrees 0 and 1 with at most 2
+  (profile B) or 3 terms at degree 0 is a closure of cancel_search on f + g
+  from an Aut(Q)-orbit of degree-0 terms plus a single-window cycle of
+  length L - 2 or less shifted up one degree.  A fixed filter keeps the
+  window, a 2-term (profile B) or 3-term (profile C) bottom layer T0 with
+  g(T0) != 0 and length 6 or more; every kept cycle is expanded over Aut(Q).
 
 Every candidate is re-verified through the boundary map, as the sum of its
 terms' boundary images, and paired with the cocycle, as the sum of its
@@ -67,11 +67,11 @@ silently.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import filterfalse, islice
 from operator import mul
 
-from .chains import Chain, boundary, chain_to_text, length
+from .chains import Chain, boundary, chain_to_text, length, sigma_shift
 from .cocycles import ThreeCocycle, evaluate
 from .quandles import FiniteQuandle, automorphisms
 from .structure import (
@@ -124,6 +124,9 @@ assert 3 * MAX_SEARCH_LENGTH < 2 ** (_DIGIT_BITS - 1)
 # the g-codes a lookup of size h can ask for are -gcode(F) for the listed
 # families F of sizes 2..L-h.
 assert MAX_SEARCH_LENGTH - (MAX_SEARCH_LENGTH // 2 + 1) < 2 + 2
+# The two-degree window joins its closures with the single window's cycles
+# of length L - 2, below that window's one gap, the split 6+2 at length 8.
+assert MAX_SEARCH_LENGTH - 2 < MAX_FAMILY_SIZE + 3
 
 
 @dataclass
@@ -594,11 +597,23 @@ def _search_single_degree(cfg, report):
 
 
 def _search_double_window(cfg, report):
-    """Every cycle over degrees 0 and 1, by one boundary scan reduced by
-    Aut(Q), filtered to the window's shape."""
-    q = cfg.quandle
+    """Every cycle over degrees 0 and 1, reduced by Aut(Q) and filtered to
+    the window's shape: each closure C of one boundary scan plus each D of
+    either sign, 0 or a degree-1 cycle, that fits and has no term of sign
+    opposite to C's.  A part past C that closes alone needs 2 degree-0 terms
+    beyond C's 2 of at most 3, so the parts sum to such a D: a single-window
+    cycle (sums and coefficients of 2 included) shifted up one degree."""
+    q, max_length = cfg.quandle, cfg.max_length
     sizes = {"B": (2,), "C": (3,), "BC": (2, 3)}[cfg.profile]
     group = automorphisms(q)
+    lower, budget = _search_single_degree(replace(cfg, max_length=max_length - 2), SearchReport(cfg))
+    budget.phase = "two-degree window"  # the single window's run at L - 2 spends from it too
+    tops = [([], set())]  # D = 0, then each D as (sign, term) pairs with multiplicity and the pairs of -D
+    for key in sorted(lower.zero | lower.found.keys()):
+        d = sigma_shift(Chain(3, True, dict(key))).items_sorted()
+        for sign in (1, -1):
+            pairs = [(sign * c // abs(c), t) for t, c in d for _ in range(abs(c))]
+            tops.append((pairs, {(-s, t) for s, t in pairs}))
     bottom, top = TermTable(q, 0), TermTable(q, 1)
     # The boundary f + g of each term: f keeps the degree, g raises it by one.
     images = {t: table.f[t] + table.g[t] for table in (bottom, top) for t in table.terms}
@@ -606,7 +621,6 @@ def _search_double_window(cfg, report):
     for t, faces in images.items():
         for face, s in faces:
             cancel.setdefault(face, []).append((t, s))
-    restarts = sorted(images)
     orbits = {}
     for t in bottom.terms:
         rep = min((0, p[t[1]], tuple(p[x] for x in t[2])) for p in group)
@@ -615,7 +629,7 @@ def _search_double_window(cfg, report):
     cycles = _Cycles(q, cfg.cocycle)
     handed = set()  # the window's shape but g(T0) = 0, so T0 and T1 are cycles each
 
-    def close(family, _):
+    def close(family):
         layer = [(s, t) for s, t in family if t[0] == 0]
         if len(family) < 6 or len(layer) not in sizes or len(layer) == len(family):
             return
@@ -631,17 +645,18 @@ def _search_double_window(cfg, report):
         else:
             handed.update(_sign_normal_key(image.terms) for image in orbit)
 
+    def join(family, _):
+        for d, opposite in tops:
+            if len(family) + len(d) <= max_length and opposite.isdisjoint(family):
+                close(family + d)
+
     # A cycle is met from an anchor in the first orbit its degree-0 terms
     # reach, moved onto that orbit's least term by an automorphism (McKay's
-    # orbit argument); the earlier orbits' terms are then left out.
-    budget = ProbeBudget(cfg.budget, "two-degree window")
+    # orbit argument); the earlier orbits' terms are then left out, so the
+    # anchor is the least term left.
     for rep in sorted(orbits):
-        cancel_search(
-            images, cancel, cfg.max_length, close, [rep],
-            restarts=restarts, cap=(0, max(sizes)), budget=budget,
-        )
+        cancel_search(images, cancel, max_length, join, [rep], cap=(0, max(sizes)), budget=budget)
         for t in orbits[rep]:
-            restarts.remove(t)
             for face, s in images[t]:
                 cancel[face].remove((t, s))
 

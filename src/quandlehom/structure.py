@@ -22,7 +22,6 @@ indexes, and cancel_search, the one residual-guided cancellation search.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -150,9 +149,7 @@ class TermTable:
         )
 
 
-def cancel_search(
-    images, cancel, size, on_close, anchors, *, g=None, restarts=None, cap=None, budget=None
-):
+def cancel_search(images, cancel, size, on_close, anchors, *, g=None, cap=None, budget=None):
     """Residual-guided cancellation search over one image table.
 
     `images[t]` holds the signed faces ((face, sign), ...) of term t and
@@ -161,37 +158,26 @@ def cancel_search(
     terms: while the residual (the family's image) is nonzero it adds a term
     cancelling the least face of the first nonzero residual, with the sign
     that moves it toward zero, never a term with both signs; once it vanishes
-    it calls on_close(family, g_residual).  It backtracks when a residual
-    needs more faces per remaining term than any term of its table has.
+    it calls on_close(family, g_residual) and goes no further.  It backtracks
+    when a residual needs more faces per remaining term than any term has.
 
     Later terms are no smaller than the anchor, so a family is found from
     its least term, once per global sign.  `g` = (images, cancel): the g
-    residual is tracked too and cancelled first (else it is None).
-    `restarts`, sorted terms: any term of `cancel` may follow the anchor, and
-    every closure goes on from each restart term s, either sign, no smaller
-    than the last, with later terms no smaller than s; a cycle through an
-    anchor is the anchor's closed part plus parts met from their least
-    terms.  `cap` = (degree, k): at most k terms of that degree.  `budget`:
-    one probe per state.
+    residual is tracked too and cancelled first (else it is None).  `cap` =
+    (degree, k): at most k terms of that degree; `budget`: a probe a state.
     """
     g_img, g_cancel = g or (None, None)
     bound = _faces_per_term(images)
     g_bound = g and _faces_per_term(g_img)
     cap_degree, cap_room = cap or (None, 0)
 
-    def extend(family, res, gres, lo, room):
+    def extend(family, res, gres, room):
         if budget is not None:
             budget.spend()
-        rem = size - len(family)
         if not res:
             on_close(family, gres)
-            if restarts is None or rem < 2:  # one term never closes
-                return
-            for s in restarts[0 if lo is None else bisect.bisect_left(restarts, lo) :]:
-                for sign in (1, -1):
-                    if (-sign, s) not in family and (s[0] != cap_degree or room):
-                        step(family, res, gres, sign, s, s, room)
             return
+        rem = size - len(family)
         if not rem or sum(map(abs, res.values())) > bound * rem:
             return
         if gres is not None and sum(map(abs, gres.values())) > g_bound * rem:
@@ -201,23 +187,22 @@ def cancel_search(
         need = 1 if key_res[key] > 0 else -1
         for t, s in key_cancel.get(key, ()):
             sign = -need * s
-            if lo is not None and t < lo or (-sign, t) in family:
+            if t < anchor or (-sign, t) in family:
                 continue
             if t[0] != cap_degree or room:
-                step(family, res, gres, sign, t, lo, room)
+                step(family, res, gres, sign, t, room)
 
-    def step(family, res, gres, sign, t, lo, room):
+    def step(family, res, gres, sign, t, room):
         extend(
             family + [(sign, t)],
             _accumulate(dict(res), images[t], sign),
             None if gres is None else _accumulate(dict(gres), g_img[t], sign),
-            lo,
             room - (t[0] == cap_degree),
         )
 
     try:
-        for t in anchors:
-            step([], {}, None if g is None else {}, 1, t, t if restarts is None else None, cap_room)
+        for anchor in anchors:
+            step([], {}, None if g is None else {}, 1, anchor, cap_room)
     finally:
         extend = step = None  # they refer to each other: free the search's state on return
 

@@ -9,7 +9,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quandlehom"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 # Public functions only the tests and the acceptance criteria reach.
-TEST_ONLY = {"chain_to_vector", "check_isomorphism", "reflection", "reverse_o6", "sigma_shift"}
+TEST_ONLY = {"chain_to_vector", "check_isomorphism", "reflection", "reverse_o6"}
 
 
 def unused_imports(source):
@@ -94,7 +94,8 @@ def unreferenced_definitions(package, readers):
 
 def test_package_functions_are_reached_outside_the_tests():
     unreached = unreferenced_definitions(PACKAGE, PERFBENCH.glob("*.py"))
-    assert [(m, n) for m, n in unreached if n not in TEST_ONLY] == []
+    # equal, not a subset: an entry that the package reaches again goes stale
+    assert {n for _, n in unreached} == TEST_ONLY
 
 
 # Span names that name no function: intlinalg.rational_kernel_basis was

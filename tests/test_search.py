@@ -366,11 +366,19 @@ def test_r7_single_degree_is_empty_to_seven():
     assert _digest(rep) == "80432579807d1168adb75c44fd4b07ecd760e138a7ccc1eeb9c63cf85babd787"
 
 
+def _digest_apart_from_probes(report):
+    text = report.certificate_text()
+    kept = "".join(line for line in text.splitlines(True) if not line.startswith("probes "))
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
 def test_o6_double_window_clean_at_six():
     rep = cached_search("o6", 6, "double", "B")
     assert rep.exhausted
     assert rep.zero_value_cycles == 480
-    assert _digest(rep) == "c5ac2a3823ce36498763fea1ee1913b9b19d9d6ca0080d4a6d943a4f7a5a6ed4"
+    assert _digest_apart_from_probes(rep) == "114f3506bb81085488608fe84cf7c21873cddf780cbf94361e0f4f12f364e495"
+    # the closures scan and the single window's run at length 4
+    assert rep.probes == 8256
 
 
 # The single window's probes: the joins of two parts or more, then the scan
@@ -425,9 +433,7 @@ def test_r7_single_degree_at_eight_is_incomplete():
     ],
 )
 def test_single_degree_certificates_apart_from_probes(quandle, max_length, digest):
-    text = cached_search(quandle, max_length).certificate_text()
-    kept = "".join(line for line in text.splitlines(True) if not line.startswith("probes "))
-    assert hashlib.sha256(kept.encode()).hexdigest() == digest
+    assert _digest_apart_from_probes(cached_search(quandle, max_length)) == digest
 
 
 # Single-window certificates at L = 2..5.  A family size s with 2s > L is
@@ -492,20 +498,59 @@ def test_double_window_key_sets_match_the_top_layer_engine(quandle, max_length, 
     assert _key_set_digest(rep, theta) == digest
 
 
-def test_double_window_scan_is_the_same_under_the_trivial_group():
+@pytest.mark.parametrize(
+    "quandle, max_length, cycles",
+    [("dihedral:5", 6, 300), ("dihedral:5", 7, 700), ("dihedral:3", 8, 612)],
+    ids=["r5-6", "r5-7", "r3-8"],
+)
+def test_double_window_scan_is_the_same_under_the_trivial_group(quandle, max_length, cycles):
     # The library's window on a third quandle against the oracle's, reduced
-    # by Aut(Q) and unreduced.
-    q = resolve_quandle("dihedral:5")
-    cfg = SearchConfig(q, mochizuki(5), max_length=6, window="double", profile="BC")
+    # by Aut(Q) and unreduced.  Each longer length lets longer degree-1
+    # cycles follow a closure.
+    q = resolve_quandle(quandle)
+    cfg = SearchConfig(q, mochizuki(q.size), max_length=max_length, window="double", profile="BC")
     rep = search_min_cycles(cfg)
     keys = reached_keys(rep)
-    assert len(keys) == 300
-    # Every one pairs to zero, so the window is exhausted and says so.
-    assert rep.zero_value_cycles == 300 and not rep.found
-    assert rep.exhausted and "EXHAUSTED" in rep.certificate_text()
+    assert len(keys) == cycles
+    if q.size == 5:  # every one pairs to zero, so the window is exhausted and says so
+        assert rep.zero_value_cycles == cycles and not rep.found
+        assert rep.exhausted and "EXHAUSTED" in rep.certificate_text()
     for group in (None, [tuple(range(q.size))]):
-        oracle = oracle_cycles(q.table, 6, top=1, group=group, cap=3)
-        assert _oracle_window(oracle, q.table, (2, 3), 6) == keys
+        oracle = oracle_cycles(q.table, max_length, top=1, group=group, cap=3)
+        assert _oracle_window(oracle, q.table, (2, 3), max_length) == keys
+
+
+# The two-degree window's certificates without their probes line: every
+# printed chain, value and shape, and the count of cycles left to the
+# single-degree window.  Recorded when the scan still went on past every
+# closure; joining each closure with the single window's cycles instead
+# changed only the probes line.
+@pytest.mark.parametrize(
+    "quandle, profile, max_length, handed, digest",
+    [
+        pytest.param(*case, id="%s-%s-%d" % case[:3])
+        for case in [
+            ("o6", "B", 6, 792, "114f3506bb81085488608fe84cf7c21873cddf780cbf94361e0f4f12f364e495"),
+            ("o6", "BC", 7, 1368, "b9ff8e60424b9850a6bd67820a9f9757b41b4ed9ced6abc9d113047273452982"),
+            ("o6", "BC", 8, 12048, "835bf1ca8c3910f92ba35bc9405e3ad359708c9df665d127aba01df2fa7a367a"),
+            ("r7", "BC", 7, 0, "daefbadc182f601fab554701d8fce8f7224658f4e895499bf24cdbe387e1ce78"),
+            ("dihedral:3", "BC", 7, 0, "ebe82eee7bec750e6d4c7e1ee2156baeb73892f57e298b26437f45a6608502bb"),
+            ("dihedral:3", "BC", 8, 0, "0a5b312da26b8862b2f8c0700778acfa3f4b85e92e9e64437330a1b38e6b8423"),
+            ("dihedral:5", "BC", 6, 0, "1a6411a8a7146cd3ebf78a42f50bcb27a3c3bb29916c4755205d882a5ed31d00"),
+            ("dihedral:5", "BC", 8, 0, "917fddd3c89df1628ed7c1f1a557d5cfc3a3af78931b417950c45c407b8c9753"),
+        ]
+    ],
+)
+def test_double_window_certificates_apart_from_probes(quandle, profile, max_length, handed, digest):
+    if quandle in ("o6", "r7"):
+        rep = cached_search(quandle, max_length, "double", profile)
+    else:
+        q = resolve_quandle(quandle)
+        rep = search_min_cycles(
+            SearchConfig(q, mochizuki(q.size), max_length=max_length, window="double", profile=profile)
+        )
+    assert "left to the single-degree window: %d\n" % handed in rep.certificate_text()
+    assert _digest_apart_from_probes(rep) == digest
 
 
 def test_o6_double_window_has_no_gap_at_eight():
