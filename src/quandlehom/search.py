@@ -1,10 +1,10 @@
 """Bounded search for shortest cycles pairing nontrivially with a cocycle.
 
 Two windows are covered, mirroring the case split used to bound cycle
-lengths from below.  Both read face images from one structure.TermTable per
-degree (every 3-term with its f- and g-images), and where they search they
-use the one residual-guided cancellation search, structure.cancel_search,
-that also derives the family census:
+lengths from below.  Both read face images from one structure.TermTable
+(every 3-term at degree 0 with its f- and g-images), and where they search
+they use the one residual-guided cancellation search,
+structure.cancel_search, that also derives the family census:
 
 * single degree: every cycle supported at one degree splits its terms, per
   index, into minimal families with vanishing f-image.  A cycle of several
@@ -43,12 +43,12 @@ that also derives the family census:
   expanded over Aut(Q): one scan of size max_length files the closures of
   every size 2..max_length by size.
 
-* two adjacent degrees: a cycle over degrees 0 and 1 with at most 2
-  (profile B) or 3 terms at degree 0 is a closure of cancel_search on f + g
-  from an Aut(Q)-orbit of degree-0 terms plus a single-window cycle of
-  length L - 2 or less shifted up one degree.  A fixed filter keeps the
-  window, a 2-term (profile B) or 3-term (profile C) bottom layer T0 with
-  g(T0) != 0 and length 6 or more; every kept cycle is expanded over Aut(Q).
+* two adjacent degrees: a cycle over degrees 0 and 1 with 2 (profile B) or
+  3 (profile C) terms T0 at degree 0, g(T0) != 0 and length 6 or more is a
+  closure of cancel_search on f + g from an Aut(Q)-orbit of degree-0 terms,
+  its degree-1 images the table's shifted up one degree, plus a single-window
+  cycle of length L - 2 or less shifted up too; each is expanded over Aut(Q).
+  The cycles with g(T0) = 0 are counted from that single window's run.
 
 Every candidate is re-verified through the boundary map, as the sum of its
 terms' boundary images, and paired with the cocycle, as the sum of its
@@ -71,7 +71,7 @@ from dataclasses import dataclass, field, replace
 from itertools import filterfalse, islice
 from operator import mul
 
-from .chains import Chain, boundary, chain_to_text, length, sigma_shift
+from .chains import Chain, boundary, chain_to_text, length
 from .cocycles import ThreeCocycle, evaluate
 from .quandles import FiniteQuandle, automorphisms
 from .structure import (
@@ -552,10 +552,9 @@ def _family_indexes(table, q, max_length):
     return index
 
 
-def _search_single_degree(cfg, report):
+def _search_single_degree(cfg, report, table):
     q, max_length = cfg.quandle, cfg.max_length
     budget = ProbeBudget(cfg.budget, "single-degree join")
-    table = TermTable(q, 0)
     index = _family_indexes(table, q, max_length)
     for size in range(2, min(MAX_FAMILY_SIZE, max_length) + 1):
         report.component_counts[size] = q.size * family_count(q.size, size)
@@ -596,59 +595,61 @@ def _search_single_degree(cfg, report):
 # two-degree window (profiles B and C)
 
 
-def _search_double_window(cfg, report):
+def _search_double_window(cfg, report, table):
     """Every cycle over degrees 0 and 1, reduced by Aut(Q) and filtered to
-    the window's shape: each closure C of one boundary scan plus each D of
-    either sign, 0 or a degree-1 cycle, that fits and has no term of sign
-    opposite to C's.  A part past C that closes alone needs 2 degree-0 terms
-    beyond C's 2 of at most 3, so the parts sum to such a D: a single-window
-    cycle (sums and coefficients of 2 included) shifted up one degree."""
+    the window's shape: each closure C of one boundary scan that has a
+    degree-1 term, plus each D of either sign that fits and has no term of
+    sign opposite to C's, D 0 or a single-window cycle (coefficients of 2
+    included) shifted up one degree.  A part past C that closes alone needs
+    2 degree-0 terms beyond C's 2 of at most 3, so the parts sum to such a D.
+
+    The cycles with g(T0) = 0 are counted, not listed.  The scan cancels the
+    least face first, and only degree-0 terms have degree-0 faces, which sort
+    first: a closure's degree-0 layer is f-null before a degree-1 term joins,
+    and with at most 3 terms it is all of T0, since another f-null part takes
+    2 more.  So g(T0) = 0 exactly when the closure is T0 alone, a single-
+    window cycle of length 2 or 3, and those cycles are T0 + D, T0 up to
+    sign: n_a * 2 n_b for bottom size a and D's length b, 6 <= a + b <= L,
+    n_l the single window's cycles of length l at L - 2 up to sign."""
     q, max_length = cfg.quandle, cfg.max_length
     sizes = {"B": (2,), "C": (3,), "BC": (2, 3)}[cfg.profile]
     group = automorphisms(q)
-    lower, budget = _search_single_degree(replace(cfg, max_length=max_length - 2), SearchReport(cfg))
+    lower, budget = _search_single_degree(replace(cfg, max_length=max_length - 2), SearchReport(cfg), table)
     budget.phase = "two-degree window"  # the single window's run at L - 2 spends from it too
-    tops = [([], set())]  # D = 0, then each D as (sign, term) pairs with multiplicity and the pairs of -D
+    tops = {0: [([], set())]}  # length -> each D as (sign, term) pairs with multiplicity, and the pairs of -D
     for key in sorted(lower.zero | lower.found.keys()):
-        d = sigma_shift(Chain(3, True, dict(key))).items_sorted()
         for sign in (1, -1):
-            pairs = [(sign * c // abs(c), t) for t, c in d for _ in range(abs(c))]
-            tops.append((pairs, {(-s, t) for s, t in pairs}))
-    bottom, top = TermTable(q, 0), TermTable(q, 1)
-    # The boundary f + g of each term: f keeps the degree, g raises it by one.
-    images = {t: table.f[t] + table.g[t] for table in (bottom, top) for t in table.terms}
+            pairs = [(sign * c // abs(c), (1, u, w)) for (_, u, w), c in key for _ in range(abs(c))]
+            tops.setdefault(len(pairs), []).append((pairs, {(-s, t) for s, t in pairs}))
+    n = {l: len(ds) // 2 for l, ds in tops.items()}  # n_l: the single window's cycles of length l, up to sign
+    handed = sum(n.get(a, 0) * 2 * sum(n.get(b, 0) for b in range(6 - a, max_length - a + 1)) for a in sizes)
+    # The boundary f + g of each term: f keeps the degree, g raises it by
+    # one.  A degree-1 term's faces are its degree-0 namesake's, one degree up.
+    images = {t: table.f[t] + table.g[t] for t in table.terms}
+    for (_, u, w), faces in list(images.items()):
+        images[1, u, w] = tuple([((d + 1, v, x), c) for (d, v, x), c in faces])
     cancel = {}
     for t, faces in images.items():
         for face, s in faces:
             cancel.setdefault(face, []).append((t, s))
     orbits = {}
-    for t in bottom.terms:
+    for t in table.terms:
         rep = min((0, p[t[1]], tuple(p[x] for x in t[2])) for p in group)
         orbits.setdefault(rep, []).append(t)
-
     cycles = _Cycles(q, cfg.cocycle)
-    handed = set()  # the window's shape but g(T0) = 0, so T0 and T1 are cycles each
-
-    def close(family):
-        layer = [(s, t) for s, t in family if t[0] == 0]
-        if len(family) < 6 or len(layer) not in sizes or len(layer) == len(family):
-            return
-        chain = Chain.from_signed_terms(family, arity=3, graded=True)
-        key = _sign_normal_key(chain.terms)
-        if key in cycles.zero or key in cycles.found or key in handed:
-            return  # its orbit is in already
-        shape = "degrees 0+1 split %d+%d" % (len(layer), len(family) - len(layer))
-        orbit = [relabel_chain(chain, p) for p in group]
-        if bottom.image(layer, bottom.g):
-            for image in orbit:
-                cycles.add(image, shape)
-        else:
-            handed.update(_sign_normal_key(image.terms) for image in orbit)
 
     def join(family, _):
-        for d, opposite in tops:
-            if len(family) + len(d) <= max_length and opposite.isdisjoint(family):
-                close(family + d)
+        layer = sum(t[0] == 0 for _, t in family)
+        if layer == len(family) or layer not in sizes:
+            return  # T0 alone, g(T0) = 0 and counted above, or outside the profile
+        for l in range(max(0, 6 - len(family)), max_length - len(family) + 1):
+            shape = "degrees 0+1 split %d+%d" % (layer, len(family) + l - layer)
+            for d in [d for d, opposite in tops.get(l, ()) if opposite.isdisjoint(family)]:
+                chain = Chain.from_signed_terms(family + d, arity=3, graded=True)
+                key = _sign_normal_key(chain.terms)
+                if key not in cycles.zero and key not in cycles.found:  # else its orbit is in already
+                    for p in group:
+                        cycles.add(relabel_chain(chain, p), shape)
 
     # A cycle is met from an anchor in the first orbit its degree-0 terms
     # reach, moved onto that orbit's least term by an automorphism (McKay's
@@ -660,15 +661,14 @@ def _search_double_window(cfg, report):
             for face, s in images[t]:
                 cancel[face].remove((t, s))
 
-    bottoms = " or ".join(map(str, sizes))
     report.covered += [
         "every cycle of length 6..%d with degrees exactly {0, 1}, bottom layer size"
-        " |T0| = %s at degree 0 and g(T0) != 0, up to sign" % (cfg.max_length, bottoms),
-        "by one boundary scan over degrees 0..1 with |T0| <= %d, anchored at the %d"
-        " Aut(Q)-orbits of degree-0 terms, each cycle expanded over Aut(Q) (order %d)"
-        % (max(sizes), len(orbits), len(group)),
-        "cycles of that shape with g(T0) = 0, left to the single-degree window: %d"
-        % len(handed),
+        " |T0| = %s at degree 0 and g(T0) != 0, up to sign" % (cfg.max_length, " or ".join(map(str, sizes))),
+        "by one boundary scan over degrees 0..1 with |T0| <= %d that stops at each closure, anchored at the"
+        " %d Aut(Q)-orbits of degree-0 terms, each closure joined with the single window's cycles of length"
+        " <= %d shifted up one degree (that run's probes are in the probes line), each cycle expanded over"
+        " Aut(Q) (order %d)" % (max(sizes), len(orbits), max_length - 2, len(group)),
+        "cycles of that shape with g(T0) = 0, left to the single-degree window: %d" % handed,
     ]
     return cycles, budget
 
@@ -685,7 +685,7 @@ def search_min_cycles(cfg):
     report = SearchReport(cfg)
     window = _search_single_degree if cfg.window == "single" else _search_double_window
     try:
-        cycles, budget = window(cfg, report)
+        cycles, budget = window(cfg, report, TermTable(cfg.quandle))
     except BudgetExceeded as exc:
         report.refused = "%s (after %d probes)" % (exc, exc.probes)
         return report

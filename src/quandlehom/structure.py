@@ -16,7 +16,7 @@ negative, onto its own m colors, so one listing of those families gives the
 concrete families and their counts.
 
 The census and the cycle searches share two tools defined here: TermTable,
-every 3-term of one degree with its f- and g-images and per-face cancel
+every 3-term at degree 0 with its f- and g-images and per-face cancel
 indexes, and cancel_search, the one residual-guided cancellation search.
 """
 
@@ -101,22 +101,22 @@ def reflection(chain, q):
 
 
 class TermTable:
-    """Every non-degenerate 3-term at one degree, with its face images.
+    """Every non-degenerate 3-term at degree 0, with its face images.
 
-    Built once per quandle and degree from chains.f_map and chains.g_map.
-    ``terms`` lists the terms by index, then color word; ``f[t]`` and
-    ``g[t]`` hold the signed faces of t as ((face, sign), ...).
-    ``f_cancel[face]`` lists the (term, sign) pairs whose f-image contains
-    the face; f keeps the index, so they all sit at the face's index.  g moves
-    the index, so ``g_cancel[u][face]`` lists only the terms at index u.
-    With q None the table is symbolic: `symbols` colors at index 0 and f
-    only, which serves every quandle since f never consults the operation.
+    Built once per quandle from chains.f_map and chains.g_map; the two-degree
+    window shifts them up a degree for its top layer.  ``terms`` lists the
+    terms by index, then color word; ``f[t]`` and ``g[t]`` hold the signed
+    faces of t as ((face, sign), ...).  ``f_cancel[face]`` lists the (term,
+    sign) pairs whose f-image contains the face; f keeps the index, so they
+    all sit at the face's index.  g moves the index, so ``g_cancel[u][face]``
+    lists only the terms at index u.  With q None the table is symbolic:
+    `symbols` colors at index 0 and f only, which serves every quandle.
     """
 
-    def __init__(self, q, degree=0, symbols=None):
+    def __init__(self, q, symbols=None):
         size = symbols if q is None else q.size
         indices = (0,) if q is None else range(size)
-        self.terms = [(degree, u, w) for u in indices for w in color_words(size, 3)]
+        self.terms = [(0, u, w) for u in indices for w in color_words(size, 3)]
         self.f, self.g, self.f_cancel, self.g_cancel = {}, {}, {}, {}
         for t in self.terms:
             generator = Chain(3, True, {t: 1})
@@ -364,7 +364,6 @@ class FamilyTemplate:
     """A symbolic pattern whose admissible instantiations are minimal
     families with vanishing f-image."""
 
-    size: int
     family_id: str
     symbols: int
     pattern: tuple  # canonical bigon-collapsed entries
@@ -462,7 +461,7 @@ def enumerate_f_connected(k):
         identified.update(degenerations)
         variants = tuple(itertools.chain(variants, *degenerations.values()))
         symbols = len(_family_symbols(pattern))
-        templates.append(FamilyTemplate(k, "%d-%s" % (k, rid), symbols, pattern, variants))
+        templates.append(FamilyTemplate("%d-%s" % (k, rid), symbols, pattern, variants))
     patterns = {t.pattern for t in templates}
     reached = patterns | {canonical_family(v) for t in templates for v in t.variants}
     if reached != classes or patterns & identified or len(patterns) < len(templates):

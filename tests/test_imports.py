@@ -9,7 +9,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "quandlehom"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 # Public functions only the tests and the acceptance criteria reach.
-TEST_ONLY = {"chain_to_vector", "check_isomorphism", "reflection", "reverse_o6"}
+TEST_ONLY = {"chain_to_vector", "check_isomorphism", "reflection", "reverse_o6", "sigma_shift"}
 
 
 def unused_imports(source):

@@ -4,7 +4,8 @@ from array import array
 
 import pytest
 
-from quandlehom.chains import Chain, boundary, length, sigma_shift
+from quandlehom import search as search_module
+from quandlehom.chains import Chain, boundary, g_map, length, sigma_shift
 from quandlehom.cocycles import ThreeCocycle, eta_octahedral, evaluate, mochizuki
 from quandlehom.kernels import named_cycle
 from quandlehom.quandles import (
@@ -139,7 +140,7 @@ def full_indexes():
     def get(q):
         key = tuple(map(tuple, q.table))
         if key not in built:
-            table = TermTable(q, 0)
+            table = TermTable(q)
             columns, pcode = _g_codes(table)
             built[key] = table, {size: _FamilyIndex(table, q, size, columns, pcode) for size in range(2, 6)}
         return built[key]
@@ -251,7 +252,7 @@ def test_lookup_only_index_refuses_other_codes(full_indexes):
 def test_orbit_components_are_the_scan_at_every_index(q, max_length):
     # The trivial group scans every index: the reference for the scan at
     # one index per Aut(Q)-orbit, expanded over Aut(Q).
-    table = TermTable(q, 0)
+    table = TermTable(q)
 
     def scan(max_length, group=automorphisms(q)):
         return _orbit_components(table, max_length, group, ProbeBudget(10**9, "test"))
@@ -376,7 +377,7 @@ def test_o6_double_window_clean_at_six():
     rep = cached_search("o6", 6, "double", "B")
     assert rep.exhausted
     assert rep.zero_value_cycles == 480
-    assert _digest_apart_from_probes(rep) == "114f3506bb81085488608fe84cf7c21873cddf780cbf94361e0f4f12f364e495"
+    assert _digest_apart_from_probes(rep) == "f0da21da6cd5ef75fad0167ce5a4c3355d1000340e228f7c75bcf3ee945b3e49"
     # the closures scan and the single window's run at length 4
     assert rep.probes == 8256
 
@@ -520,24 +521,24 @@ def test_double_window_scan_is_the_same_under_the_trivial_group(quandle, max_len
         assert _oracle_window(oracle, q.table, (2, 3), max_length) == keys
 
 
-# The two-degree window's certificates without their probes line: every
-# printed chain, value and shape, and the count of cycles left to the
-# single-degree window.  Recorded when the scan still went on past every
-# closure; joining each closure with the single window's cycles instead
-# changed only the probes line.
+# The two-degree window's certificates without their probes line: the
+# covered lines, every printed chain, value and shape, and the count of
+# cycles left to the single-degree window, which the window counts from the
+# single window's cycles by length rather than lists.
 @pytest.mark.parametrize(
     "quandle, profile, max_length, handed, digest",
     [
         pytest.param(*case, id="%s-%s-%d" % case[:3])
         for case in [
-            ("o6", "B", 6, 792, "114f3506bb81085488608fe84cf7c21873cddf780cbf94361e0f4f12f364e495"),
-            ("o6", "BC", 7, 1368, "b9ff8e60424b9850a6bd67820a9f9757b41b4ed9ced6abc9d113047273452982"),
-            ("o6", "BC", 8, 12048, "835bf1ca8c3910f92ba35bc9405e3ad359708c9df665d127aba01df2fa7a367a"),
-            ("r7", "BC", 7, 0, "daefbadc182f601fab554701d8fce8f7224658f4e895499bf24cdbe387e1ce78"),
-            ("dihedral:3", "BC", 7, 0, "ebe82eee7bec750e6d4c7e1ee2156baeb73892f57e298b26437f45a6608502bb"),
-            ("dihedral:3", "BC", 8, 0, "0a5b312da26b8862b2f8c0700778acfa3f4b85e92e9e64437330a1b38e6b8423"),
-            ("dihedral:5", "BC", 6, 0, "1a6411a8a7146cd3ebf78a42f50bcb27a3c3bb29916c4755205d882a5ed31d00"),
-            ("dihedral:5", "BC", 8, 0, "917fddd3c89df1628ed7c1f1a557d5cfc3a3af78931b417950c45c407b8c9753"),
+            ("o6", "B", 6, 792, "f0da21da6cd5ef75fad0167ce5a4c3355d1000340e228f7c75bcf3ee945b3e49"),
+            ("o6", "BC", 7, 1368, "d5febf9a74fb61f2928c8be31a27d4a677fa8fc7c7073c692f81d6d44dc1eda3"),
+            ("o6", "BC", 8, 12048, "1063925b241296ae6207fae9d51f979547c8e3574e6fe19681de7640655f0a2b"),
+            ("r7", "BC", 7, 0, "47dd4a8b8e6ac8ad4a890391a82fcd26068d61f895a8409c8c411ebe8549582b"),
+            ("r7", "BC", 8, 0, "1ce4cccfdfc3eba81b0fea62225cde606e2930d3106e06f94dd537afe98f7fe0"),
+            ("dihedral:3", "BC", 7, 0, "7b4f349b5f657f1c88486a43beafa066678fd6e4d6ca8f973b1ef1c0c1453c5f"),
+            ("dihedral:3", "BC", 8, 0, "5b8f152d97a088ddc5df374111d813b6feea7334026185462063c51533cab019"),
+            ("dihedral:5", "BC", 6, 0, "a349944473c8a386e72423bf4705741f220d326863f004c8d0b41c858b25b99e"),
+            ("dihedral:5", "BC", 8, 0, "a1335a8c51958b78581fd7f0c00371a1bd40838a40f7aef271f9003ae7215582"),
         ]
     ],
 )
@@ -551,6 +552,38 @@ def test_double_window_certificates_apart_from_probes(quandle, profile, max_leng
         )
     assert "left to the single-degree window: %d\n" % handed in rep.certificate_text()
     assert _digest_apart_from_probes(rep) == digest
+
+
+def test_double_window_closures_without_a_degree_one_term_are_short_single_cycles(monkeypatch):
+    # The scan cancels the least face first and degree-0 faces sort first,
+    # so a closure's degree-0 layer T0 is f-null before any degree-1 term
+    # joins it.  Hence a closure has no degree-1 term exactly when
+    # g(T0) = 0, and such a closure is a single-window cycle of length 2
+    # or 3: what lets the window count its g(T0) = 0 cycles.
+    closures, scan = [], search_module.cancel_search
+
+    def recording(images, cancel, size, on_close, anchors, **options):
+        if options.get("cap") is not None:
+            join = on_close
+
+            def on_close(family, gres):
+                closures.append(list(family))
+                join(family, gres)
+
+        scan(images, cancel, size, on_close, anchors, **options)
+
+    monkeypatch.setattr(search_module, "cancel_search", recording)
+    search_min_cycles(SearchConfig(O6, ETA, max_length=6, window="double", profile="B"))
+    short = reached_keys(cached_search("o6", 3))
+    alone = 0
+    for family in closures:
+        layer = Chain.from_signed_terms([(s, t) for s, t in family if t[0] == 0], arity=3, graded=True)
+        flat = all(t[0] == 0 for _, t in family)
+        assert flat == (not g_map(layer, O6).terms)
+        if flat:
+            alone += 1
+            assert length(layer) in (2, 3) and _sign_normal_key(layer.terms) in short
+    assert 0 < alone < len(closures)
 
 
 def test_o6_double_window_has_no_gap_at_eight():
@@ -586,7 +619,7 @@ def _phase_probes(q, max_length):
     """The probes of the single window's two phases, run apart: every join
     of two parts or more on the search's indexes, then the component scan
     of one family of every size."""
-    table = TermTable(q, 0)
+    table = TermTable(q)
     index = _family_indexes(table, q, max_length)
     budget = ProbeBudget(10**9, "test")
     for partition in _join_partitions(max_length):

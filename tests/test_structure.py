@@ -265,7 +265,7 @@ def test_family_count_is_the_number_of_concrete_families(n):
 def test_code_first_instantiation_keeps_the_wanted_codes(q):
     # Filtered by codes, concrete_families lists exactly the families of the
     # unfiltered listing whose code is wanted, in the same order.
-    _, word_code = _g_codes(TermTable(q, 0))
+    _, word_code = _g_codes(TermTable(q))
     rng = random.Random(q.size)
     for k in range(2, 6):
         every = concrete_families(q, k)
@@ -283,7 +283,7 @@ def test_column_wise_code_filter_matches_the_unfiltered_listing(q, monkeypatch):
     # a seeded one that holds some codes together with their negatives.
     # Each keeps, in the unfiltered order, a family whose code is wanted and
     # the negative of one whose negated code is.
-    table = TermTable(q, 0)
+    table = TermTable(q)
     _, word_code = _g_codes(table)
     asked = []
 
@@ -332,7 +332,7 @@ def _null_by_every_subset(table, family):
 def test_minimality_test_agrees_with_every_subset():
     # is_minimal_null tests subfamilies of up to half the family's size: a
     # null subfamily leaves a null complement once the whole image vanishes.
-    table = TermTable(O6, 0)
+    table = TermTable(O6)
     terms = lambda fam: [(s, (0, 0, w)) for s, w in fam]
     minimal = [terms(fam) for k in range(2, 6) for fam in concrete_families(O6, k)]
     for family in minimal:
@@ -363,7 +363,7 @@ def test_census_bytes_are_pinned():
     census = repr([enumerate_f_connected(k) for k in range(1, 6)]).encode()
     assert (
         hashlib.sha256(census).hexdigest()
-        == "0fbd2e17cf0e4ecd08182b9e73a80e1dc1868fefa56ca8ae417bc0e55966c3f0"
+        == "8ee40c57e042ea18bcacbef3d1c65dc0169ec99262878fa46a68347d97236ec7"
     )
 
 
