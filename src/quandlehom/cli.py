@@ -185,6 +185,8 @@ def cmd_search(args):
         "probes": report.probes,
         "refused": report.refused,
         "exhausted": report.exhausted,
+        "covered": report.covered,
+        "gaps": report.gaps,
     }
     _emit(args, payload, text)
     return 1 if report.refused else 0

@@ -39,15 +39,17 @@ structure.cancel_search, that also derives the family census:
   element labels: relabelling the quandle may change the probes line and
   which sign of a cycle is printed, but not the key sets or the counts.  A
   cycle consisting of one family, of any size, is found by the cancellation
-  search, g residual first, at the least index of each Aut(Q)-orbit, and
-  expanded over Aut(Q): one scan of size max_length files the closures of
-  every size 2..max_length by size.
+  search, g residual first, at the least index u of each Aut(Q)-orbit, once
+  per orbit of u's stabiliser on the terms at u, and expanded over Aut(Q):
+  one scan of size max_length files the closures of every size
+  2..max_length by size.
 
 * two adjacent degrees: a cycle over degrees 0 and 1 with 2 (profile B) or
   3 (profile C) terms T0 at degree 0, g(T0) != 0 and length 6 or more is a
-  closure of cancel_search on f + g from an Aut(Q)-orbit of degree-0 terms,
-  its degree-1 images the table's shifted up one degree, plus a single-window
-  cycle of length L - 2 or less shifted up too; each is expanded over Aut(Q).
+  closure of cancel_search on f + g, one scan that starts once per
+  Aut(Q)-orbit of degree-0 terms, its degree-1 images the table's shifted
+  up one degree, plus a single-window cycle of length L - 2 or less shifted
+  up too; each is expanded over Aut(Q).
   The cycles with g(T0) = 0 are counted from that single window's run.
 
 Every candidate is re-verified through the boundary map, as the sum of its
@@ -249,11 +251,6 @@ def _sign_normal_key(terms):
     return items if items <= neg else neg
 
 
-def _negated(fam):
-    """-F for a family F, a sorted tuple of (sign, term id) pairs."""
-    return tuple(sorted([(-sign, t) for sign, t in fam]))
-
-
 def _partitions_into_parts(total, largest):
     """Multiset partitions of `total` into parts between 2 and largest,
     emitted in non-increasing order."""
@@ -366,7 +363,10 @@ class _FamilyIndex:
     family is a sorted tuple of (sign, id) pairs, id the term's position in
     ``terms`` (the table's terms, which are sorted), so families compare
     and sort as the (sign, term) tuples they stand for while the join
-    hashes small ints.
+    hashes small ints.  A size built whole also records ``negated``, -F for
+    each stamped family F, read across the columns of the color family's
+    negative, sorted once: at one index the ids keep the words' order, so
+    that stamp is sorted too.
 
     A size that is only looked up is built with ``prefixes``, the listed
     (family, g-code) pairs its lookups follow.  It holds exactly the g-codes
@@ -381,16 +381,21 @@ class _FamilyIndex:
     def __init__(self, table, q, size, columns, pcode, prefixes=None):
         terms = self.terms = table.terms  # id -> term
         stamps, gcodes = columns
-        self.codes = wanted = None
+        self.codes = wanted = self.negated = None
         store = {}
         if prefixes is not None:
             self.codes = {-gkey for _, gkey in prefixes}
             store = {gkey: [] for gkey in self.codes}
             wanted = {-sum([sign * pcode[terms[i][2]] for sign, i in fam]) for fam, _ in prefixes}
+        else:
+            self.negated = {}
         for fam in concrete_families(q, size, None if wanted is None else (pcode, wanted)):
             keys = map(sum, zip(*map(gcodes.__getitem__, fam)))
             if self.codes is None:
-                for gkey, stamp in zip(keys, zip(*map(stamps.__getitem__, fam))):
+                stamped = list(zip(*map(stamps.__getitem__, fam)))
+                negative = sorted([(-sign, w) for sign, w in fam])
+                self.negated.update(zip(stamped, zip(*map(stamps.__getitem__, negative))))
+                for gkey, stamp in zip(keys, stamped):
                     store.setdefault(gkey, []).append(stamp)
                 continue
             for u, gkey in enumerate(keys):
@@ -419,13 +424,12 @@ class _FamilyIndex:
         return self.listing
 
     def signed(self):
-        """-F for every listed family F, and the listing of the families
-        with F < -F: what a join needs of its smallest part size, built on
-        the first such join."""
+        """``negated``, -F for every listed family F, and the listing of the
+        families with F < -F: what a join needs of its smallest part size,
+        built on the first such join."""
         if self.signs is None:
-            listing = self.families()
-            negated = {fam: _negated(fam) for fam, _ in listing}
-            self.signs = negated, [entry for entry in listing if entry[0] < negated[entry[0]]]
+            negated = self.negated
+            self.signs = negated, [entry for entry in self.families() if entry[0] < negated[entry[0]]]
         return self.signs
 
 
@@ -512,12 +516,17 @@ def _orbit_components(table, max_length, group, budget):
     components that alone form a one-degree cycle, as sorted tuples with the
     least term positive, by size, for every size 2..max_length; sorted.
 
-    One cancellation scan of size max_length runs from the terms at the
-    least index of each orbit of `group` (the trivial group scans every
-    index): a closure returns without extending and the residual prune only
-    loosens as the size grows, so that scan passes every state of each
-    smaller size's.  f and g commute with automorphisms, so the families at
-    index p(u) are p of those at u, each put back in the scan's form."""
+    One cancellation scan of size max_length runs at the least index u of
+    each orbit of `group` (the trivial group scans every index), once per
+    orbit of u's stabiliser in `group` on the terms at u: from the orbit's
+    least term, the orbits in order of their least terms, each retired after
+    its scan.  A closure returns without extending and the residual prune
+    only loosens as the size grows, so that scan passes every state of each
+    smaller size's.  f and g commute with automorphisms, so a family at u
+    is moved by the stabiliser onto one holding the least term of the first
+    orbit it meets and no earlier orbit's term, which that orbit's scan
+    meets; the families at p(u) are p of those at u.  Each hit is expanded
+    over all of `group` and put back in the scan's form."""
     hits = {size: set() for size in range(2, max_length + 1)}
 
     def close(family, gres):
@@ -528,8 +537,13 @@ def _orbit_components(table, max_length, group, budget):
                 hits[len(family)].add(tuple(sorted([(flip * s, t) for s, t in image])))
 
     for u in sorted({min(p[v] for p in group) for v in range(len(group[0]))}):
+        stabiliser = [p for p in group if p[u] == u]
+        orbits = {
+            tuple(sorted({(d, u, tuple([p[x] for x in w])) for p in stabiliser}))
+            for d, v, w in table.terms if v == u
+        }
         cancel_search(
-            table.f, table.f_cancel, max_length, close, [t for t in table.terms if t[1] == u],
+            table.f, table.f_cancel, max_length, close, sorted(orbits),
             g=(table.g, table.g_cancel[u]), budget=budget,
         )
     return {size: sorted(fams) for size, fams in hits.items()}
@@ -653,13 +667,9 @@ def _search_double_window(cfg, report, table):
 
     # A cycle is met from an anchor in the first orbit its degree-0 terms
     # reach, moved onto that orbit's least term by an automorphism (McKay's
-    # orbit argument); the earlier orbits' terms are then left out, so the
-    # anchor is the least term left.
-    for rep in sorted(orbits):
-        cancel_search(images, cancel, max_length, join, [rep], cap=(0, max(sizes)), budget=budget)
-        for t in orbits[rep]:
-            for face, s in images[t]:
-                cancel[face].remove((t, s))
+    # orbit argument); the earlier orbits' terms are retired by then, so the
+    # anchor is the least term left.  Each orbit lists its least term first.
+    cancel_search(images, cancel, max_length, join, sorted(orbits.values()), cap=(0, max(sizes)), budget=budget)
 
     report.covered += [
         "every cycle of length 6..%d with degrees exactly {0, 1}, bottom layer size"

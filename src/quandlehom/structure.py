@@ -153,23 +153,31 @@ def cancel_search(images, cancel, size, on_close, anchors, *, g=None, cap=None, 
     """Residual-guided cancellation search over one image table.
 
     `images[t]` holds the signed faces ((face, sign), ...) of term t and
-    `cancel[face]` the (term, sign) pairs whose image holds the face.  From
-    each anchor taken positive it grows signed families of at most `size`
-    terms: while the residual (the family's image) is nonzero it adds a term
-    cancelling the least face of the first nonzero residual, with the sign
-    that moves it toward zero, never a term with both signs; once it vanishes
-    it calls on_close(family, g_residual) and goes no further.  It backtracks
-    when a residual needs more faces per remaining term than any term has.
+    `cancel[face]` the (term, sign) pairs whose image holds the face.
+    `anchors` is a sequence of groups of terms, each group's least term
+    first.  From that term taken positive it grows signed families of at
+    most `size` terms: while the residual (the family's image) is nonzero it
+    adds a term cancelling the least face of the first nonzero residual,
+    with the sign that moves it toward zero, never a term with both signs;
+    once it vanishes it calls on_close(family, g_residual) and goes no
+    further.  It backtracks when a residual needs more faces per remaining
+    term than any term has.
 
-    Later terms are no smaller than the anchor, so a family is found from
-    its least term, once per global sign.  `g` = (images, cancel): the g
-    residual is tracked too and cancelled first (else it is None).  `cap` =
-    (degree, k): at most k terms of that degree; `budget`: a probe a state.
+    After a group's scan the whole group is retired: no later scan adds any
+    of its terms.  With one-term groups in sorted order, later terms are no
+    smaller than the anchor, so a family is found from its least term, once
+    per global sign.  With the orbits of a symmetry group that fixes the
+    image tables, in order of their least terms, a family is found, moved by
+    some element, from the least term of the first orbit it meets.  `g` =
+    (images, cancel): the g residual is tracked too and cancelled first
+    (else it is None).  `cap` = (degree, k): at most k terms of that degree;
+    `budget`: a probe a state.
     """
     g_img, g_cancel = g or (None, None)
     bound = _faces_per_term(images)
     g_bound = g and _faces_per_term(g_img)
     cap_degree, cap_room = cap or (None, 0)
+    retired = set()
 
     def extend(family, res, gres, room):
         if budget is not None:
@@ -187,7 +195,7 @@ def cancel_search(images, cancel, size, on_close, anchors, *, g=None, cap=None, 
         need = 1 if key_res[key] > 0 else -1
         for t, s in key_cancel.get(key, ()):
             sign = -need * s
-            if t < anchor or (-sign, t) in family:
+            if t in retired or (-sign, t) in family:
                 continue
             if t[0] != cap_degree or room:
                 step(family, res, gres, sign, t, room)
@@ -201,8 +209,9 @@ def cancel_search(images, cancel, size, on_close, anchors, *, g=None, cap=None, 
         )
 
     try:
-        for anchor in anchors:
-            step([], {}, None if g is None else {}, 1, anchor, cap_room)
+        for group in anchors:
+            step([], {}, None if g is None else {}, 1, group[0], cap_room)
+            retired.update(group)
     finally:
         extend = step = None  # they refer to each other: free the search's state on return
 
@@ -244,7 +253,7 @@ def _null_families(size):
         if len(family) == size:
             results.add(tuple(sorted((sign, t[2]) for sign, t in family)))
 
-    cancel_search(table.f, table.f_cancel, size, close, anchors=table.terms[:2])
+    cancel_search(table.f, table.f_cancel, size, close, anchors=[(t,) for t in table.terms[:2]])
     return sorted(results)
 
 

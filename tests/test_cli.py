@@ -166,6 +166,26 @@ def test_search_command_writes_certificate(tmp_path, capsys):
     assert out_path.read_text() == out
 
 
+@pytest.mark.parametrize(
+    "quandle, cocycle, max_length, gaps", [("o6", "eta", "7", 0), ("r7", "zeta7", "8", 1)], ids=["o6-7", "r7-8"]
+)
+def test_search_json_lists_the_coverage_of_the_certificate(tmp_path, capsys, quandle, cocycle, max_length, gaps):
+    # covered and gaps are the certificate's covered and gap lines, each
+    # without its first word; the other keys stay.
+    out_path = tmp_path / "cert.txt"
+    code, out, _ = run(
+        capsys, "search", "--quandle", quandle, "--cocycle", cocycle, "--max-length", max_length,
+        "--format", "json", "--out", str(out_path),
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"found", "zero_value_cycles", "probes", "refused", "exhausted", "covered", "gaps"}
+    lines = out_path.read_text().splitlines()
+    for key, word in (("covered", "covered "), ("gaps", "gap ")):
+        assert [word + note for note in payload[key]] == [line for line in lines if line.startswith(word)]
+    assert payload["covered"] and len(payload["gaps"]) == gaps and not payload["exhausted"]
+
+
 def test_search_refusal_exit_code(capsys):
     code, out, _ = run(
         capsys, "search", "--quandle", "o6", "--cocycle", "eta", "--max-length", "6",

@@ -247,11 +247,14 @@ def test_lookup_only_index_refuses_other_codes(full_indexes):
 
 
 @pytest.mark.parametrize(
-    "q, max_length", [(O6, 7), (R7, 7), (R3_PLUS_POINT, 8)], ids=["o6", "r7", "r3+point"]
+    "q, max_length",
+    [(O6, 7), (R7, 7), (O6, 8), (R7, 8), (R3_PLUS_POINT, 8)],
+    ids=["o6", "r7", "o6-8", "r7-8", "r3+point"],
 )
 def test_orbit_components_are_the_scan_at_every_index(q, max_length):
-    # The trivial group scans every index: the reference for the scan at
-    # one index per Aut(Q)-orbit, expanded over Aut(Q).
+    # The trivial group scans every index from every term: the reference
+    # for the scan at one index per Aut(Q)-orbit, once per orbit of that
+    # index's stabiliser, expanded over Aut(Q).
     table = TermTable(q)
 
     def scan(max_length, group=automorphisms(q)):
@@ -340,7 +343,7 @@ def test_o6_single_degree_clean_below_seven():
     assert rep.exhausted
     assert rep.zero_value_cycles > 0
     assert "EXHAUSTED" in rep.certificate_text()
-    assert _digest(rep) == "a2cdee95a4a73a40455b90d31525079c49be8995420b000e6cec013ee69a876d"
+    assert _digest(rep) == "fc90e705096f9413b88b53a07ba717d7bf2bb01c60eb1a3a61185e1f5e44fb9e"
 
 
 def test_o6_single_degree_witnesses_at_seven():
@@ -356,7 +359,7 @@ def test_o6_single_degree_witnesses_at_seven():
     keys = {_sign_normal_key(fc.chain.terms) for fc in rep.found}
     assert _sign_normal_key(witness.terms) in keys
     assert value == 2
-    assert _digest(rep) == "3344abe94b8cf0e5f85b1b8e5127e6050739c6e6ee2a82e31fb5da3d691a86d0"
+    assert _digest(rep) == "33fdfffadad3d1fed0394ead60bd5effd8636bfa3b5748166590043c5cb326e4"
 
 
 def test_r7_single_degree_is_empty_to_seven():
@@ -364,7 +367,7 @@ def test_r7_single_degree_is_empty_to_seven():
     assert rep.exhausted
     assert rep.zero_value_cycles == 0
     assert len(rep.found) == 0
-    assert _digest(rep) == "80432579807d1168adb75c44fd4b07ecd760e138a7ccc1eeb9c63cf85babd787"
+    assert _digest(rep) == "719e21ace95f7de6b3cae3e3102c607664145b7f1c402a1b1a022bc1588f15fe"
 
 
 def _digest_apart_from_probes(report):
@@ -379,23 +382,45 @@ def test_o6_double_window_clean_at_six():
     assert rep.zero_value_cycles == 480
     assert _digest_apart_from_probes(rep) == "f0da21da6cd5ef75fad0167ce5a4c3355d1000340e228f7c75bcf3ee945b3e49"
     # the closures scan and the single window's run at length 4
-    assert rep.probes == 8256
+    assert rep.probes == 7666
 
 
-# The single window's probes: the joins of two parts or more, then the scan
-# of one family of every size 2..L at one index per Aut(Q)-orbit (O6 and R7
-# have one orbit each).
+# The two-degree window's closures scan alone: its probes line less those of
+# the single window's run at L - 2, which it also counts.  The scan starts
+# once per Aut(Q)-orbit of degree-0 terms, and no later scan uses an orbit
+# once it has been scanned from.
 @pytest.mark.parametrize(
     "quandle, max_length, probes",
     [
         pytest.param(quandle, max_length, probes, id="%s-%d" % (quandle, max_length))
         for quandle, max_length, probes in [
-            ("o6", 6, 8061),
-            ("o6", 7, 11578),
-            ("o6", 8, 87200),
-            ("r7", 6, 7524),
-            ("r7", 7, 7927),
-            ("r7", 8, 67954),
+            ("o6", 6, 28193),
+            ("o6", 7, 135755),
+            ("o6", 8, 789527),
+            ("r7", 7, 95091),
+            ("r7", 8, 928429),
+        ]
+    ],
+)
+def test_double_window_closures_scan_probes(quandle, max_length, probes):
+    rep = cached_search(quandle, max_length, "double", "BC")
+    assert rep.probes - cached_search(quandle, max_length - 2).probes == probes
+
+
+# The single window's probes: the joins of two parts or more, then the scan
+# of one family of every size 2..L at one index per Aut(Q)-orbit (O6 and R7
+# have one orbit each), once per orbit of that index's stabiliser.
+@pytest.mark.parametrize(
+    "quandle, max_length, probes",
+    [
+        pytest.param(quandle, max_length, probes, id="%s-%d" % (quandle, max_length))
+        for quandle, max_length, probes in [
+            ("o6", 6, 6345),
+            ("o6", 7, 8710),
+            ("o6", 8, 81120),
+            ("r7", 6, 6486),
+            ("r7", 7, 6678),
+            ("r7", 8, 66168),
         ]
     ],
 )
@@ -445,14 +470,14 @@ def test_single_degree_certificates_apart_from_probes(quandle, max_length, diges
     [
         pytest.param(quandle, max_length, digest, id="%s-%d" % (quandle, max_length))
         for quandle, max_length, digest in [
-            ("o6", 2, "8b31288e4c704c3a97beef1576cbe7df2b808260464990f1d0a9fc77d3f5cce7"),
-            ("o6", 3, "bce0521dd048598351043e2b1607f1630824e772462f699ef32efe6663afb78b"),
-            ("o6", 4, "9e618a7e99ce59ccf14974e2ec8409f2d6ed92b8bbebc8ea7e894daf43d25908"),
-            ("o6", 5, "475c700463b56f51bb4a5d7ae1363bf86b227a2cbd09bb0cf849bb7e6eb8be9b"),
-            ("r7", 2, "9435a25195231c7cc4cbfd4c66fe6058a5a1bb658ab8456f61214aca71ae5968"),
-            ("r7", 3, "c1c78dd87983dfbedfd47cf6f8a02cfa66079ef0f90bc72b2b6263cc091ca6ad"),
-            ("r7", 4, "23813883bafa420d4a47233b25f011ba8944d0b2827a4b58aace0356ec10a696"),
-            ("r7", 5, "dd1e3577cc08263e5299e912e9aa2c5edda759e4cc2276ccd4ac98230ddae405"),
+            ("o6", 2, "9cf919f1e54946d15a8ee6233197b575b14bfaa42a68bf4692338e3e61498add"),
+            ("o6", 3, "212240e64e08e608eb4fa78915c30f23c7df6a08060b962ce0758eff58e7b99a"),
+            ("o6", 4, "ae9574ca47b00daa723003b3c1ebec255e835828ead8b6109483e535996e19e0"),
+            ("o6", 5, "4ac04788ce9c3b17176fb52953a19d15e8e350372ed10d5d7ae2a464daefaa2f"),
+            ("r7", 2, "2884bb6dd0d50211dc9555da6627e5749904a3b138c9f70a5943c8b03a9c9568"),
+            ("r7", 3, "c4d691af7f9b34b1639d2b08191a9951d76fadb0d531d3ce6c63469fe7d7a663"),
+            ("r7", 4, "a40402251da1879162223b2535268b9a3f9d6c6ac852d6d03d067eed8299668f"),
+            ("r7", 5, "ed41895acb2c26c333612862e61d532e4003619263cb27ac63215cb78b3760e5"),
         ]
     ],
 )

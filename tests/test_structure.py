@@ -378,7 +378,7 @@ def test_census_matches_five_symbol_search_from_every_anchor():
             if len(family) == k:
                 found.add(tuple(sorted((s, t[2]) for s, t in family)))
 
-        cancel_search(table.f, table.f_cancel, k, close, anchors=table.terms)
+        cancel_search(table.f, table.f_cancel, k, close, anchors=[(t,) for t in table.terms])
         minimal = [
             fam for fam in found if table.is_minimal_null([(s, (0, 0, w)) for s, w in fam])
         ]
