@@ -141,15 +141,22 @@ class CocycleReport:
 
 
 def verify_cocycle_condition(theta):
-    """Evaluate theta on the boundary of every non-degenerate 4-generator
-    over the trivial coefficient set; all values must vanish mod modulus."""
+    """Pair theta with the boundary of every non-degenerate 4-generator over
+    the trivial coefficient set; every pairing must vanish mod modulus.
+    Faces are looked up in theta's value table directly: their colors are
+    in range with no equal neighbours, so evaluate's checks find nothing."""
     q = theta.quandle
+    value = theta.values.get
     failures = []
     checked = 0
     for word in color_words(q.size, 4):
         checked += 1
-        gen = Chain.single(1, 0, 0, word, graded=False)
-        if evaluate(theta, chains.boundary(gen, q)) != 0:
+        gen = Chain(4, False)
+        gen.terms = {(0, 0, word): 1}
+        total = 0
+        for (_, _, colors), c in chains.boundary(gen, q).terms.items():
+            total += c * value(colors, 0)
+        if total % theta.modulus:
             failures.append(word)
     return CocycleReport(checked=checked, failures=failures)
 

@@ -15,7 +15,6 @@ looking at the centre).
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass, field
 
@@ -253,10 +252,15 @@ def _is_degenerate(colors):
 
 def color_words(n, length):
     """Every word of `length` colors from 0..n-1 with adjacent colors
-    distinct, in lexicographic order."""
-    for word in itertools.product(range(n), repeat=length):
-        if not _is_degenerate(word):
-            yield word
+    distinct, in lexicographic order.  Words grow a letter at a time, the
+    last letter added as they are taken."""
+    if not length:
+        return iter([()])
+    nexts = [[(x,) for x in range(n) if x != y] for y in range(n + 1)]  # nexts[n] starts a word
+    prefixes = [()]
+    for _ in range(length - 1):
+        prefixes = [w + x for w in prefixes for x in nexts[w[-1] if w else n]]
+    return (w + x for w in prefixes for x in nexts[w[-1] if w else n])
 
 
 def parse_ints(tokens, error, where):

@@ -11,7 +11,8 @@ Normalization: the inner rotation group is transitive on ordered vertex
 pairs at a quarter turn and on antipodal pairs, so template symbol `a` is
 pinned to vertex 0, `b` to vertex 1 or 3, and, in the antipodal case, `c`
 to vertex 1 (the residual rotations about the 0-3 axis act transitively on
-the equator).  Instances are enumerated raw under this normalization; rows
+the equator).  Instances are enumerated raw under this normalization, the
+other symbol blocks taking every arrangement of the vertices left; rows
 with identical case, b, c, u-set and partition are merged over d, matching
 the published layout.  Bigon entries contribute both their concrete word
 forms, and an instance is tabulated only when the two forms agree.
@@ -91,13 +92,17 @@ class IndexPatternRow:
 
 def _assignments(symbols, mapping, b_val):
     """Injective placements of the merged symbol blocks into O_6 respecting
-    the normalization a -> 0, b -> b_val, and c -> 1 when b is antipodal."""
-    reps = sorted({mapping[s] for s in symbols})
+    the normalization a -> 0, b -> b_val, and c -> 1 when b is antipodal;
+    the other blocks take every arrangement of the values left, in
+    lexicographic order."""
     pinned = [(0, 0), (1, b_val)] + ([(2, 1)] if b_val == 3 and 2 in mapping else [])
-    for values in itertools.permutations(range(6), len(reps)):
-        assign = dict(zip(reps, values))
-        if all(assign[mapping[s]] == v for s, v in pinned):
-            yield assign
+    pins = {mapping[s]: v for s, v in pinned}
+    if len(pins) != len(pinned):
+        raise AssertionError("pinned symbols share a block in %r" % (mapping,))
+    free = sorted({mapping[s] for s in symbols} - set(pins))
+    rest = [v for v in range(6) if v not in pins.values()]
+    for values in itertools.permutations(rest, len(free)):
+        yield {**pins, **dict(zip(free, values))}
 
 
 def index_pattern_rows(k, shape):

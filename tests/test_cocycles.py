@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -130,6 +131,26 @@ def test_perturbed_table_fails_with_witness():
     report = verify_cocycle_condition(broken)
     assert not report.ok
     assert report.failures
+
+
+def _perturbed(theta, triple):
+    values = dict(theta.values)
+    values[triple] = values.get(triple, 0) + 1
+    return ThreeCocycle(theta.quandle, theta.modulus, values, name="broken")
+
+
+@pytest.mark.parametrize(
+    "theta", [_perturbed(eta_octahedral(), (0, 1, 4)), _perturbed(mochizuki(5), (2, 0, 3))], ids=["eta", "zeta5"]
+)
+def test_cocycle_condition_matches_the_boundary_of_each_word(theta):
+    # The oracle pairs theta with each 4-generator's boundary as a chain.
+    q = theta.quandle
+    words = [w for w in itertools.product(range(q.size), repeat=4) if all(x != y for x, y in zip(w, w[1:]))]
+    failures = [w for w in words if evaluate(theta, boundary(Chain.single(1, 0, 0, w, graded=False), q))]
+    report = verify_cocycle_condition(theta)
+    assert report.checked == len(words)
+    assert report.failures == failures
+    assert failures
 
 
 def test_evaluate_on_named_cycles():

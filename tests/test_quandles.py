@@ -10,6 +10,7 @@ from quandlehom.quandles import (
     automorphisms,
     check_axioms,
     check_isomorphism,
+    color_words,
     dual,
     make_dihedral,
     make_octahedral,
@@ -213,6 +214,14 @@ def test_is_degenerate_matches_adjacent_pair_definition():
             expected = any(word[i] == word[i + 1] for i in range(len(word) - 1))
             assert _is_degenerate(word) is expected
             assert _is_degenerate(list(word)) is expected
+
+
+def test_color_words_are_the_filtered_product_in_order():
+    # Length 0 is one empty word; n = 1 has no word of length 2 or more.
+    for n in range(1, 8):
+        for length in range(5):
+            expected = [w for w in itertools.product(range(n), repeat=length) if not _is_degenerate(w)]
+            assert list(color_words(n, length)) == expected
 
 
 def test_automorphisms_hands_each_caller_a_fresh_list():

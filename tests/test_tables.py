@@ -1,7 +1,10 @@
+import hashlib
+import itertools
+
 import pytest
 
-from quandlehom.structure import StructureError
-from quandlehom.tables import index_pattern_rows, rows_to_text
+from quandlehom.structure import PATTERN_CATALOG, StructureError
+from quandlehom.tables import SHAPES, _assignments, _case_variants, index_pattern_rows, rows_to_text
 
 # Transcribed rows: (case, b, c, d-values, u-values or "any", blocks).
 # Words use letters a..d; blocks are space-separated words.
@@ -137,6 +140,45 @@ def test_rows_render_deterministically():
     assert a == b
     assert a.count("\n") == 16
     assert "case=i b=w1 c=w5 d=- u=any" in a
+
+
+# sha256 of each table's text (fixtures/index_patterns_k*.txt hold the same
+# bytes).  Rows sort on a key with ties, so the order rows are made in shows.
+TEXT_SHA256 = {
+    (4, "2+2"): "ee66b1c768483e587113a9ce5dde54d80f44d9c5e061bef67586fd13535ece8f",
+    (4, "3+1"): "55e469d4e50af1a775d12259a8d0c8dbb480998c9bf15a98657cd174ee17f382",
+    (4, "4"): "22be4ca1dafa7a1928c372d0fa764424e3b89e10d6f4062d2a79cda86a71d52f",
+    (5, "3+2"): "bb84430966732758860f6bd5b95fc9cb5ddae7d786ae2f27d59f93a9de93d0ed",
+    (5, "4+1"): "2af1b2d6994d1a11cf6cdc063ae1016f863248cb7e9b234932ecfb6a33cc89d9",
+    (5, "5"): "017cf387f1afa0f0983475f96c29a13fffeeaa1564e212dc5927f8acec312d8c",
+}
+
+
+@pytest.mark.parametrize("k,shape", sorted(TEXT_SHA256))
+def test_rows_text_is_pinned(k, shape):
+    text = rows_to_text(index_pattern_rows(k, shape))
+    assert hashlib.sha256(text.encode()).hexdigest() == TEXT_SHA256[k, shape]
+
+
+def _filtered_assignments(symbols, mapping, b_val):
+    """Every injective placement of the blocks, kept when it pins a -> 0,
+    b -> b_val and, when b is antipodal, c -> 1."""
+    reps = sorted({mapping[s] for s in symbols})
+    pinned = [(0, 0), (1, b_val)] + ([(2, 1)] if b_val == 3 and 2 in mapping else [])
+    for values in itertools.permutations(range(6), len(reps)):
+        assign = dict(zip(reps, values))
+        if all(assign[mapping[s]] == v for s, v in pinned):
+            yield assign
+
+
+def test_assignments_are_the_filtered_permutations():
+    for k in SHAPES:
+        for case_id, pattern in PATTERN_CATALOG[k].items():
+            symbols = sorted({s for _, _, colors in pattern for s in colors})
+            for mapping in _case_variants(k, case_id):
+                for b_val in (1, 3):
+                    got = list(_assignments(symbols, mapping, b_val))
+                    assert got == list(_filtered_assignments(symbols, mapping, b_val)), (k, case_id, b_val)
 
 
 def test_bad_parameters_rejected():
