@@ -4,11 +4,16 @@ Exit codes: 0 on success or a passing verification, 1 on a verification
 failure (a diff or witness is printed), 2 on usage or input errors.  All
 numeric output is exact.  Reports are byte-deterministic for a fixed
 command line; --format json is available on report-producing commands.
+
+One process reuses one parser: it is built on the first ``main`` call, not
+at import, and every later call parses with it.  Parsing leaves no state on
+it, so each call behaves as the first would.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -273,6 +278,7 @@ def _add_format(p):
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="quandlehom",

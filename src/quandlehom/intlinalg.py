@@ -23,13 +23,15 @@ P = (1 << 61) - 1
 
 
 def _subtract(target, q, source, tid=None, where=None, modulus=0):
-    """target -= q * source in place on sparse rows, modulo ``modulus`` when
-    it is nonzero; ``where``, when given, is the column index to keep in step
-    with row ``tid``'s entries."""
+    """target -= q * source in place on sparse rows; when ``modulus`` is
+    nonzero, an entry is reduced modulo it only once it leaves (-modulus,
+    modulus), so an entry is zero exactly when it is zero modulo it.
+    ``where``, when given, is the column index to keep in step with row
+    ``tid``'s entries."""
     get = target.get
     for c, y in source.items():
         v = get(c, 0) - q * y
-        if modulus:
+        if modulus and not -modulus < v < modulus:
             v %= modulus
         if v:
             if where is not None and c not in target:
@@ -56,22 +58,25 @@ def integer_kernel_basis(rows, ncols):
     """
     # A[r] is column r of M, as the sparse transpose of the given rows.
     a = [{} for _ in range(ncols)]
-    where = {}
+    where = [set() for _ in rows]
     for i, row in enumerate(rows):
         for r, x in row.items():
             if x:
                 a[r][i] = x
-                where.setdefault(i, set()).add(r)
+                where[i].add(r)
     u = [{r: 1} for r in range(ncols)]
     order = list(range(ncols))
     pos = list(range(ncols))
     top = 0
     for col in range(len(rows)):
-        live = where.get(col)
+        live = where[col]
         # Euclidean elimination in this column below `top`; `live` holds the
         # rows at or below `top` with an entry here.
         while live:
-            pivot = min(live, key=lambda r: (abs(a[r][col]), pos[r]))
+            if len(live) == 1:
+                (pivot,) = live
+            else:
+                pivot = min(live, key=lambda r: (abs(a[r][col]), pos[r]))
             if pos[pivot] != top:
                 other = order[top]
                 order[top], order[pos[pivot]] = pivot, other
@@ -109,11 +114,12 @@ def rank_mod_p(rows):
 
     Never above the rank over Q: a prime dividing a minor can only lower it.
     Each column is cleared with its sparsest live row as the pivot, since the
-    rank does not depend on the pivot order.
+    rank does not depend on the pivot order.  Entries stay the small integers
+    they are until one leaves (-P, P), and a pivot of +-1 is its own inverse.
     """
     m, where = [], {}
     for i, row in enumerate(rows):
-        m.append({c: x % P for c, x in row.items() if x % P})
+        m.append({c: x if -P < x < P else x % P for c, x in row.items() if x % P})
         for c in m[i]:
             where.setdefault(c, set()).add(i)
     rank = 0
@@ -125,8 +131,10 @@ def rank_mod_p(rows):
         top = m[pivot]
         for c2 in top:
             where[c2].discard(pivot)
-        inv = pow(top[c], -1, P)
+        x = top[c]
+        inv = x if x in (1, -1) else pow(x, -1, P)
         for i in list(live):
-            _subtract(m[i], m[i][c] * inv % P, top, i, where, P)
+            q = m[i][c] * inv
+            _subtract(m[i], q if -P < q < P else q % P, top, i, where, P)
         rank += 1
     return rank

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from quandlehom.cli import main
+from quandlehom.cli import build_parser, main
 
 FIX = "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
@@ -204,18 +207,81 @@ def test_search_has_no_threads_option(capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_readme_commands_run(capsys, monkeypatch):
-    # The fenced block under "## Command line" in README.md, run line by line
-    # from the repository root: every command must parse and exit 0.
+def readme_commands():
+    """The fenced block under "## Command line" in README.md, one argv per
+    command line."""
     text = (ROOT / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```", 2)[1]
     commands = [shlex.split(line.split("#", 1)[0]) for line in block.splitlines()]
-    commands = [argv for argv in commands if argv]
+    return [argv for argv in commands if argv]
+
+
+def fresh_process(*argv):
+    """Exit code, stdout and stderr of `python -m quandlehom.cli argv` in a
+    new interpreter, run from the repository root at 80 columns."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandlehom.cli", *argv], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_readme_commands_run(capsys, monkeypatch):
+    # The README command block, run line by line from the repository root:
+    # every command must parse and exit 0.
+    commands = readme_commands()
     assert len(commands) >= 10 and all(argv[0] == "quandlehom" for argv in commands)
     monkeypatch.chdir(ROOT)
     for argv in commands:
         code, _, err = run(capsys, *argv[1:])
         assert code == 0, (argv, err)
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main() parses every call with one parser.  The README block run twice,
+    # in two orders, with an argparse rejection and --help between the runs,
+    # gives byte-identical exit codes and output, and so does a new process:
+    # no call leaves state on the parser for the next.
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = [argv[1:] for argv in readme_commands()]
+    first = [run(capsys, *argv) for argv in commands]
+
+    def rejected(*argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    frobnicate, usage = rejected("frobnicate"), rejected("--help")
+    assert frobnicate[0] == 2 and "invalid choice: 'frobnicate'" in frobnicate[2]
+    assert usage[0] == 0 and usage[1].startswith("usage: quandlehom")
+    second = [run(capsys, *argv) for argv in reversed(commands)]
+    assert second[::-1] == first
+    assert build_parser.cache_info().misses == 1
+    assert rejected("frobnicate") == frobnicate == fresh_process("frobnicate")
+    assert rejected("--help") == usage == fresh_process("--help")
+    pairs = (["cocycle", "verify"], ["enumerate", "index-tables"])
+    picked = [i for i, argv in enumerate(commands) if argv[:2] in pairs]
+    assert len(picked) == 2
+    for i in picked:
+        assert fresh_process(*commands[i]) == first[i]
+
+
+def test_import_builds_no_parser():
+    # The parser is built on the first main() call, not at import: importing
+    # the CLI stays as cheap as importing the library.
+    script = (
+        "import contextlib, io\n"
+        "import quandlehom.cli as cli\n"
+        "before = cli.build_parser.cache_info().currsize\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['quandle', 'print-table', '--quandle', 'r3'])\n"
+        "print(before, cli.build_parser.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1\n", "")
 
 
 def test_usage_errors(capsys):

@@ -342,6 +342,43 @@ def test_rank_mod_p_can_only_fall_short():
     assert intlinalg.rank_mod_p(singular_mod_p) == 1
 
 
+def dense_rank_mod(matrix, p):
+    """Rank over Z/p of a dense integer matrix, each entry reduced mod p
+    before the elimination starts and after every step."""
+    rows = [[x % p for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col] * inv % p
+                rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_mod_p_on_entries_at_and_past_p():
+    # rank_mod_p reduces an entry only once it leaves (-P, P): entries next
+    # to and past multiples of P, and pivots other than +-1, must give the
+    # rank that reducing every entry at every step gives.
+    p = intlinalg.P
+    rng = random.Random(26)
+    entries = (0, 0, 1, -1, 2, -3, p - 1, 1 - p, p + 1, 2 * p, -p - 2, p * p + 3, 3**70)
+    falls_short = 0
+    for _ in range(400):
+        ncols = rng.randrange(1, 6)
+        matrix = [[rng.choice(entries) for _ in range(ncols)] for _ in range(rng.randrange(1, 7))]
+        rows = [{c: x for c, x in enumerate(row) if x} for row in matrix]
+        rank = dense_rank_mod(matrix, p)
+        assert intlinalg.rank_mod_p(rows) == rank
+        falls_short += rank < fraction_rank(matrix)
+    assert falls_short >= 5
+
+
 def test_rank_mod_p_of_empty_and_zero_rows():
     assert intlinalg.rank_mod_p([]) == 0
     assert intlinalg.rank_mod_p([{0: 0, 1: 0}]) == 0

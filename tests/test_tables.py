@@ -1,5 +1,5 @@
-import hashlib
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -142,22 +142,23 @@ def test_rows_render_deterministically():
     assert "case=i b=w1 c=w5 d=- u=any" in a
 
 
-# sha256 of each table's text (fixtures/index_patterns_k*.txt hold the same
-# bytes).  Rows sort on a key with ties, so the order rows are made in shows.
-TEXT_SHA256 = {
-    (4, "2+2"): "ee66b1c768483e587113a9ce5dde54d80f44d9c5e061bef67586fd13535ece8f",
-    (4, "3+1"): "55e469d4e50af1a775d12259a8d0c8dbb480998c9bf15a98657cd174ee17f382",
-    (4, "4"): "22be4ca1dafa7a1928c372d0fa764424e3b89e10d6f4062d2a79cda86a71d52f",
-    (5, "3+2"): "bb84430966732758860f6bd5b95fc9cb5ddae7d786ae2f27d59f93a9de93d0ed",
-    (5, "4+1"): "2af1b2d6994d1a11cf6cdc063ae1016f863248cb7e9b234932ecfb6a33cc89d9",
-    (5, "5"): "017cf387f1afa0f0983475f96c29a13fffeeaa1564e212dc5927f8acec312d8c",
+# The golden copy of each table's text.  Rows sort on a key with ties, so the
+# order rows are made in shows.
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = {
+    (4, "2+2"): "index_patterns_k4_22.txt",
+    (4, "3+1"): "index_patterns_k4_31.txt",
+    (4, "4"): "index_patterns_k4_4.txt",
+    (5, "3+2"): "index_patterns_k5_32.txt",
+    (5, "4+1"): "index_patterns_k5_41.txt",
+    (5, "5"): "index_patterns_k5_5.txt",
 }
 
 
-@pytest.mark.parametrize("k,shape", sorted(TEXT_SHA256))
+@pytest.mark.parametrize("k,shape", sorted(GOLDEN))
 def test_rows_text_is_pinned(k, shape):
     text = rows_to_text(index_pattern_rows(k, shape))
-    assert hashlib.sha256(text.encode()).hexdigest() == TEXT_SHA256[k, shape]
+    assert text.encode() == (FIXTURES / GOLDEN[k, shape]).read_bytes()
 
 
 def _filtered_assignments(symbols, mapping, b_val):
