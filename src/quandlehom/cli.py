@@ -5,15 +5,14 @@ failure (a diff or witness is printed), 2 on usage or input errors.  All
 numeric output is exact.  Reports are byte-deterministic for a fixed
 command line; --format json is available on report-producing commands.
 
-One process reuses one parser: it is built on the first ``main`` call, not
-at import, and every later call parses with it.  Parsing leaves no state on
-it, so each call behaves as the first would.
+Each ``main`` call builds the parser afresh, and only as much of it as its
+command line reaches: the top level with one empty parser per command, then
+the subcommands and options of the command it names (``_Parser``).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -278,61 +277,99 @@ def _add_format(p):
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
-@functools.cache
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="quandlehom",
-        description="Exact homological computations for finite quandles.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose arguments are added when it first parses.
 
-    q = sub.add_parser("quandle", help="build, check and transform quandle tables")
+    The ``fill`` function it is given adds them.  A command line so builds
+    the top level with one empty parser per command, and fills only the
+    parsers it reaches: the command it names, whose fill adds its (empty)
+    subcommand parsers, and the subcommand it runs.  --help and every usage
+    error are printed by a parser while it parses, after its fill, so they
+    read as those of a tree built in full.
+    """
+
+    def __init__(self, *args, fill=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def fill(self):
+        """Add this parser's arguments if they are not yet added."""
+        if self._fill is not None:
+            fill, self._fill = self._fill, None
+            fill(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.fill()
+        return super().parse_known_args(args, namespace)
+
+
+def _quandle_commands(q):
+    def print_table(p):
+        _add_quandle_options(p)
+        p.set_defaults(func=cmd_quandle_print_table)
+
+    def check(p):
+        _add_quandle_options(p)
+        _add_format(p)
+        p.set_defaults(func=cmd_quandle_check)
+
+    def dual(p):
+        _add_quandle_options(p)
+        p.set_defaults(func=cmd_quandle_dual)
+
+    def table1(p):
+        _add_quandle_options(p, with_base=True)
+        p.set_defaults(func=cmd_quandle_table1)
+
     qsub = q.add_subparsers(dest="subcommand", required=True)
-    p = qsub.add_parser("print-table")
-    _add_quandle_options(p)
-    p.set_defaults(func=cmd_quandle_print_table)
-    p = qsub.add_parser("check")
-    _add_quandle_options(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_quandle_check)
-    p = qsub.add_parser("dual")
-    _add_quandle_options(p)
-    p.set_defaults(func=cmd_quandle_dual)
-    p = qsub.add_parser("table1", help="the 150-row census of base^{a b c}")
-    _add_quandle_options(p, with_base=True)
-    p.set_defaults(func=cmd_quandle_table1)
+    qsub.add_parser("print-table", fill=print_table)
+    qsub.add_parser("check", fill=check)
+    qsub.add_parser("dual", fill=dual)
+    qsub.add_parser("table1", help="the 150-row census of base^{a b c}", fill=table1)
 
-    c = sub.add_parser("cocycle", help="verify and evaluate 3-cocycles")
+
+def _cocycle_commands(c):
+    def verify(p):
+        _add_cocycle_options(p)
+        _add_format(p)
+        p.set_defaults(func=cmd_cocycle_verify)
+
+    def evaluate(p):
+        _add_cocycle_options(p)
+        p.add_argument("--chain", required=True, help="chain file to pair with")
+        _add_format(p)
+        p.set_defaults(func=cmd_cocycle_eval)
+
     csub = c.add_subparsers(dest="subcommand", required=True)
-    p = csub.add_parser("verify")
-    _add_cocycle_options(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_cocycle_verify)
-    p = csub.add_parser("eval")
-    _add_cocycle_options(p)
-    p.add_argument("--chain", required=True, help="chain file to pair with")
-    _add_format(p)
-    p.set_defaults(func=cmd_cocycle_eval)
+    csub.add_parser("verify", fill=verify)
+    csub.add_parser("eval", fill=evaluate)
 
-    e = sub.add_parser("enumerate", help="family census and index-pattern tables")
+
+def _enumerate_commands(e):
+    def families(p):
+        p.add_argument("--size", type=int, required=True)
+        _add_format(p)
+        p.set_defaults(func=cmd_enumerate_families)
+
+    def index_tables(p):
+        p.add_argument("--size", type=int, required=True, choices=[4, 5])
+        p.add_argument("--shape", required=True, help="partition shape, e.g. 2+2 or 4+1")
+        p.set_defaults(func=cmd_enumerate_index_tables)
+
     esub = e.add_subparsers(dest="subcommand", required=True)
-    p = esub.add_parser("families")
-    p.add_argument("--size", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=cmd_enumerate_families)
-    p = esub.add_parser("index-tables")
-    p.add_argument("--size", type=int, required=True, choices=[4, 5])
-    p.add_argument("--shape", required=True, help="partition shape, e.g. 2+2 or 4+1")
-    p.set_defaults(func=cmd_enumerate_index_tables)
+    esub.add_parser("families", fill=families)
+    esub.add_parser("index-tables", fill=index_tables)
 
-    p = sub.add_parser("kernel", help="exact kernel of the face-map pair on a slice")
+
+def _kernel_options(p):
     _add_quandle_options(p)
     p.add_argument("--degree", type=int, default=0)
     p.add_argument("--index", type=int, default=None)
     p.add_argument("--cell", type=int, default=None, help="restrict to one word-image class")
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("search", help="bounded shortest-cycle search")
+
+def _search_options(p):
     _add_quandle_options(p)
     p.add_argument("--cocycle", required=True)
     p.add_argument("--max-length", type=int, default=7, dest="max_length")
@@ -343,18 +380,24 @@ def build_parser():
     _add_format(p)
     p.set_defaults(func=cmd_search)
 
-    v = sub.add_parser("verify", help="named cycles and boundary identities")
-    vsub = v.add_subparsers(dest="subcommand", required=True)
-    p = vsub.add_parser("cycles")
-    p.add_argument("--name", default="all", help="zeta8, eta8, eta7 or all")
-    _add_format(p)
-    p.set_defaults(func=cmd_verify_cycles)
-    p = vsub.add_parser("boundary")
-    p.add_argument("--name", default="all")
-    _add_format(p)
-    p.set_defaults(func=cmd_verify_boundary)
 
-    p = sub.add_parser("weight", help="signed cocycle weight of a triple-point list")
+def _verify_commands(v):
+    def cycles(p):
+        p.add_argument("--name", default="all", help="zeta8, eta8, eta7 or all")
+        _add_format(p)
+        p.set_defaults(func=cmd_verify_cycles)
+
+    def boundary(p):
+        p.add_argument("--name", default="all")
+        _add_format(p)
+        p.set_defaults(func=cmd_verify_boundary)
+
+    vsub = v.add_subparsers(dest="subcommand", required=True)
+    vsub.add_parser("cycles", fill=cycles)
+    vsub.add_parser("boundary", fill=boundary)
+
+
+def _weight_options(p):
     p.add_argument("--cocycle", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--modulus", type=int)
@@ -362,12 +405,27 @@ def build_parser():
     _add_format(p)
     p.set_defaults(func=cmd_weight)
 
+
+def build_parser():
+    """The command tree, each parser below the top level still to be filled
+    (see ``_Parser``)."""
+    parser = _Parser(
+        prog="quandlehom",
+        description="Exact homological computations for finite quandles.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("quandle", help="build, check and transform quandle tables", fill=_quandle_commands)
+    sub.add_parser("cocycle", help="verify and evaluate 3-cocycles", fill=_cocycle_commands)
+    sub.add_parser("enumerate", help="family census and index-pattern tables", fill=_enumerate_commands)
+    sub.add_parser("kernel", help="exact kernel of the face-map pair on a slice", fill=_kernel_options)
+    sub.add_parser("search", help="bounded shortest-cycle search", fill=_search_options)
+    sub.add_parser("verify", help="named cycles and boundary identities", fill=_verify_commands)
+    sub.add_parser("weight", help="signed cocycle weight of a triple-point list", fill=_weight_options)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "profile", "set") is None:
         args.profile = "A" if args.window == "single" else "BC"
     try:

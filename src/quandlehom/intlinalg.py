@@ -73,10 +73,7 @@ def integer_kernel_basis(rows, ncols):
         # Euclidean elimination in this column below `top`; `live` holds the
         # rows at or below `top` with an entry here.
         while live:
-            if len(live) == 1:
-                (pivot,) = live
-            else:
-                pivot = min(live, key=lambda r: (abs(a[r][col]), pos[r]))
+            pivot = min(live, key=lambda r: (abs(a[r][col]), pos[r]))
             if pos[pivot] != top:
                 other = order[top]
                 order[top], order[pos[pivot]] = pivot, other

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -237,14 +240,15 @@ def test_readme_commands_run(capsys, monkeypatch):
         assert code == 0, (argv, err)
 
 
-def test_one_parser_serves_every_call(capsys, monkeypatch):
-    # main() parses every call with one parser.  The README block run twice,
-    # in two orders, with an argparse rejection and --help between the runs,
-    # gives byte-identical exit codes and output, and so does a new process:
-    # no call leaves state on the parser for the next.
+def test_repeated_calls_match_the_first(capsys, monkeypatch):
+    # The tests and the benchmark run many commands in one process.  The
+    # README commands but the two searches, run twice in two orders with an
+    # argparse rejection and --help between the runs, give byte-identical
+    # exit codes and output, and two of them print what a new process prints:
+    # no call leaves state behind for the next.
     monkeypatch.chdir(ROOT)
     monkeypatch.setenv("COLUMNS", "80")
-    commands = [argv[1:] for argv in readme_commands()]
+    commands = [argv[1:] for argv in readme_commands() if argv[1] != "search"]
     first = [run(capsys, *argv) for argv in commands]
 
     def rejected(*argv):
@@ -258,9 +262,7 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert usage[0] == 0 and usage[1].startswith("usage: quandlehom")
     second = [run(capsys, *argv) for argv in reversed(commands)]
     assert second[::-1] == first
-    assert build_parser.cache_info().misses == 1
-    assert rejected("frobnicate") == frobnicate == fresh_process("frobnicate")
-    assert rejected("--help") == usage == fresh_process("--help")
+    assert (rejected("frobnicate"), rejected("--help")) == (frobnicate, usage)
     pairs = (["cocycle", "verify"], ["enumerate", "index-tables"])
     picked = [i for i, argv in enumerate(commands) if argv[:2] in pairs]
     assert len(picked) == 2
@@ -268,20 +270,58 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
         assert fresh_process(*commands[i]) == first[i]
 
 
-def test_import_builds_no_parser():
-    # The parser is built on the first main() call, not at import: importing
-    # the CLI stays as cheap as importing the library.
-    script = (
-        "import contextlib, io\n"
-        "import quandlehom.cli as cli\n"
-        "before = cli.build_parser.cache_info().currsize\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    cli.main(['quandle', 'print-table', '--quandle', 'r3'])\n"
-        "print(before, cli.build_parser.cache_info().currsize)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 1\n", "")
+def parsers(parser):
+    """Every parser of the tree below ``parser``, itself first, with the
+    subcommand parsers that its fill has added so far."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action.choices.values():
+                yield from parsers(child)
+
+
+def parsed(parser, argv):
+    """The namespace, or the exit code, and the output of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_parser_reads_as_the_full_tree(monkeypatch):
+    # Each parser adds its arguments when it first parses.  Every --help and
+    # usage error, and every README command's namespace, must be what a tree
+    # with every parser filled in before parsing gives.
+    monkeypatch.setenv("COLUMNS", "80")
+    full = build_parser()
+    for parser in parsers(full):  # reads each parser's subcommands after its fill
+        parser.fill()
+    leaves = [p.prog.split()[1:] for p in parsers(full) if p.get_default("func")]
+    assert len(leaves) == 13
+    argvs = [[], ["--help"], ["frobnicate"], ["--bogus"]]
+    for path in map(list, sorted({tuple(leaf[:1]) for leaf in leaves} | {tuple(leaf) for leaf in leaves})):
+        argvs += [path, path + ["--help"], path + ["--bogus"], path + ["frobnicate"], path + ["--format", "xml"]]
+    argvs += [argv[1:] for argv in readme_commands()]
+    for argv in argvs:
+        assert parsed(build_parser(), argv) == parsed(full, argv), argv
+
+
+def test_a_command_line_fills_only_the_parsers_it_reaches():
+    # The cost of building the parser is paid on every command: a command
+    # line builds the top level, one empty parser per command, and fills
+    # only the parsers on its way.
+    parser = build_parser()
+    parser.parse_args(["quandle", "check", "--quandle", "o6"])
+    built = {p.prog: p._fill is None for p in parsers(parser)}
+    assert len(built) == 1 + 7 + 4
+    assert {prog for prog, filled in built.items() if filled} == {
+        "quandlehom",
+        "quandlehom quandle",
+        "quandlehom quandle check",
+    }
 
 
 def test_usage_errors(capsys):
