@@ -515,6 +515,8 @@ def _key_set_digest(rep, theta):
         ("o6", 6, "B", 480, "aab8eef135595ba1fa1f43d2234f3d53e4a2711155daaacf0bfc9dfe410a69fc"),
         ("o6", 7, "BC", 3504, "bb7183aaa6a9470569522d732fe07ebd61269ef29930952b3c068e520fcfb218"),
         ("r7", 7, "BC", 3234, "754c1b681cb67c8aeabaf31087fa7b2fc51caace0e005d7899b5e6fe8a3794e5"),
+        ("o6", 8, "BC", 30336, "e2a452aba28b9c99d2eb628a839d89d83d208a42a08406ae63df50b1bdcf3106"),
+        ("r7", 8, "BC", 3234, "754c1b681cb67c8aeabaf31087fa7b2fc51caace0e005d7899b5e6fe8a3794e5"),
     ],
 )
 def test_double_window_key_sets_match_the_top_layer_engine(quandle, max_length, profile, cycles, digest):
@@ -546,28 +548,55 @@ def test_double_window_scan_is_the_same_under_the_trivial_group(quandle, max_len
         assert _oracle_window(oracle, q.table, (2, 3), max_length) == keys
 
 
+def _found_digest(report):
+    """The sha256 of a certificate from its zero-pairing count on: every
+    printed cycle's value, length and shape line and its chain."""
+    text = report.certificate_text()
+    return hashlib.sha256(text[text.index("cycles with zero pairing seen") :].encode()).hexdigest()
+
+
 # The two-degree window's certificates without their probes line: the
 # covered lines, every printed chain, value and shape, and the count of
 # cycles left to the single-degree window, which the window counts from the
-# single window's cycles by length rather than lists.
+# single window's cycles by length rather than lists.  The second digest
+# covers the found section alone, so it pins which sign of each cycle is
+# printed whatever the covered lines say.
 @pytest.mark.parametrize(
-    "quandle, profile, max_length, handed, digest",
+    "quandle, profile, max_length, handed, digest, found",
     [
         pytest.param(*case, id="%s-%s-%d" % case[:3])
         for case in [
-            ("o6", "B", 6, 792, "f0da21da6cd5ef75fad0167ce5a4c3355d1000340e228f7c75bcf3ee945b3e49"),
-            ("o6", "BC", 7, 1368, "d5febf9a74fb61f2928c8be31a27d4a677fa8fc7c7073c692f81d6d44dc1eda3"),
-            ("o6", "BC", 8, 12048, "1063925b241296ae6207fae9d51f979547c8e3574e6fe19681de7640655f0a2b"),
-            ("r7", "BC", 7, 0, "47dd4a8b8e6ac8ad4a890391a82fcd26068d61f895a8409c8c411ebe8549582b"),
-            ("r7", "BC", 8, 0, "1ce4cccfdfc3eba81b0fea62225cde606e2930d3106e06f94dd537afe98f7fe0"),
-            ("dihedral:3", "BC", 7, 0, "7b4f349b5f657f1c88486a43beafa066678fd6e4d6ca8f973b1ef1c0c1453c5f"),
-            ("dihedral:3", "BC", 8, 0, "5b8f152d97a088ddc5df374111d813b6feea7334026185462063c51533cab019"),
-            ("dihedral:5", "BC", 6, 0, "a349944473c8a386e72423bf4705741f220d326863f004c8d0b41c858b25b99e"),
-            ("dihedral:5", "BC", 8, 0, "a1335a8c51958b78581fd7f0c00371a1bd40838a40f7aef271f9003ae7215582"),
+            ("o6", "B", 6, 792,
+             "f0da21da6cd5ef75fad0167ce5a4c3355d1000340e228f7c75bcf3ee945b3e49",
+             "a4db84c3526808e9ada969ef0e835ed9e1ffe2867db6e120ba4202197a9ad85a"),
+            ("o6", "BC", 7, 1368,
+             "d5febf9a74fb61f2928c8be31a27d4a677fa8fc7c7073c692f81d6d44dc1eda3",
+             "e388d00ebea9af4e024444787bf1d82c9326acc853c99046665724f6014afdda"),
+            ("o6", "BC", 8, 12048,
+             "1063925b241296ae6207fae9d51f979547c8e3574e6fe19681de7640655f0a2b",
+             "a9a80e5a30f4dfbf640af5460988e64c8636f349afd9391597034853e6b8d656"),
+            ("r7", "BC", 7, 0,
+             "47dd4a8b8e6ac8ad4a890391a82fcd26068d61f895a8409c8c411ebe8549582b",
+             "efd7676010d2b49894803355065b0fc64c0e89ac76e47430db856c948ad45f45"),
+            ("r7", "BC", 8, 0,
+             "1ce4cccfdfc3eba81b0fea62225cde606e2930d3106e06f94dd537afe98f7fe0",
+             "efd7676010d2b49894803355065b0fc64c0e89ac76e47430db856c948ad45f45"),
+            ("dihedral:3", "BC", 7, 0,
+             "7b4f349b5f657f1c88486a43beafa066678fd6e4d6ca8f973b1ef1c0c1453c5f",
+             "f8f2f5d008b9da403769d4489280e84914b034d1733d8f2bb9cc668c8ee5bc3a"),
+            ("dihedral:3", "BC", 8, 0,
+             "5b8f152d97a088ddc5df374111d813b6feea7334026185462063c51533cab019",
+             "b64f8627c8f186dd0e86b064d10718d420b39b598c7f3aec98986d444e2fbfab"),
+            ("dihedral:5", "BC", 6, 0,
+             "a349944473c8a386e72423bf4705741f220d326863f004c8d0b41c858b25b99e",
+             "59268cb67436e53e0d6e2fb843465862f87795f35f9f786f1fcc5e225f06dc80"),
+            ("dihedral:5", "BC", 8, 0,
+             "a1335a8c51958b78581fd7f0c00371a1bd40838a40f7aef271f9003ae7215582",
+             "b316cd8dc20618e6a2cc75bd05c67446568a9dce0253566987e64dadc77469d0"),
         ]
     ],
 )
-def test_double_window_certificates_apart_from_probes(quandle, profile, max_length, handed, digest):
+def test_double_window_certificates_apart_from_probes(quandle, profile, max_length, handed, digest, found):
     if quandle in ("o6", "r7"):
         rep = cached_search(quandle, max_length, "double", profile)
     else:
@@ -577,6 +606,7 @@ def test_double_window_certificates_apart_from_probes(quandle, profile, max_leng
         )
     assert "left to the single-degree window: %d\n" % handed in rep.certificate_text()
     assert _digest_apart_from_probes(rep) == digest
+    assert _found_digest(rep) == found
 
 
 def test_double_window_closures_without_a_degree_one_term_are_short_single_cycles(monkeypatch):
@@ -786,7 +816,7 @@ def test_searches_leave_no_cyclic_garbage():
         gc.enable()
 
 
-def test_single_window_is_invariant_under_relabelling():
+def _assert_invariant_under_relabelling(max_length, window, profile):
     # Relabelling the elements changes the sorted order, so the probes line
     # and which sign of a cycle is printed may change; the key sets, counts
     # and pairings of the cycles, mapped back, do not.
@@ -799,8 +829,8 @@ def test_single_window_is_invariant_under_relabelling():
             table[perm[a]][perm[b]] = perm[O6.table[a][b]]
     q = FiniteQuandle(table, name="o6")
     theta = ThreeCocycle(q, ETA.modulus, {tuple(perm[x] for x in t): v for t, v in ETA.values.items()})
-    rep = search_min_cycles(SearchConfig(q, theta, max_length=7))
-    expected = cached_search("o6", 7)
+    rep = search_min_cycles(SearchConfig(q, theta, max_length=max_length, window=window, profile=profile))
+    expected = cached_search("o6", max_length, window, profile)
     back = [relabel_chain(fc.chain, inv) for fc in rep.found]
     keys = {_sign_normal_key(fc.chain.terms) for fc in expected.found}
     assert {_sign_normal_key(c.terms) for c in back} == keys
@@ -809,6 +839,15 @@ def test_single_window_is_invariant_under_relabelling():
     assert zero == expected.zero_cycles
     assert rep.component_counts == expected.component_counts
     assert rep.covered == expected.covered
+
+
+def test_single_window_is_invariant_under_relabelling():
+    _assert_invariant_under_relabelling(7, "single", "A")
+
+
+def test_double_window_is_invariant_under_relabelling():
+    # The two-degree window's orbit representatives follow the labels too.
+    _assert_invariant_under_relabelling(7, "double", "BC")
 
 
 def test_budget_refusal():
