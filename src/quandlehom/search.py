@@ -1,88 +1,60 @@
 """Bounded search for shortest cycles pairing nontrivially with a cocycle.
 
 Two windows are covered, mirroring the case split used to bound cycle
-lengths from below.  Both read face images from one structure.TermTable
-(every 3-term at degree 0 with its f- and g-images), and where they search
-they use the one residual-guided cancellation search,
+lengths from below.  Both run one join over structure.TermTable (every
+3-term at degree 0 with its f- and g-images) and, where a part lies past
+the census, the one residual-guided cancellation search,
 structure.cancel_search, that also derives the family census:
 
 * single degree: every cycle supported at one degree splits its terms, per
   index, into minimal families with vanishing f-image.  A cycle of several
-  such families has parts of sizes 2 to 5 (a part of 6 or more with a
-  cofactor is impossible below length 8); those come from the symbolic
-  census and are joined across indices by the exact integer codes of their
-  g-images, each the sum over its terms of a per-term code with one
-  balanced base-2**6 digit per g-face: the smaller parts are listed and the
-  largest part is looked up by the g-code that cancels them.  One store per
-  size maps each g-code to its families, built whole when the size's index
-  is: every census color family, stamped at every index.  Stamps and
-  g-codes come a column at a time: one column per (sign, color word) holds
-  that pair's stamp and g-code at every index, and a family's columns, read
-  across and summed, give its stamps and g-codes at every index at once.  A
-  stamped family names its terms by their positions in the sorted term
-  table, so the join merges and compares small ints in the terms' own order
-  and maps them back to terms only when a cycle closes.  A size that is
-  only looked up is built for exactly the g-codes its lookups ask for (the
-  negated codes of the listed families it can follow): concrete_families
-  keeps the color families whose projected code is asked for, summed
-  column-wise over the m-sets of colors, and each is stamped only at the
-  indices whose g-code is asked for.  The family counts a certificate
-  prints come from the census at four colors, not from listing every
-  family.  At the last prefix level the lookup comes first: a prefix whose
-  lookup is empty is neither merged nor counted as a probe, and a level of
-  the same size as the one before starts, by bisection, at that level's
-  family.  The join lists
-  each cycle with one global sign: the one whose least family of the
-  smallest part size is below the negative of every family of that size.
-  The sorted order meets that sign first, so the chains a report prints are
-  the ones it kept when both signs were listed.  That order follows the
-  element labels: relabelling the quandle may change the probes line and
-  which sign of a cycle is printed, but not the key sets or the counts.  A
-  cycle consisting of one family, of any size, is found by the cancellation
-  search, g residual first, at the least index u of each Aut(Q)-orbit, once
-  per orbit of u's stabiliser on the terms at u, and expanded over Aut(Q):
-  one scan of size max_length files the closures of every size
-  2..max_length by size.
+  such families has parts of sizes 2 to 5 below length 8; those come from
+  the symbolic census and are joined across indices by the exact integer
+  codes of their g-images (_FamilyIndex, _join_partition): the smaller
+  parts are listed and the largest is looked up by the g-code that cancels
+  them.  The join lists each cycle with one global sign, the first in the
+  sorted order, which follows the element labels: relabelling the quandle
+  may change the probes line and which sign of a cycle is printed, but not
+  the key sets or the counts.  A cycle of one family, of any size, is found
+  by cancel_search, g residual first, once per orbit of Aut(Q) on the
+  indices and of the index's stabiliser on its terms, and expanded over
+  Aut(Q).
 
-* two adjacent degrees: a cycle over degrees 0 and 1 with 2 (profile B) or
-  3 (profile C) terms T0 at degree 0, g(T0) != 0 and length 6 or more is a
-  closure of cancel_search on f + g, one scan that starts once per
-  Aut(Q)-orbit of degree-0 terms, its degree-1 images the table's shifted
-  up one degree, plus a single-window cycle of length L - 2 or less shifted
-  up too; each is expanded over Aut(Q).
-  The cycles with g(T0) = 0 are counted from that single window's run.
+* two adjacent degrees: a cycle T0 + T1 over degrees 0 and 1 with 2
+  (profile B) or 3 (profile C) terms T0 at degree 0, g(T0) != 0 and length
+  6 or more comes from the same join over dual(Q), T0 its first part and
+  the reverse of T1 its other parts, or from cancel_search over dual(Q)
+  seeded with the reverse of g(T0) for a top layer past the census.  The
+  cycles with g(T0) = 0 are counted from the single window's run at L - 2.
 
-Every candidate is re-verified through the boundary map, as the sum of its
-terms' boundary images, and paired with the cocycle, as the sum of its
-terms' values; each image and value is taken once per search, by
-chains.boundary and cocycles.evaluate on the one-term chain, independent of
-the tables and codes the search used.  An image is kept as one integer
-code, a balanced base-2**6 digit per face, so the re-check is an integer
-sum, exact for cycles of up to MAX_SEARCH_LENGTH terms.  A report lists the cycles with
-nonzero pairing and keeps the keys of the zero-pairing ones.  Searches are
-deterministic and run in one process; reports record exactly what was
-covered and, as gaps, what was not.  A probe budget on the summed probes
-aborts oversized runs with a refusal report rather than truncating
-silently.
+Every candidate is re-verified through the boundary map and paired with
+the cocycle from per-term memos independent of the tables and codes the
+search used (_Cycles).  A report lists the cycles with nonzero pairing and
+keeps the keys of the zero-pairing ones.  Searches are deterministic and
+run in one process; reports record exactly what was covered and, as gaps,
+what was not.  A probe budget on the summed probes aborts oversized runs
+with a refusal report rather than truncating silently.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import filterfalse, islice
 from operator import mul
 
 from .chains import Chain, boundary, chain_to_text, length
 from .cocycles import ThreeCocycle, evaluate
-from .quandles import FiniteQuandle, automorphisms
+from .quandles import FiniteQuandle, automorphisms, dual
 from .structure import (
     MAX_FAMILY_SIZE,
     TermTable,
     cancel_search,
     concrete_families,
     family_count,
-    relabel_chain,
+    reverse,
+    reverse_term,
 )
 
 
@@ -120,15 +92,13 @@ MAX_SEARCH_LENGTH = 8
 _DIGIT_BITS = 6
 assert 3 * MAX_SEARCH_LENGTH < 2 ** (_DIGIT_BITS - 1)
 # A family size h with 2h > L is never a prefix part of a join, only the
-# looked-up largest part, so its prefix holds at most L - h terms.  Two parts
-# take at least 2 + 2, and L - h < 4 for every h > L/2 while L < 9: the
-# prefix of a join, which has two parts or more, is exactly one part, and
-# the g-codes a lookup of size h can ask for are -gcode(F) for the listed
-# families F of sizes 2..L-h.
+# looked-up largest part, so its prefix holds at most L - h < 4 terms for
+# every h > L/2 while L < 9: one listed part F, as two take 2 + 2, after the
+# two-degree window's bottom layer if any.  Its lookups ask for -gcode(F).
 assert MAX_SEARCH_LENGTH - (MAX_SEARCH_LENGTH // 2 + 1) < 2 + 2
-# The two-degree window joins its closures with the single window's cycles
-# of length L - 2, below that window's one gap, the split 6+2 at length 8.
-assert MAX_SEARCH_LENGTH - 2 < MAX_FAMILY_SIZE + 3
+# The two-degree window's top layer holds at most L - 2 terms: census parts,
+# or one minimal family of one size past the census, its seeded scan's.
+assert MAX_SEARCH_LENGTH - 2 <= MAX_FAMILY_SIZE + 1
 
 
 @dataclass
@@ -282,19 +252,16 @@ class _Cycles:
     filed by its pairing alone: nonzero into found, zero into the key set
     zero.
 
-    Both come from per-term memos, each taken once per search from the
-    one-term chain, not from a TermTable or the join's codes: the term's
-    boundary image by chains.boundary, kept in ``images`` as its integer
-    _code with the faces numbered as met (``faces``; face tuples held per
-    term would outlive the search several times over), and its pairing by
-    cocycles.evaluate, kept in ``values``.  The re-check sums the codes,
-    the pairing sums the values (both are linear).  The summed code is 0
-    exactly when the summed image is: a term's image has each face at
-    most once, with coefficient +-1, so a cycle of at most
-    MAX_SEARCH_LENGTH terms, counted with multiplicity, sums every face
-    below 2**(_DIGIT_BITS-1) in size.  add_terms takes the cycle as {term:
-    coefficient}, the join's form, and builds a checked Chain only for a
-    new cycle with nonzero pairing; add takes a Chain.
+    Both come from per-term memos taken once per search from the one-term
+    chain, not from a TermTable or the join's codes: its boundary image by
+    chains.boundary, kept in ``images`` as an integer _code with the faces
+    numbered as met (``faces``), and its pairing by cocycles.evaluate, in
+    ``values``.  Both are linear, so a cycle's are sums.  A term's image
+    has each face at most once, with coefficient +-1, so the summed code of
+    at most MAX_SEARCH_LENGTH terms, with multiplicity, is 0 exactly when
+    the summed image is.  add_terms takes the cycle as {term: coefficient},
+    the join's form, and builds a checked Chain only for a new cycle with
+    nonzero pairing; add takes a Chain.
     """
 
     def __init__(self, q, theta):
@@ -332,12 +299,13 @@ class _Cycles:
 
 
 def _g_codes(table):
-    """columns and pcode for a degree-0 table.  columns = (stamps, gcodes):
-    per pair (sign, color word w), the column of its stamp (sign, id) at
-    every index u, id the position of the term (0, u, w) in table.terms,
-    and the column of its g-code there, sign times the code of g(0, u, w).
-    pcode[w] is the code of g(0, u, w) with each face's index dropped, the
-    same at every index u."""
+    """columns, pcode and code for a degree-0 table.  columns = (stamps,
+    gcodes): per pair (sign, color word w), the column of its stamp (sign,
+    id) at every index u, id the position of the term (0, u, w) in
+    table.terms, and the column of its g-code there, sign times the code of
+    g(0, u, w).  pcode[w] is the code of g(0, u, w) with each face's index
+    dropped, the same at every index u.  code(faces): the g-code and the
+    projected code of any (g-face, coefficient) pairs."""
     gdigits, pdigits, ids = {}, {}, {}
     for i, (_, _, w) in enumerate(table.terms):  # sorted: by index, then word
         ids.setdefault(w, []).append(i)
@@ -347,46 +315,46 @@ def _g_codes(table):
     pcode = {
         t[2]: _code(((f[2], c) for f, c in table.g[t]), pdigits) for t in table.terms if t[1] == 0
     }
-    return (stamps, gcodes), pcode
+
+    def code(faces):
+        return _code(faces, gdigits), _code([(f[2], c) for f, c in faces], pdigits)
+
+    return (stamps, gcodes), pcode, code
 
 
 class _FamilyIndex:
     """The minimal f-null families of one size at degree 0, over every index,
     looked up by g-code.
 
-    The census color families, (sign, color word) tuples from
-    concrete_families, are stamped at every index when the index is built;
-    ``store`` maps each g-code to its stamped families, sorted.  The
-    ``columns`` of _g_codes give each (sign, word) pair's stamp and g-code
-    at every index, so a family's columns read across stamp it at every
-    index, and summed give its g-code there.  A stamped
-    family is a sorted tuple of (sign, id) pairs, id the term's position in
-    ``terms`` (the table's terms, which are sorted), so families compare
-    and sort as the (sign, term) tuples they stand for while the join
-    hashes small ints.  A size built whole also records ``negated``, -F for
-    each stamped family F, read across the columns of the color family's
-    negative, sorted once: at one index the ids keep the words' order, so
-    that stamp is sorted too.
+    The census color families of concrete_families are stamped at every
+    index when the index is built, read across the ``columns`` of _g_codes
+    (each (sign, word) pair's stamp and g-code at every index; summed, the
+    family's g-code there); ``store`` maps each g-code to its stamped
+    families, sorted.  A stamped family is a sorted tuple of (sign, id)
+    pairs, id the term's position in the sorted ``terms``, so families sort
+    as the (sign, term) tuples they stand for while the join hashes small
+    ints.  A size built whole also records ``negated``, -F for each stamped
+    family F, read across the columns of the color family's negative
+    (sorted, since at one index the ids keep the words' order).
 
-    A size that is only looked up is built with ``prefixes``, the listed
-    (family, g-code) pairs its lookups follow.  It holds exactly the g-codes
-    they ask for (``codes``: each negated g-code), each in the store even
-    when empty, and raises on a lookup of any other, or on families().
-    Equal g-codes have equal projected codes (``pcode``: the g-faces with
-    their index dropped, the same at every index), so only the color
-    families of the asked projected codes are listed, and each is stamped
-    only at the indices where its g-code is asked for.
+    A size that is only looked up is built with ``asked``, the (g-code,
+    projected code) pairs its lookups ask for, and holds exactly those
+    g-codes (``codes``), each in the store even when empty; it raises on a
+    lookup of any other, or on families().  Equal g-codes have equal
+    projected codes (``pcode``: the g-faces with their index dropped), so
+    only the color families of the asked projected codes are listed, each
+    stamped only at the indices where its g-code is asked for.
     """
 
-    def __init__(self, table, q, size, columns, pcode, prefixes=None):
-        terms = self.terms = table.terms  # id -> term
+    def __init__(self, table, q, size, columns, pcode, asked=None):
+        self.terms = table.terms  # id -> term
         stamps, gcodes = columns
         self.codes = wanted = self.negated = None
         store = {}
-        if prefixes is not None:
-            self.codes = {-gkey for _, gkey in prefixes}
+        if asked is not None:
+            self.codes = {gkey for gkey, _ in asked}
             store = {gkey: [] for gkey in self.codes}
-            wanted = {-sum([sign * pcode[terms[i][2]] for sign, i in fam]) for fam, _ in prefixes}
+            wanted = {pkey for _, pkey in asked}
         else:
             self.negated = {}
         for fam in concrete_families(q, size, None if wanted is None else (pcode, wanted)):
@@ -433,41 +401,39 @@ class _FamilyIndex:
         return self.signs
 
 
-def _join_partition(partition, index, budget, on_cycle):
-    """Enumerate unions of minimal families over one size partition of two
-    parts or more with vanishing total g-image, each with one global sign.
+def _join_partition(partition, index, budget, on_cycle, bottom=None):
+    """Enumerate unions of minimal families over one size partition with
+    vanishing total g-image, each with one global sign.
 
     Parts are chosen in ascending size order from `index`, size ->
     _FamilyIndex: prefix parts from its sorted listing, the largest part
-    looked up by the g-code that cancels the prefix, carried down as the
-    integer neg_g.  The lookup is made at the last prefix level, before
-    that level's family is merged: a prefix whose lookup is empty costs no
-    merge and no probe, and the listing order does not change.  Equal-size
-    parts are kept non-decreasing to list each multiset of families once:
-    such a level starts at the previous level's family, found by bisection
-    in the sorted listing (the entries before it were skipped without a
-    probe, so the probe count is the same).
-    The families hold term ids; on_cycle gets {term: coefficient}, mapped
-    back only when a cycle closes.
+    looked up, at the last prefix level before that level's merge, by the
+    g-code that cancels the prefix (neg_g): an empty lookup costs no merge
+    and no probe.  Equal-size parts are kept
+    non-decreasing, each such level starting by bisection at the previous
+    level's family.  on_cycle gets {term: coefficient}, mapped back from
+    term ids only when a cycle closes.
 
-    A cycle and its negative split into negated families, so of the two
-    only the one whose least family F1 of the smallest part size is below
-    -F for every family F of that size is listed (McKay's orbit argument
-    for the global sign).  In the sorted order that sign comes first, so
-    the chain a report keeps for each cycle is the same as when both were
-    listed.
+    `bottom` is the g-code of a first part fixed outside `index`, the
+    two-degree window's bottom layer, which fixes the sign; a partition may
+    then be one part.  Without it a partition has two parts or more, and of
+    a cycle and its negative only the one whose least family F1 of the
+    smallest part size is below -F for every F of that size is listed
+    (McKay's orbit argument for the global sign), the first in sorted order.
     """
-    if len(partition) < 2:
-        raise AssertionError("a join needs two parts or more; one family alone is the component scan's")
     parts = sorted(partition)  # ascending; look up the largest size
     hash_size = parts[-1]
     prefix_sizes = parts[:-1]
+    if bottom is None and not prefix_sizes:
+        raise AssertionError("a join needs two parts or more; one family alone is the component scan's")
     largest = index[hash_size]
     terms = largest.terms
-    small = prefix_sizes[0]
-    negated, positive = index[small].signed()
-    listings = [positive] + [index[size].families() for size in prefix_sizes[1:]]
-    same_size, one_size = prefix_sizes[-1] == hash_size, small == hash_size
+    small = negated = None
+    listings = [index[size].families() for size in prefix_sizes]
+    if bottom is None:
+        small = prefix_sizes[0]
+        negated, listings[0] = index[small].signed()
+    same_size, one_size = prefix_sizes[-1:] == [hash_size], small == hash_size
     last = len(prefix_sizes) - 1
     get = largest.get
 
@@ -506,7 +472,10 @@ def _join_partition(partition, index, budget, on_cycle):
                 rec(merged, level + 1, first or fam, fam, neg_g - gkey)
 
     try:
-        rec({}, 0, (), (), 0)
+        if prefix_sizes:
+            rec({}, 0, (), (), -(bottom or 0))
+        elif get(-bottom):
+            close({}, (), (), get(-bottom))
     finally:
         rec = None  # rec refers to itself: free the search's working set now, not at a gc run
 
@@ -517,16 +486,13 @@ def _orbit_components(table, max_length, group, budget):
     least term positive, by size, for every size 2..max_length; sorted.
 
     One cancellation scan of size max_length runs at the least index u of
-    each orbit of `group` (the trivial group scans every index), once per
-    orbit of u's stabiliser in `group` on the terms at u: from the orbit's
-    least term, the orbits in order of their least terms, each retired after
-    its scan.  A closure returns without extending and the residual prune
-    only loosens as the size grows, so that scan passes every state of each
-    smaller size's.  f and g commute with automorphisms, so a family at u
-    is moved by the stabiliser onto one holding the least term of the first
-    orbit it meets and no earlier orbit's term, which that orbit's scan
-    meets; the families at p(u) are p of those at u.  Each hit is expanded
-    over all of `group` and put back in the scan's form."""
+    each orbit of `group`, once per orbit of u's stabiliser on the terms at
+    u, from its least term, the orbits in order and each retired after its
+    scan; it passes every state of each smaller size's scan.  f and g
+    commute with automorphisms, so a family at u is moved by the stabiliser
+    onto one holding the least term of the first orbit it meets and no
+    earlier orbit's term; the families at p(u) are p of those at u.  Each
+    hit is expanded over all of `group` and put back in the scan's form."""
     hits = {size: set() for size in range(2, max_length + 1)}
 
     def close(family, gres):
@@ -549,20 +515,33 @@ def _orbit_components(table, max_length, group, budget):
     return {size: sorted(fams) for size, fams in hits.items()}
 
 
-def _family_indexes(table, q, max_length):
-    """size -> _FamilyIndex for the part sizes of the joins up to
-    max_length: 2..max_length-2, at most the census's largest.  A size h
-    with 2h > max_length is only looked up, after one listed part (see the
-    assertion on MAX_SEARCH_LENGTH): a family of the signed listing of a
-    size 2..max_length-h.  It is built for exactly the g-codes those
-    lookups ask for."""
-    columns, pcode = _g_codes(table)
+def _family_indexes(table, q, max_length, bottoms=None, codes=None):
+    """size -> _FamilyIndex for the census part sizes of the joins up to
+    max_length, codes = _g_codes(table).  The single window (bottoms None)
+    joins two parts or more, the first from a signed listing.  The
+    two-degree window joins one part or more to each bottom layer, given as
+    (the lengths its parts may sum to, g-code, projected code).  A size h
+    with 2h within the parts' room is built whole; any other is only looked
+    up, after the bottom and at most one listed part (see the assertion on
+    MAX_SEARCH_LENGTH), and built for exactly the g-codes those ask for."""
+    columns, pcode, _ = codes or _g_codes(table)
+    single = bottoms is None
+    if single:
+        bottoms = [(range(4, max_length + 1), 0, 0)]
+    room = max(lengths.stop for lengths, _, _ in bottoms) - 1
     index = {}
-    for size in range(2, min(MAX_FAMILY_SIZE, max_length - 2) + 1):
-        prefixes = None
-        if 2 * size > max_length:
-            prefixes = [entry for s in range(2, max_length - size + 1) for entry in index[s].signed()[1]]
-        index[size] = _FamilyIndex(table, q, size, columns, pcode, prefixes)
+    for size in range(2, min(MAX_FAMILY_SIZE, room - 2 * single) + 1):
+        asked = None
+        if 2 * size > room:
+            asked = set()
+            for lengths, gkey, pkey in bottoms:
+                if size in lengths and not single:
+                    asked.add((-gkey, -pkey))
+                for s in filter(lambda s: s + size in lengths, range(2, size)):
+                    for fam, fkey in index[s].signed()[1] if single else index[s].families():
+                        fpkey = sum([sign * pcode[table.terms[i][2]] for sign, i in fam])
+                        asked.add((-gkey - fkey, -pkey - fpkey))
+        index[size] = _FamilyIndex(table, q, size, columns, pcode, asked)
     return index
 
 
@@ -609,75 +588,97 @@ def _search_single_degree(cfg, report, table):
 # two-degree window (profiles B and C)
 
 
-def _search_double_window(cfg, report, table):
-    """Every cycle over degrees 0 and 1, reduced by Aut(Q) and filtered to
-    the window's shape: each closure C of one boundary scan that has a
-    degree-1 term, plus each D of either sign that fits and has no term of
-    sign opposite to C's, D 0 or a single-window cycle (coefficients of 2
-    included) shifted up one degree.  A part past C that closes alone needs
-    2 degree-0 terms beyond C's 2 of at most 3, so the parts sum to such a D.
+def _bottom_layers(table, q, sizes, group):
+    """One census family T0 with g(T0) != 0, of each of `sizes`, at degree 0
+    per orbit of Aut(Q) and global sign, as sorted (term, coefficient)
+    pairs: the least member whose least term, the orbit's, is positive, met
+    at the least index u of an index orbit through u's stabiliser."""
+    bottoms = set()
+    for u in sorted({min(p[v] for p in group) for v in range(q.size)}):
+        stabiliser = [p for p in group if p[u] == u]
+        for size in sizes:
+            for fam in concrete_families(q, size):
+                members = [
+                    tuple(sorted([((0, u, tuple([p[x] for x in w])), sign * s) for s, w in fam]))
+                    for p in stabiliser
+                    for sign in (1, -1)
+                ]
+                bottoms.add(min(m for m in members if m[0][1] > 0))
+    return sorted(b for b in bottoms if table.image([(c, t) for t, c in b], table.g))
 
-    The cycles with g(T0) = 0 are counted, not listed.  The scan cancels the
-    least face first, and only degree-0 terms have degree-0 faces, which sort
-    first: a closure's degree-0 layer is f-null before a degree-1 term joins,
-    and with at most 3 terms it is all of T0, since another f-null part takes
-    2 more.  So g(T0) = 0 exactly when the closure is T0 alone, a single-
-    window cycle of length 2 or 3, and those cycles are T0 + D, T0 up to
-    sign: n_a * 2 n_b for bottom size a and D's length b, 6 <= a + b <= L,
-    n_l the single window's cycles of length l at L - 2 up to sign."""
+
+def _families_cancelling(table, size, seed, budget):
+    """The minimal f-null families of `size` terms at one index of `table`
+    whose g-image cancels `seed`, as sorted (sign, term) tuples: one
+    cancel_search per index, seeded with it as its g residual."""
+    hits = set()
+
+    def close(family, gres):
+        if not gres and len(family) == size and table.is_minimal_null(family):
+            hits.add(tuple(sorted(family)))
+
+    for cancel in table.g_cancel.values():
+        g = (table.g, cancel)
+        cancel_search(table.f, table.f_cancel, size, close, (), g=g, seed=({}, seed), budget=budget)
+    return sorted(hits)
+
+
+def _search_double_window(cfg, report, table):
+    """Every cycle T0 + T1 over degrees 0 and 1 with |T0| in the profile,
+    g(T0) != 0 and length 6..L, reduced by Aut(Q).  T0 is f-null with 2 or
+    3 terms, one census family; T1 is g-null with f(T1) = -g(T0).  Since
+    reverse(f(t)) = -g_dual(reverse(t)) and reverse(g(t)) =
+    -f_dual(reverse(t)), degrees apart, reverse(T1) is a sum of the single
+    window's parts over dual(Q) with g-image reverse(g(T0)).  Where an
+    automorphism negates T0, the sign of a cycle whose top layer sorts
+    first is printed.  With g(T0) = 0, T0 and T1 are single-window cycles:
+    n_a * 2 n_b of them, |T1| = b >= 6 - a, n_l those of length l."""
     q, max_length = cfg.quandle, cfg.max_length
     sizes = {"B": (2,), "C": (3,), "BC": (2, 3)}[cfg.profile]
     group = automorphisms(q)
     lower, budget = _search_single_degree(replace(cfg, max_length=max_length - 2), SearchReport(cfg), table)
     budget.phase = "two-degree window"  # the single window's run at L - 2 spends from it too
-    tops = {0: [([], set())]}  # length -> each D as (sign, term) pairs with multiplicity, and the pairs of -D
-    for key in sorted(lower.zero | lower.found.keys()):
-        for sign in (1, -1):
-            pairs = [(sign * c // abs(c), (1, u, w)) for (_, u, w), c in key for _ in range(abs(c))]
-            tops.setdefault(len(pairs), []).append((pairs, {(-s, t) for s, t in pairs}))
-    n = {l: len(ds) // 2 for l, ds in tops.items()}  # n_l: the single window's cycles of length l, up to sign
+    n = Counter(sum(abs(c) for _, c in key) for key in lower.zero | lower.found.keys())  # n_l, up to sign
     handed = sum(n.get(a, 0) * 2 * sum(n.get(b, 0) for b in range(6 - a, max_length - a + 1)) for a in sizes)
-    # The boundary f + g of each term: f keeps the degree, g raises it by
-    # one.  A degree-1 term's faces are its degree-0 namesake's, one degree up.
-    images = {t: table.f[t] + table.g[t] for t in table.terms}
-    for (_, u, w), faces in list(images.items()):
-        images[1, u, w] = tuple([((d + 1, v, x), c) for (d, v, x), c in faces])
-    cancel = {}
-    for t, faces in images.items():
-        for face, s in faces:
-            cancel.setdefault(face, []).append((t, s))
-    orbits = {}
-    for t in table.terms:
-        rep = min((0, p[t[1]], tuple(p[x] for x in t[2])) for p in group)
-        orbits.setdefault(rep, []).append(t)
+
+    dq = dual(q)
+    top = table if dq.table == q.table else TermTable(dq)
+    back = {t: (1,) + reverse_term(t, dq)[1:] for t in top.terms}  # top's term -> the degree-1 term it reverses
+    codes = _g_codes(top)
+    bottoms, seeds, firsts = _bottom_layers(table, q, sizes, group), [], []
+    for t0 in bottoms:
+        faces = reverse(Chain(2, True, table.image([(c, t) for t, c in t0], table.g)), q).terms
+        seeds.append({(1, u, w): -c for (_, u, w), c in faces.items()})  # -reverse(g(T0)) as dual g-faces
+        gkey, pkey = codes[2](list(seeds[-1].items()))
+        firsts.append((range(6 - len(t0), max_length - len(t0) + 1), gkey, pkey))
+    index = _family_indexes(top, dq, max_length, firsts, codes)
     cycles = _Cycles(q, cfg.cocycle)
-
-    def join(family, _):
-        layer = sum(t[0] == 0 for _, t in family)
-        if layer == len(family) or layer not in sizes:
-            return  # T0 alone, g(T0) = 0 and counted above, or outside the profile
-        for l in range(max(0, 6 - len(family)), max_length - len(family) + 1):
-            shape = "degrees 0+1 split %d+%d" % (layer, len(family) + l - layer)
-            for d in [d for d, opposite in tops.get(l, ()) if opposite.isdisjoint(family)]:
-                chain = Chain.from_signed_terms(family + d, arity=3, graded=True)
-                key = _sign_normal_key(chain.terms)
-                if key not in cycles.zero and key not in cycles.found:  # else its orbit is in already
-                    for p in group:
-                        cycles.add(relabel_chain(chain, p), shape)
-
-    # A cycle is met from an anchor in the first orbit its degree-0 terms
-    # reach, moved onto that orbit's least term by an automorphism (McKay's
-    # orbit argument); the earlier orbits' terms are retired by then, so the
-    # anchor is the least term left.  Each orbit lists its least term first.
-    cancel_search(images, cancel, max_length, join, sorted(orbits.values()), cap=(0, max(sizes)), budget=budget)
+    for t0, seed, (lengths, gkey, _) in zip(bottoms, seeds, firsts):
+        layers = []
+        add = lambda terms: layers.append(tuple(sorted([(back[t], c) for t, c in terms.items()])))
+        for l in lengths:
+            for partition in _partitions_into_parts(l, MAX_FAMILY_SIZE):
+                _join_partition(partition, index, budget, add, gkey)
+            if l > MAX_FAMILY_SIZE:
+                for fam in _families_cancelling(top, l, seed, budget):
+                    add(_merged({}, fam))
+        for t1 in sorted(layers):
+            terms, length = dict(t0 + t1), sum(abs(c) for _, c in t1)
+            key = _sign_normal_key(terms)
+            # A merge may take a term's coefficient from 2 back to 1: a top layer shorter than its parts.
+            if length in lengths and key not in cycles.zero and key not in cycles.found:
+                shape = "degrees 0+1 split %d+%d" % (len(t0), length)
+                for p in group:
+                    moved = {(d, p[u], tuple([p[x] for x in w])): c for (d, u, w), c in terms.items()}
+                    cycles.add_terms(moved, shape)
 
     report.covered += [
         "every cycle of length 6..%d with degrees exactly {0, 1}, bottom layer size"
         " |T0| = %s at degree 0 and g(T0) != 0, up to sign" % (cfg.max_length, " or ".join(map(str, sizes))),
-        "by one boundary scan over degrees 0..1 with |T0| <= %d that stops at each closure, anchored at the"
-        " %d Aut(Q)-orbits of degree-0 terms, each closure joined with the single window's cycles of length"
-        " <= %d shifted up one degree (that run's probes are in the probes line), each cycle expanded over"
-        " Aut(Q) (order %d)" % (max(sizes), len(orbits), max_length - 2, len(group)),
+        "by a join of each of the %d census bottom layers T0 up to Aut(Q) and sign with reversed minimal f-null"
+        " families of dual(Q) by the code of reverse(g(T0)), or one past the census by a seeded scan, each"
+        " cycle expanded over Aut(Q) (order %d); the single window's run at length %d is in the probes line"
+        % (len(bottoms), len(group), max_length - 2),
         "cycles of that shape with g(T0) = 0, left to the single-degree window: %d" % handed,
     ]
     return cycles, budget

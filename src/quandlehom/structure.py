@@ -57,13 +57,13 @@ def reverse(chain, q):
     """
     if not chain.graded:
         raise ChainError("reverse needs a graded chain")
-    pairs = []
-    for (n, u, colors), coeff in chain.terms.items():
-        new_colors = tuple(
-            q.act_word(colors[i], colors[i + 1 :]) for i in range(len(colors))
-        )
-        pairs.append(((-n, q.act_word(u, colors), new_colors), coeff))
-    return Chain(chain.arity, True, pairs)
+    return Chain(chain.arity, True, [(reverse_term(t, q), coeff) for t, coeff in chain.terms.items()])
+
+
+def reverse_term(term, q):
+    """The term that `reverse` maps one term (n, u, colors) onto."""
+    n, u, colors = term
+    return -n, q.act_word(u, colors), tuple(q.act_word(colors[i], colors[i + 1 :]) for i in range(len(colors)))
 
 
 def reverse_o6(chain, q):
@@ -104,7 +104,7 @@ class TermTable:
     """Every non-degenerate 3-term at degree 0, with its face images.
 
     Built once per quandle from chains.f_map and chains.g_map; the two-degree
-    window shifts them up a degree for its top layer.  ``terms`` lists the
+    window reads its top layer, reversed, from dual(Q)'s table.  ``terms`` lists the
     terms by index, then color word; ``f[t]`` and ``g[t]`` hold the signed
     faces of t as ((face, sign), ...).  ``f_cancel[face]`` lists the (term,
     sign) pairs whose f-image contains the face; f keeps the index, so they
@@ -149,7 +149,7 @@ class TermTable:
         )
 
 
-def cancel_search(images, cancel, size, on_close, anchors, *, g=None, cap=None, budget=None):
+def cancel_search(images, cancel, size, on_close, anchors, *, g=None, seed=None, budget=None):
     """Residual-guided cancellation search over one image table.
 
     `images[t]` holds the signed faces ((face, sign), ...) of term t and
@@ -170,19 +170,19 @@ def cancel_search(images, cancel, size, on_close, anchors, *, g=None, cap=None, 
     image tables, in order of their least terms, a family is found, moved by
     some element, from the least term of the first orbit it meets.  `g` =
     (images, cancel): the g residual is tracked too and cancelled first
-    (else it is None).  `cap` = (degree, k): at most k terms of that degree;
-    `budget`: a probe a state.
+    (else it is None).  `seed` = (residual, g residual), with `g`: one scan
+    from the empty family with these residuals, ahead of the anchors'; it
+    closes only on a nonempty family.  `budget`: a probe a state.
     """
     g_img, g_cancel = g or (None, None)
     bound = _faces_per_term(images)
     g_bound = g and _faces_per_term(g_img)
-    cap_degree, cap_room = cap or (None, 0)
     retired = set()
 
-    def extend(family, res, gres, room):
+    def extend(family, res, gres):
         if budget is not None:
             budget.spend()
-        if not res:
+        if not res and family:
             on_close(family, gres)
             return
         rem = size - len(family)
@@ -195,22 +195,21 @@ def cancel_search(images, cancel, size, on_close, anchors, *, g=None, cap=None, 
         need = 1 if key_res[key] > 0 else -1
         for t, s in key_cancel.get(key, ()):
             sign = -need * s
-            if t in retired or (-sign, t) in family:
-                continue
-            if t[0] != cap_degree or room:
-                step(family, res, gres, sign, t, room)
+            if t not in retired and (-sign, t) not in family:
+                step(family, res, gres, sign, t)
 
-    def step(family, res, gres, sign, t, room):
+    def step(family, res, gres, sign, t):
         extend(
             family + [(sign, t)],
             _accumulate(dict(res), images[t], sign),
             None if gres is None else _accumulate(dict(gres), g_img[t], sign),
-            room - (t[0] == cap_degree),
         )
 
     try:
+        if seed is not None:
+            extend([], dict(seed[0]), dict(seed[1]))
         for group in anchors:
-            step([], {}, None if g is None else {}, 1, group[0], cap_room)
+            step([], {}, None if g is None else {}, 1, group[0])
             retired.update(group)
     finally:
         extend = step = None  # they refer to each other: free the search's state on return

@@ -1,11 +1,11 @@
 import gc
 import hashlib
+import itertools
 from array import array
 
 import pytest
 
-from quandlehom import search as search_module
-from quandlehom.chains import Chain, boundary, g_map, length, sigma_shift
+from quandlehom.chains import Chain, boundary, length, sigma_shift
 from quandlehom.cocycles import ThreeCocycle, eta_octahedral, evaluate, mochizuki
 from quandlehom.kernels import named_cycle
 from quandlehom.quandles import (
@@ -24,6 +24,7 @@ from quandlehom.search import (
     SearchReport,
     _Cycles,
     _FamilyIndex,
+    _bottom_layers,
     _family_indexes,
     _g_codes,
     _join_partition,
@@ -32,7 +33,7 @@ from quandlehom.search import (
     _sign_normal_key,
     search_min_cycles,
 )
-from quandlehom.structure import TermTable, relabel_chain, reverse_o6
+from quandlehom.structure import TermTable, concrete_families, relabel_chain, reverse_o6
 
 from common import (
     ETA7_TERMS,
@@ -141,7 +142,7 @@ def full_indexes():
         key = tuple(map(tuple, q.table))
         if key not in built:
             table = TermTable(q)
-            columns, pcode = _g_codes(table)
+            columns, pcode, _ = _g_codes(table)
             built[key] = table, {size: _FamilyIndex(table, q, size, columns, pcode) for size in range(2, 6)}
         return built[key]
 
@@ -301,7 +302,7 @@ def test_g_codes_are_exact(q, full_indexes):
     table, full = full_indexes(q)
     assert all(len(faces) <= 3 and all(abs(c) == 1 for _, c in faces) for faces in table.g.values())
     assert table.terms == sorted(table.terms)  # so term ids sort as the terms do
-    _, pcode = _g_codes(table)
+    _, pcode, _ = _g_codes(table)
     # Each term's g-faces as (face number, color word number, coefficient),
     # numbered as met; an image is kept as the bytes of its sorted nonzero
     # (number, coefficient) pairs, one per family of every size.
@@ -333,8 +334,8 @@ def _digest(report):
 
 
 # The certificate digests below pin the census, the join, the one-family
-# component search and the two-degree boundary scan, and through the probes
-# line of each certificate the probe counts of the whole run.  A change that
+# component search and the two-degree window's join over dual(Q), and through
+# the probes line of each certificate the probe counts of the whole run.  A change that
 # alters probe counts or coverage text must update them and say why.
 
 
@@ -380,25 +381,25 @@ def test_o6_double_window_clean_at_six():
     rep = cached_search("o6", 6, "double", "B")
     assert rep.exhausted
     assert rep.zero_value_cycles == 480
-    assert _digest_apart_from_probes(rep) == "f0da21da6cd5ef75fad0167ce5a4c3355d1000340e228f7c75bcf3ee945b3e49"
-    # the closures scan and the single window's run at length 4
-    assert rep.probes == 7666
+    assert _digest_apart_from_probes(rep) == "3b76f152b4ef52b028ff7532b526c4e6f6ddb906e5c8a213741148806c9578ea"
+    # the join over dual(Q) and the single window's run at length 4
+    assert rep.probes == 521
 
 
-# The two-degree window's closures scan alone: its probes line less those of
-# the single window's run at L - 2, which it also counts.  The scan starts
-# once per Aut(Q)-orbit of degree-0 terms, and no later scan uses an orbit
-# once it has been scanned from.
+# The two-degree window's own probes: its probes line less those of the
+# single window's run at L - 2, which it also counts.  They are the join's
+# over dual(Q), one per census bottom layer up to Aut(Q) and sign, and at
+# L = 8 the seeded scan's for a top layer of 6 terms.
 @pytest.mark.parametrize(
     "quandle, max_length, probes",
     [
         pytest.param(quandle, max_length, probes, id="%s-%d" % (quandle, max_length))
         for quandle, max_length, probes in [
-            ("o6", 6, 28193),
-            ("o6", 7, 135755),
-            ("o6", 8, 789527),
-            ("r7", 7, 95091),
-            ("r7", 8, 928429),
+            ("o6", 6, 144),
+            ("o6", 7, 322),
+            ("o6", 8, 6270),
+            ("r7", 7, 230),
+            ("r7", 8, 2918),
         ]
     ],
 )
@@ -567,31 +568,31 @@ def _found_digest(report):
         pytest.param(*case, id="%s-%s-%d" % case[:3])
         for case in [
             ("o6", "B", 6, 792,
-             "f0da21da6cd5ef75fad0167ce5a4c3355d1000340e228f7c75bcf3ee945b3e49",
+             "3b76f152b4ef52b028ff7532b526c4e6f6ddb906e5c8a213741148806c9578ea",
              "a4db84c3526808e9ada969ef0e835ed9e1ffe2867db6e120ba4202197a9ad85a"),
             ("o6", "BC", 7, 1368,
-             "d5febf9a74fb61f2928c8be31a27d4a677fa8fc7c7073c692f81d6d44dc1eda3",
+             "dd94634b028ece4021bdb7c05a7e69255ac370c1dfe7099c4dd6be6bf8fd9d9b",
              "e388d00ebea9af4e024444787bf1d82c9326acc853c99046665724f6014afdda"),
             ("o6", "BC", 8, 12048,
-             "1063925b241296ae6207fae9d51f979547c8e3574e6fe19681de7640655f0a2b",
+             "8a7eabff2bee88a77525046ad1ed6eee3088a8ab94118c5a9f8586a8528a01e7",
              "a9a80e5a30f4dfbf640af5460988e64c8636f349afd9391597034853e6b8d656"),
             ("r7", "BC", 7, 0,
-             "47dd4a8b8e6ac8ad4a890391a82fcd26068d61f895a8409c8c411ebe8549582b",
+             "d32ac98cb1d184d1b6554301180be35c02b3e541391823e0c8ec3caa3641e0ec",
              "efd7676010d2b49894803355065b0fc64c0e89ac76e47430db856c948ad45f45"),
             ("r7", "BC", 8, 0,
-             "1ce4cccfdfc3eba81b0fea62225cde606e2930d3106e06f94dd537afe98f7fe0",
+             "36397f8f33378cee83c4584a3bd4c47ef1d26e6cf18a44bb997f74ff467e00ee",
              "efd7676010d2b49894803355065b0fc64c0e89ac76e47430db856c948ad45f45"),
             ("dihedral:3", "BC", 7, 0,
-             "7b4f349b5f657f1c88486a43beafa066678fd6e4d6ca8f973b1ef1c0c1453c5f",
+             "f91c30b61d94dc3752103c01b1da29eab834d6ab907e9845e3441d368c7b5bb8",
              "f8f2f5d008b9da403769d4489280e84914b034d1733d8f2bb9cc668c8ee5bc3a"),
             ("dihedral:3", "BC", 8, 0,
-             "5b8f152d97a088ddc5df374111d813b6feea7334026185462063c51533cab019",
+             "a32cc8b8216195bb92413adec037f5cf1d2b16c398ee6e5dfdaa6580885d09f8",
              "b64f8627c8f186dd0e86b064d10718d420b39b598c7f3aec98986d444e2fbfab"),
             ("dihedral:5", "BC", 6, 0,
-             "a349944473c8a386e72423bf4705741f220d326863f004c8d0b41c858b25b99e",
+             "9461b15694f0b24a669f0d2142746611b40f14287b452d63420186cd913a9453",
              "59268cb67436e53e0d6e2fb843465862f87795f35f9f786f1fcc5e225f06dc80"),
             ("dihedral:5", "BC", 8, 0,
-             "a1335a8c51958b78581fd7f0c00371a1bd40838a40f7aef271f9003ae7215582",
+             "86321353c828193d171e09f15261e5a473fed3e7cc38582aab04fafcc0ab30d1",
              "b316cd8dc20618e6a2cc75bd05c67446568a9dce0253566987e64dadc77469d0"),
         ]
     ],
@@ -609,36 +610,30 @@ def test_double_window_certificates_apart_from_probes(quandle, profile, max_leng
     assert _found_digest(rep) == found
 
 
-def test_double_window_closures_without_a_degree_one_term_are_short_single_cycles(monkeypatch):
-    # The scan cancels the least face first and degree-0 faces sort first,
-    # so a closure's degree-0 layer T0 is f-null before any degree-1 term
-    # joins it.  Hence a closure has no degree-1 term exactly when
-    # g(T0) = 0, and such a closure is a single-window cycle of length 2
-    # or 3: what lets the window count its g(T0) = 0 cycles.
-    closures, scan = [], search_module.cancel_search
-
-    def recording(images, cancel, size, on_close, anchors, **options):
-        if options.get("cap") is not None:
-            join = on_close
-
-            def on_close(family, gres):
-                closures.append(list(family))
-                join(family, gres)
-
-        scan(images, cancel, size, on_close, anchors, **options)
-
-    monkeypatch.setattr(search_module, "cancel_search", recording)
-    search_min_cycles(SearchConfig(O6, ETA, max_length=6, window="double", profile="B"))
-    short = reached_keys(cached_search("o6", 3))
-    alone = 0
-    for family in closures:
-        layer = Chain.from_signed_terms([(s, t) for s, t in family if t[0] == 0], arity=3, graded=True)
-        flat = all(t[0] == 0 for _, t in family)
-        assert flat == (not g_map(layer, O6).terms)
-        if flat:
-            alone += 1
-            assert length(layer) in (2, 3) and _sign_normal_key(layer.terms) in short
-    assert 0 < alone < len(closures)
+def test_double_window_closures_without_a_degree_one_term_are_short_single_cycles():
+    # A census bottom layer T0 with g(T0) = 0 needs no degree-1 term: it is
+    # a single-window cycle of length 2 or 3, and the window counts the
+    # cycles it starts instead of listing them.  Every other census family
+    # of size 2 or 3 is, up to Aut(Q) and sign, one of the window's bottom
+    # layers.
+    table, group = TermTable(O6), automorphisms(O6)
+    bottoms = set(_bottom_layers(table, O6, (2, 3), group))
+    flat = set()
+    for size in (2, 3):
+        for fam in concrete_families(O6, size):
+            for u in range(O6.size):
+                terms = {(0, u, w): s for s, w in fam}
+                if not table.image([(s, t) for t, s in terms.items()], table.g):
+                    flat.add(_sign_normal_key(terms))
+                    continue
+                images = {
+                    tuple(sorted([((0, p[u], tuple([p[x] for x in w])), sign * s) for s, w in fam]))
+                    for p in group
+                    for sign in (1, -1)
+                }
+                assert len(images & bottoms) == 1
+    assert flat and flat == reached_keys(cached_search("o6", 3))
+    assert all(table.image([(c, t) for t, c in b], table.g) for b in bottoms)
 
 
 def test_o6_double_window_has_no_gap_at_eight():
@@ -653,6 +648,23 @@ def test_o6_double_window_has_no_gap_at_eight():
         split[layers] = split.get(layers, 0) + 1
         assert not boundary(fc.chain, O6) and fc.value
     assert split == {(2, 5): 48, (2, 6): 192, (3, 5): 96}
+
+
+def test_o6_double_window_top_layers_of_one_family_of_six():
+    # A top layer that is one minimal g-null family of 6 terms lies past the
+    # census: only the seeded scan over dual(Q) reaches those cycles, all of
+    # them with a bottom layer of 2.
+    rep = cached_search("o6", 8, "double", "BC")
+    table, found = TermTable(O6), {_sign_normal_key(fc.chain.terms) for fc in rep.found}
+    split = {True: 0, False: 0}
+    for key in reached_keys(rep):
+        top = [(c, (0, u, w)) for (d, u, w), c in key if d == 1]
+        if len(top) == 6 and all(
+            table.image(sub, table.g) for r in range(1, 4) for sub in itertools.combinations(top, r)
+        ):
+            assert sum(abs(c) for t, c in key if t[0] == 0) == 2 and not table.image(top, table.g)
+            split[key in found] += 1
+    assert split == {True: 144, False: 24}
 
 
 def test_report_with_gap_is_not_exhausted():

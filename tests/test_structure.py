@@ -265,7 +265,7 @@ def test_family_count_is_the_number_of_concrete_families(n):
 def test_code_first_instantiation_keeps_the_wanted_codes(q):
     # Filtered by codes, concrete_families lists exactly the families of the
     # unfiltered listing whose code is wanted, in the same order.
-    _, word_code = _g_codes(TermTable(q))
+    _, word_code, _ = _g_codes(TermTable(q))
     rng = random.Random(q.size)
     for k in range(2, 6):
         every = concrete_families(q, k)
@@ -284,7 +284,7 @@ def test_column_wise_code_filter_matches_the_unfiltered_listing(q, monkeypatch):
     # Each keeps, in the unfiltered order, a family whose code is wanted and
     # the negative of one whose negated code is.
     table = TermTable(q)
-    _, word_code = _g_codes(table)
+    _, word_code, _ = _g_codes(table)
     asked = []
 
     def recording(q, k, codes=None):
@@ -489,3 +489,25 @@ def test_census_instances_match_direct_search():
                     direct2.add(sign_normal(tuple(sorted([(s1, t1), (s2, t2)]))))
     census2 = {sign_normal(fam) for fam in _families_at(O6, 2, 2)}
     assert direct2 == census2
+
+
+@pytest.mark.parametrize("q", [O6, R7], ids=["o6", "r7"])
+def test_seeded_scan_finds_the_families_that_cancel_its_seed(q):
+    # Seeded with -g(F) as its g residual and an empty f residual, the scan
+    # from the empty family meets every minimal f-null family at F's index
+    # with the g-image of F, and closes on no empty family.
+    table = TermTable(q)
+    census = {}
+    for fam in _families_at(q, 3, 0):
+        census.setdefault(tuple(sorted(table.image(fam, table.g).items())), set()).add(tuple(sorted(fam)))
+    for image, families in list(census.items())[::7]:
+        closed = set()
+
+        def close(family, gres):
+            assert family
+            if not gres and table.is_minimal_null(family):
+                closed.add(tuple(sorted(family)))
+
+        seed = ({}, {face: -c for face, c in image})
+        cancel_search(table.f, table.f_cancel, 3, close, (), g=(table.g, table.g_cancel[0]), seed=seed)
+        assert closed == families
