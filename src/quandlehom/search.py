@@ -53,7 +53,6 @@ from .structure import (
     cancel_search,
     concrete_families,
     family_count,
-    reverse,
     reverse_term,
 )
 
@@ -409,10 +408,10 @@ def _join_partition(partition, index, budget, on_cycle, bottom=None):
     _FamilyIndex: prefix parts from its sorted listing, the largest part
     looked up, at the last prefix level before that level's merge, by the
     g-code that cancels the prefix (neg_g): an empty lookup costs no merge
-    and no probe.  Equal-size parts are kept
-    non-decreasing, each such level starting by bisection at the previous
-    level's family.  on_cycle gets {term: coefficient}, mapped back from
-    term ids only when a cycle closes.
+    and no probe.  Equal-size parts are kept non-decreasing, each such
+    level starting by bisection at the previous level's family.  on_cycle
+    gets {term: coefficient}, mapped back from term ids only when a cycle
+    closes.
 
     `bottom` is the g-code of a first part fixed outside `index`, the
     two-degree window's bottom layer, which fixes the sign; a partition may
@@ -488,11 +487,12 @@ def _orbit_components(table, max_length, group, budget):
     One cancellation scan of size max_length runs at the least index u of
     each orbit of `group`, once per orbit of u's stabiliser on the terms at
     u, from its least term, the orbits in order and each retired after its
-    scan; it passes every state of each smaller size's scan.  f and g
-    commute with automorphisms, so a family at u is moved by the stabiliser
-    onto one holding the least term of the first orbit it meets and no
-    earlier orbit's term; the families at p(u) are p of those at u.  Each
-    hit is expanded over all of `group` and put back in the scan's form."""
+    scan.  A closure returns without extending and the residual prune only
+    loosens as the size grows, so it passes every state of each smaller
+    size's scan.  f and g commute with automorphisms, so a family at u is
+    moved by the stabiliser onto one holding the least term of the first
+    orbit it meets and no earlier orbit's term; the families at p(u) are p
+    of those at u.  Each hit is expanded over `group`, in the scan's form."""
     hits = {size: set() for size in range(2, max_length + 1)}
 
     def close(family, gres):
@@ -518,11 +518,11 @@ def _orbit_components(table, max_length, group, budget):
 def _family_indexes(table, q, max_length, bottoms=None, codes=None):
     """size -> _FamilyIndex for the census part sizes of the joins up to
     max_length, codes = _g_codes(table).  The single window (bottoms None)
-    joins two parts or more, the first from a signed listing.  The
-    two-degree window joins one part or more to each bottom layer, given as
-    (the lengths its parts may sum to, g-code, projected code).  A size h
-    with 2h within the parts' room is built whole; any other is only looked
-    up, after the bottom and at most one listed part (see the assertion on
+    joins two parts or more, the first from a signed listing; the two-degree
+    window one part or more to each bottom layer, given as (the lengths its
+    parts may sum to, g-code, projected code).  A size h with 2h within the
+    parts' room is built whole; any other is only looked up, after the
+    bottom and at most one listed part (see the assertion on
     MAX_SEARCH_LENGTH), and built for exactly the g-codes those ask for."""
     columns, pcode, _ = codes or _g_codes(table)
     single = bottoms is None
@@ -647,8 +647,8 @@ def _search_double_window(cfg, report, table):
     codes = _g_codes(top)
     bottoms, seeds, firsts = _bottom_layers(table, q, sizes, group), [], []
     for t0 in bottoms:
-        faces = reverse(Chain(2, True, table.image([(c, t) for t, c in t0], table.g)), q).terms
-        seeds.append({(1, u, w): -c for (_, u, w), c in faces.items()})  # -reverse(g(T0)) as dual g-faces
+        faces = top.image([(c, reverse_term(t, q)) for t, c in t0], top.f)  # f_dual(reverse(T0))
+        seeds.append({(1, u, w): c for (_, u, w), c in faces.items()})  # = -reverse(g(T0)), as g-faces
         gkey, pkey = codes[2](list(seeds[-1].items()))
         firsts.append((range(6 - len(t0), max_length - len(t0) + 1), gkey, pkey))
     index = _family_indexes(top, dq, max_length, firsts, codes)
