@@ -24,7 +24,7 @@ structure.cancel_search, that also derives the family census:
   (profile B) or 3 (profile C) terms T0 at degree 0, g(T0) != 0 and length
   6 or more comes from the same join over dual(Q), T0 its first part and
   the reverse of T1 its other parts, or from cancel_search over dual(Q)
-  seeded with the reverse of g(T0) for a top layer past the census.  The
+  seeded with -reverse(g(T0)) for a top layer past the census.  The
   cycles with g(T0) = 0 are counted from the single window's run at L - 2.
 
 Every candidate is re-verified through the boundary map and paired with
@@ -625,14 +625,13 @@ def _families_cancelling(table, size, seed, budget):
 
 def _search_double_window(cfg, report, table):
     """Every cycle T0 + T1 over degrees 0 and 1 with |T0| in the profile,
-    g(T0) != 0 and length 6..L, reduced by Aut(Q).  T0 is f-null with 2 or
-    3 terms, one census family; T1 is g-null with f(T1) = -g(T0).  Since
+    g(T0) != 0 and length 6..L, up to Aut(Q).  T0 is f-null with 2 or 3
+    terms, one census family; T1 is g-null with f(T1) = -g(T0).  As
     reverse(f(t)) = -g_dual(reverse(t)) and reverse(g(t)) =
     -f_dual(reverse(t)), degrees apart, reverse(T1) is a sum of the single
     window's parts over dual(Q) with g-image reverse(g(T0)).  Where an
-    automorphism negates T0, the sign of a cycle whose top layer sorts
-    first is printed.  With g(T0) = 0, T0 and T1 are single-window cycles:
-    n_a * 2 n_b of them, |T1| = b >= 6 - a, n_l those of length l."""
+    automorphism negates T0, the sign whose top layer sorts first is
+    printed.  With g(T0) = 0, T0 and T1 are single-window cycles."""
     q, max_length = cfg.quandle, cfg.max_length
     sizes = {"B": (2,), "C": (3,), "BC": (2, 3)}[cfg.profile]
     group = automorphisms(q)
@@ -649,7 +648,7 @@ def _search_double_window(cfg, report, table):
     for t0 in bottoms:
         faces = top.image([(c, reverse_term(t, q)) for t, c in t0], top.f)  # f_dual(reverse(T0))
         seeds.append({(1, u, w): c for (_, u, w), c in faces.items()})  # = -reverse(g(T0)), as g-faces
-        gkey, pkey = codes[2](list(seeds[-1].items()))
+        gkey, pkey = codes[2](seeds[-1].items())
         firsts.append((range(6 - len(t0), max_length - len(t0) + 1), gkey, pkey))
     index = _family_indexes(top, dq, max_length, firsts, codes)
     cycles = _Cycles(q, cfg.cocycle)

@@ -63,7 +63,8 @@ def reverse(chain, q):
 def reverse_term(term, q):
     """The term that `reverse` maps one term (n, u, colors) onto."""
     n, u, colors = term
-    return -n, q.act_word(u, colors), tuple(q.act_word(colors[i], colors[i + 1 :]) for i in range(len(colors)))
+    new_colors = tuple(q.act_word(colors[i], colors[i + 1 :]) for i in range(len(colors)))
+    return -n, q.act_word(u, colors), new_colors
 
 
 def reverse_o6(chain, q):
