@@ -334,9 +334,10 @@ def _digest(report):
 
 
 # The certificate digests below pin the census, the join, the one-family
-# component search and the two-degree window's join over dual(Q), and through
-# the probes line of each certificate the probe counts of the whole run.  A change that
-# alters probe counts or coverage text must update them and say why.
+# component search and the two-degree window's join over dual(Q), and
+# through the probes line of each certificate the probe counts of the whole
+# run.  A change that alters probe counts or coverage text must update them
+# and say why.
 
 
 def test_o6_single_degree_clean_below_seven():
@@ -507,9 +508,10 @@ def _key_set_digest(rep, theta):
     return hashlib.sha256(repr(pairs).encode()).hexdigest()
 
 
-# The full key sets (both pairings) of the two-degree window, pinned from the engine
-# it replaced (a top-layer cancellation search per 2- or 3-term bottom layer,
-# with null families appended): the boundary scan must list the same cycles.
+# The full key sets (both pairings) of the two-degree window, pinned from the
+# engines it replaced (a top-layer cancellation search per 2- or 3-term bottom
+# layer, with null families appended, up to L = 7, and at L = 8 the boundary
+# scan that stopped at each closure): the join must list the same cycles.
 @pytest.mark.parametrize(
     "quandle, max_length, profile, cycles, digest",
     [
@@ -534,8 +536,8 @@ def test_double_window_key_sets_match_the_top_layer_engine(quandle, max_length, 
 )
 def test_double_window_scan_is_the_same_under_the_trivial_group(quandle, max_length, cycles):
     # The library's window on a third quandle against the oracle's, reduced
-    # by Aut(Q) and unreduced.  Each longer length lets longer degree-1
-    # cycles follow a closure.
+    # by Aut(Q) and unreduced.  Each longer length lets longer top layers
+    # join a bottom layer.
     q = resolve_quandle(quandle)
     cfg = SearchConfig(q, mochizuki(q.size), max_length=max_length, window="double", profile="BC")
     rep = search_min_cycles(cfg)
