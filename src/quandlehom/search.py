@@ -48,8 +48,10 @@ from .chains import Chain, boundary, chain_to_text, length
 from .cocycles import ThreeCocycle, evaluate
 from .quandles import FiniteQuandle, automorphisms, dual
 from .structure import (
+    _DIGIT_BITS,
     MAX_FAMILY_SIZE,
     TermTable,
+    _code,
     cancel_search,
     concrete_families,
     family_count,
@@ -87,8 +89,7 @@ class ProbeBudget:
 MAX_SEARCH_LENGTH = 8
 # A term has at most 3 g-faces, each with coefficient +-1, so the g-image of
 # at most MAX_SEARCH_LENGTH terms has coefficients below 2**(_DIGIT_BITS-1)
-# in size, the bound under which _code is exact.
-_DIGIT_BITS = 6
+# in size, the bound under which structure._code is exact.
 assert 3 * MAX_SEARCH_LENGTH < 2 ** (_DIGIT_BITS - 1)
 # A family size h with 2h > L is never a prefix part of a join, only the
 # looked-up largest part, so its prefix holds at most L - h < 4 terms for
@@ -202,14 +203,6 @@ class SearchReport:
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _code(pairs, digits):
-    """The integer code of (face, coefficient) pairs: face i of `digits`
-    (numbered as met) is the balanced base-2**_DIGIT_BITS digit at place i.
-    Sums of codes are equal exactly when the summed images are, while every
-    summed coefficient stays below 2**(_DIGIT_BITS-1) in size."""
-    return sum(c << _DIGIT_BITS * digits.setdefault(face, len(digits)) for face, c in pairs)
 
 
 def _sign_normal_key(terms):
@@ -508,10 +501,7 @@ def _orbit_components(table, max_length, group, budget):
             tuple(sorted({(d, u, tuple([p[x] for x in w])) for p in stabiliser}))
             for d, v, w in table.terms if v == u
         }
-        cancel_search(
-            table.f, table.f_cancel, max_length, close, sorted(orbits),
-            g=(table.g, table.g_cancel[u]), budget=budget,
-        )
+        cancel_search(table, max_length, close, sorted(orbits), g_cancel=table.g_cancel[u], budget=budget)
     return {size: sorted(fams) for size, fams in hits.items()}
 
 
@@ -618,8 +608,7 @@ def _families_cancelling(table, size, seed, budget):
             hits.add(tuple(sorted(family)))
 
     for cancel in table.g_cancel.values():
-        g = (table.g, cancel)
-        cancel_search(table.f, table.f_cancel, size, close, (), g=g, seed=({}, seed), budget=budget)
+        cancel_search(table, size, close, (), g_cancel=cancel, seed=({}, seed), budget=budget)
     return sorted(hits)
 
 

@@ -7,7 +7,9 @@ A set of same-degree 3-terms is f-connected when its f-image vanishes and no
 proper nonempty subset has vanishing f-image (g-connected likewise).  Since
 f never consults the quandle operation, the f-connected families of a given
 size admit a quandle-independent symbolic census; it is re-derived here over
-four symbols, once per orbit under global sign and symbol renaming.  Up to
+four symbols, once per orbit under global sign and symbol renaming.  The
+orbits read the renamings as maps on the signed symbolic words, built once
+on first use, and the minimality test sums integer-coded f-images.  Up to
 those and the two concrete shapes of a bigon term (a, b, a) ~ (b, a, b), its
 classes are the catalogued templates and the shape-preserving symbol
 identifications of them, which the census checks.  Over a quandle, every
@@ -100,6 +102,16 @@ def reflection(chain, q):
 # ---------------------------------------------------------------------------
 # the term table and the residual-guided cancellation search
 
+_DIGIT_BITS = 6
+
+
+def _code(pairs, digits):
+    """The integer code of (face, coefficient) pairs: face i of `digits`
+    (numbered as met) is the balanced base-2**_DIGIT_BITS digit at place i.
+    Sums of codes are equal exactly when the summed images are, while every
+    summed coefficient stays below 2**(_DIGIT_BITS-1) in size."""
+    return sum(c << _DIGIT_BITS * digits.setdefault(face, len(digits)) for face, c in pairs)
+
 
 class TermTable:
     """Every non-degenerate 3-term at degree 0, with its face images.
@@ -112,6 +124,8 @@ class TermTable:
     all sit at the face's index.  g moves the index, so ``g_cancel[u][face]``
     lists only the terms at index u.  With q None the table is symbolic:
     `symbols` colors at index 0 and f only, which serves every quandle.
+    ``bounds`` holds the most faces, with multiplicity, of one term's f- and
+    g-image (None for g in a symbolic table), which cancel_search prunes by.
     """
 
     def __init__(self, q, symbols=None):
@@ -129,6 +143,7 @@ class TermTable:
                 cancel = self.g_cancel.setdefault(t[1], {})
                 for face, s in self.g[t]:
                     cancel.setdefault(face, []).append((t, s))
+        self.bounds = (_faces_per_term(self.f), None if q is None else _faces_per_term(self.g))
 
     def image(self, family, images):
         """The image {face: coefficient} of a list of (sign, term) pairs
@@ -142,19 +157,22 @@ class TermTable:
         """True when the family's f-image vanishes and that of no proper
         nonempty subfamily does.  Once the whole image vanishes, a null
         subfamily S leaves F - S null too, so only subfamilies of up to half
-        the family's size are tested."""
-        return not self.image(family, self.f) and all(
-            self.image(sub, self.f)
-            for r in range(1, len(family) // 2 + 1)
-            for sub in itertools.combinations(family, r)
+        the family's size are tested, each as a sum of signed per-term
+        f-image _codes: exact while bounds[0] faces a term times the
+        family's size stays below 2**(_DIGIT_BITS-1), as asserted."""
+        assert self.bounds[0] * len(family) < 2 ** (_DIGIT_BITS - 1), "family too long for exact f-codes"
+        digits = {}
+        codes = [sign * _code(self.f[t], digits) for sign, t in family]
+        return not sum(codes) and all(
+            sum(sub) for r in range(1, len(codes) // 2 + 1) for sub in itertools.combinations(codes, r)
         )
 
 
-def cancel_search(images, cancel, size, on_close, anchors, *, g=None, seed=None, budget=None):
-    """Residual-guided cancellation search over one image table.
+def cancel_search(table, size, on_close, anchors, *, g_cancel=None, seed=None, budget=None):
+    """Residual-guided cancellation search over one TermTable's f-images.
 
-    `images[t]` holds the signed faces ((face, sign), ...) of term t and
-    `cancel[face]` the (term, sign) pairs whose image holds the face.
+    `table.f[t]` holds the signed faces ((face, sign), ...) of term t and
+    `table.f_cancel[face]` the (term, sign) pairs whose image holds the face.
     `anchors` is a sequence of groups of terms, each group's least term
     first.  From that term taken positive it grows signed families of at
     most `size` terms: while the residual (the family's image) is nonzero it
@@ -162,22 +180,22 @@ def cancel_search(images, cancel, size, on_close, anchors, *, g=None, seed=None,
     with the sign that moves it toward zero, never a term with both signs;
     once it vanishes it calls on_close(family, g_residual) and goes no
     further.  It backtracks when a residual needs more faces per remaining
-    term than any term has.
+    term than any term has (table.bounds).
 
     After a group's scan the whole group is retired: no later scan adds any
     of its terms.  With one-term groups in sorted order, later terms are no
     smaller than the anchor, so a family is found from its least term, once
     per global sign.  With the orbits of a symmetry group that fixes the
     image tables, in order of their least terms, a family is found, moved by
-    some element, from the least term of the first orbit it meets.  `g` =
-    (images, cancel): the g residual is tracked too and cancelled first
-    (else it is None).  `seed` = (residual, g residual), with `g`: one scan
-    from the empty family with these residuals, ahead of the anchors'; it
-    closes only on a nonempty family.  `budget`: a probe a state.
+    some element, from the least term of the first orbit it meets.
+    `g_cancel`, one of table.g_cancel's maps: the g residual is tracked too,
+    with table.g, and cancelled first (else it is None).  `seed` =
+    (residual, g residual), with `g_cancel`: one scan from the empty family
+    with these residuals, ahead of the anchors'; it closes only on a
+    nonempty family.  `budget`: a probe a state.
     """
-    g_img, g_cancel = g or (None, None)
-    bound = _faces_per_term(images)
-    g_bound = g and _faces_per_term(g_img)
+    images, cancel, g_img = table.f, table.f_cancel, table.g
+    bound, g_bound = table.bounds
     retired = set()
 
     def extend(family, res, gres):
@@ -210,7 +228,7 @@ def cancel_search(images, cancel, size, on_close, anchors, *, g=None, seed=None,
         if seed is not None:
             extend([], dict(seed[0]), dict(seed[1]))
         for group in anchors:
-            step([], {}, None if g is None else {}, 1, group[0])
+            step([], {}, None if g_cancel is None else {}, 1, group[0])
             retired.update(group)
     finally:
         extend = step = None  # they refer to each other: free the search's state on return
@@ -253,15 +271,39 @@ def _null_families(size):
         if len(family) == size:
             results.add(tuple(sorted((sign, t[2]) for sign, t in family)))
 
-    cancel_search(table.f, table.f_cancel, size, close, anchors=[(t,) for t in table.terms[:2]])
+    cancel_search(table, size, close, anchors=[(t,) for t in table.terms[:2]])
     return sorted(results)
 
 
-def _relabellings(family):
-    """Every image of a symbolic family under symbol renaming and global sign."""
+@lru_cache(maxsize=None)
+def _word_renamings():
+    """The 24 renamings of the four symbols with either global sign, as maps
+    on the 72 signed words (sign, colors), tuples indexed by `ids`: each of
+    `renamed` to the image (one shared pair per signed word), and each of
+    `onto[syms]` to its bigon-normal entry, for the renamings that send the
+    symbols syms onto 0..len(syms)-1.  Built on first use."""
+    words = list(color_words(_SYMBOLS, 3))
+    pairs = [(s, w) for s in (1, -1) for w in words]
+    ids = {p: i for i, p in enumerate(pairs)}
+    normal = [_bigon_normal_entry(*p) for p in pairs]
+    renamed, onto = [], {}
     for perm in itertools.permutations(range(_SYMBOLS)):
+        images = [tuple([perm[x] for x in w]) for w in words]
         for g in (1, -1):
-            yield tuple(sorted((g * s, tuple(perm[x] for x in w)) for s, w in family))
+            image_ids = [ids[g * s, w] for s in (1, -1) for w in images]
+            renamed.append(tuple([pairs[i] for i in image_ids]))
+            entries = tuple([normal[i] for i in image_ids])
+            for m in range(1, _SYMBOLS + 1):
+                onto.setdefault(frozenset(map(perm.index, range(m))), []).append(entries)
+    return ids, renamed, onto
+
+
+def _relabellings(family):
+    """The set of images of a family on the four symbols under symbol
+    renaming and global sign, one tuple read a term per image."""
+    ids, renamed, _ = _word_renamings()
+    family = list(map(ids.__getitem__, family))
+    return {tuple(sorted(map(image.__getitem__, family))) for image in renamed}
 
 
 def _bigon_normal_entry(sign, colors):
@@ -279,24 +321,21 @@ def _family_symbols(entries):
 
 
 def canonical_family(family):
-    """Canonical form of a signed symbolic family: bigons collapsed to an
-    unordered marker, then minimized over symbol bijections and global sign."""
-    entries = [_bigon_normal_entry(sign, colors) for sign, colors in family]
-    syms = sorted(_family_symbols(entries))
-    best = None
-    for perm in itertools.permutations(range(len(syms))):
-        relab = {s: perm[i] for i, s in enumerate(syms)}
-        for gsign in (1, -1):
-            cand = []
-            for sign, kind, colors in entries:
-                new_colors = tuple(relab[x] for x in colors)
-                if kind == "B":
-                    new_colors = (min(new_colors), max(new_colors))
-                cand.append((gsign * sign, kind, new_colors))
-            cand = tuple(sorted(cand))
-            if best is None or cand < best:
-                best = cand
-    return best
+    """Canonical form of a signed symbolic family on m <= 4 symbols: bigons
+    collapsed to an unordered marker, then minimized over the bijections of
+    its symbols onto 0..m-1 and global sign.  The candidates read the word
+    renamings that send its symbols onto 0..m-1 straight to bigon-normal
+    entries; a family with a symbol past 3 is first renamed in order onto
+    0..m-1."""
+    syms = {x for _, w in family for x in w}
+    if len(syms) > _SYMBOLS:
+        raise StructureError("a canonical form needs at most %d symbols" % _SYMBOLS)
+    if max(syms) >= _SYMBOLS:
+        order = dict(zip(sorted(syms), range(_SYMBOLS)))
+        family, syms = [(s, tuple([order[x] for x in w])) for s, w in family], range(len(syms))
+    ids, _, onto = _word_renamings()
+    family = list(map(ids.__getitem__, family))
+    return min(tuple(sorted(map(entries.__getitem__, family))) for entries in onto[frozenset(syms)])
 
 
 def _expand_pattern(pattern):

@@ -7,14 +7,16 @@ import pytest
 from quandlehom.chains import Chain, ChainError, f_map, g_map, length, sigma_shift
 from quandlehom.quandles import QuandleError, dual, make_dihedral, make_octahedral
 from quandlehom import search
-from quandlehom.search import _g_codes
+from quandlehom.search import _DIGIT_BITS, _g_codes
 from quandlehom.structure import (
     MAX_FAMILY_SIZE,
     PATTERN_CATALOG,
     StructureError,
     TermTable,
     _minimal_representatives,
+    _null_families,
     _placed_families,
+    _relabellings,
     cancel_search,
     canonical_family,
     concrete_families,
@@ -332,14 +334,28 @@ def _null_by_every_subset(table, family):
 def test_minimality_test_agrees_with_every_subset():
     # is_minimal_null tests subfamilies of up to half the family's size: a
     # null subfamily leaves a null complement once the whole image vanishes.
-    table = TermTable(O6)
+    # It sums integer f-codes, exact while every summed coefficient stays
+    # below 2**(_DIGIT_BITS-1): each term has 3 faces, and the unions of two
+    # families below reach 10 terms, 3 * 10 < 2**5.
     terms = lambda fam: [(s, (0, 0, w)) for s, w in fam]
-    minimal = [terms(fam) for k in range(2, 6) for fam in concrete_families(O6, k)]
+    symbolic = [fam for k in range(2, 6) for _, plus, minus in _placed_families(k) for fam in (plus, minus)]
+    for table, families in (
+        (TermTable(O6), [fam for k in range(2, 6) for fam in concrete_families(O6, k)]),
+        (TermTable(R7), [fam for k in range(2, 6) for fam in concrete_families(R7, k)][::3]),
+        (TermTable(None, symbols=4), symbolic),
+    ):
+        _check_minimality_test(table, [terms(fam) for fam in families])
+    # The census the minimality test feeds is unchanged.
+    assert [len(_minimal_representatives(k)) for k in range(2, 6)] == [1, 2, 9, 24]
+    assert [len(_placed_families(k)) for k in range(2, 6)] == [1, 12, 75, 468]
+
+
+def _check_minimality_test(table, minimal):
     for family in minimal:
         assert table.is_minimal_null(family) and _null_by_every_subset(table, family), family
     # Unions of two families with disjoint terms are null but not minimal.
     rng = random.Random(5)
-    unions = 0
+    unions = longest = 0
     while unions < 300:
         a, b = rng.sample(minimal, 2)
         if {t for _, t in a} & {t for _, t in b}:
@@ -347,13 +363,11 @@ def test_minimality_test_agrees_with_every_subset():
         union = a + b
         assert not table.is_minimal_null(union) and not _null_by_every_subset(table, union), union
         assert not table.image(union, table.f)
-        unions += 1
+        unions, longest = unions + 1, max(longest, len(union))
+    assert longest == 10 and 3 * longest < 2 ** (_DIGIT_BITS - 1)
     # One term dropped: not null, for either test.
     for family in minimal[::7]:
         assert not table.is_minimal_null(family[1:]) and not _null_by_every_subset(table, family[1:])
-    # The census the minimality test feeds is unchanged.
-    assert [len(_minimal_representatives(k)) for k in range(2, 6)] == [1, 2, 9, 24]
-    assert [len(_placed_families(k)) for k in range(2, 6)] == [1, 12, 75, 468]
 
 
 def test_census_bytes_are_pinned():
@@ -367,6 +381,59 @@ def test_census_bytes_are_pinned():
     )
 
 
+def test_census_listings_are_pinned():
+    # The orbit representatives and the placed families the searches rename
+    # onto a quandle's colors, byte for byte.
+    reps = repr([_minimal_representatives(k) for k in range(1, 6)]).encode()
+    placed = repr([_placed_families(k) for k in range(2, 6)]).encode()
+    assert hashlib.sha256(reps).hexdigest() == "403bce3c3c7ade8ca21c042bc8fbda13d12e44b13a52f188df7f909d6777eae8"
+    assert hashlib.sha256(placed).hexdigest() == "efd8ac914cd586948ca7eb146c81fba4b257e8249203628539dfa7d25f00cf2a"
+
+
+def _relabellings_by_term(family):
+    """The oracle for _relabellings: each renaming of the four symbols and
+    global sign, applied color by color to every term."""
+    return {
+        tuple(sorted((g * s, tuple(perm[x] for x in w)) for s, w in family))
+        for perm in itertools.permutations(range(4))
+        for g in (1, -1)
+    }
+
+
+def _canonical_by_every_bijection(family):
+    """The oracle for canonical_family: bigons collapsed to an unordered
+    marker, then the least image over every bijection of the family's
+    symbols onto 0..m-1 and global sign."""
+    entries = [(s, "B", tuple(sorted(w[:2]))) if w[0] == w[2] else (s, "T", w) for s, w in family]
+    syms = sorted({x for _, _, w in entries for x in w})
+    best = None
+    for perm in itertools.permutations(range(len(syms))):
+        relab = dict(zip(syms, perm))
+        for g in (1, -1):
+            cand = []
+            for s, kind, w in entries:
+                w = tuple(relab[x] for x in w)
+                cand.append((g * s, kind, tuple(sorted(w)) if kind == "B" else w))
+            cand = tuple(sorted(cand))
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def test_word_renamings_match_the_per_term_oracles():
+    # _relabellings and canonical_family read precomputed renamings of the
+    # symbolic words; the oracles rename color by color.
+    closures = [fam for k in range(2, 6) for fam in _null_families(k)]
+    variants = [v for k in range(2, 6) for t in enumerate_f_connected(k) for v in t.variants]
+    assert len(closures) == 205 and len(variants) == 45
+    for fam in closures + variants:
+        assert set(_relabellings(fam)) == _relabellings_by_term(fam)
+        assert canonical_family(fam) == _canonical_by_every_bijection(fam)
+    # Five distinct symbols have no canonical form over the four-symbol words.
+    with pytest.raises(StructureError):
+        canonical_family([(1, (0, 1, 2)), (-1, (2, 3, 4))])
+
+
 def test_census_matches_five_symbol_search_from_every_anchor():
     # The census searches four symbols from two anchors, once per orbit.
     # Reference: five symbols, every term an anchor, every family tested.
@@ -378,12 +445,13 @@ def test_census_matches_five_symbol_search_from_every_anchor():
             if len(family) == k:
                 found.add(tuple(sorted((s, t[2]) for s, t in family)))
 
-        cancel_search(table.f, table.f_cancel, k, close, anchors=[(t,) for t in table.terms])
+        cancel_search(table, k, close, anchors=[(t,) for t in table.terms])
         minimal = [
             fam for fam in found if table.is_minimal_null([(s, (0, 0, w)) for s, w in fam])
         ]
         assert all(len({x for _, w in fam for x in w}) <= 4 for fam in minimal)
         classes = {canonical_family(fam) for fam in minimal}
+        assert all(canonical_family(fam) == _canonical_by_every_bijection(fam) for fam in minimal)
         assert len(classes) == [1, 2, 6, 11][k - 2]
         assert classes == {canonical_family(v) for t in enumerate_f_connected(k) for v in t.variants}
         # Over five colors, every family of the listing once, as a sorted
@@ -509,5 +577,5 @@ def test_seeded_scan_finds_the_families_that_cancel_its_seed(q):
                 closed.add(tuple(sorted(family)))
 
         seed = ({}, {face: -c for face, c in image})
-        cancel_search(table.f, table.f_cancel, 3, close, (), g=(table.g, table.g_cancel[0]), seed=seed)
+        cancel_search(table, 3, close, (), g_cancel=table.g_cancel[0], seed=seed)
         assert closed == families
