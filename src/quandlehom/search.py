@@ -15,25 +15,25 @@ structure.cancel_search, that also derives the family census:
   them.  The join lists each cycle with one global sign, the first in the
   sorted order, which follows the element labels: relabelling the quandle
   may change the probes line and which sign of a cycle is printed, but not
-  the key sets or the counts.  A cycle of one family, of any size, is found
-  by cancel_search, g residual first, once per orbit of Aut(Q) on the
-  indices and of the index's stabiliser on its terms, and expanded over
-  Aut(Q).
+  the key sets or the counts.  A cycle of one family, of any size, comes
+  from the one-family scan _index_scan (cancel_search, g residual first)
+  at the least index of each orbit of Aut(Q), from the orbits of its
+  stabiliser on its terms (_index_orbits), expanded over Aut(Q).
 
 * two adjacent degrees: a cycle T0 + T1 over degrees 0 and 1 with 2
   (profile B) or 3 (profile C) terms T0 at degree 0, g(T0) != 0 and length
   6 or more comes from the same join over dual(Q), T0 its first part and
-  the reverse of T1 its other parts, or from cancel_search over dual(Q)
+  the reverse of T1 its other parts, or from _index_scan over dual(Q)
   seeded with -reverse(g(T0)) for a top layer past the census.  The
   cycles with g(T0) = 0 are counted from the single window's run at L - 2.
 
-Every candidate is re-verified through the boundary map and paired with
-the cocycle from per-term memos independent of the tables and codes the
-search used (_Cycles).  A report lists the cycles with nonzero pairing and
-keeps the keys of the zero-pairing ones.  Searches are deterministic and
-run in one process; reports record exactly what was covered and, as gaps,
-what was not.  A probe budget on the summed probes aborts oversized runs
-with a refusal report rather than truncating silently.
+Each window hands every cycle, as {term: coefficient}, to _Cycles.add_terms:
+it is re-verified through the boundary map and paired with the cocycle from
+per-term memos independent of the search's tables and codes.  A report
+lists the cycles with nonzero pairing and keeps the keys of the zero-pairing
+ones.  Searches are deterministic and run in one process; reports record
+exactly what was covered and, as gaps, what was not.  A probe budget on the
+summed probes refuses oversized runs rather than truncating silently.
 """
 
 from __future__ import annotations
@@ -238,6 +238,32 @@ def _merged(counter, parts):
     return out
 
 
+def _move(p, term):
+    """The term moved by the automorphism p."""
+    d, u, w = term
+    return d, p[u], tuple([p[x] for x in w])
+
+
+def _index_orbits(group):
+    """(u, its stabiliser) for the least index u of each orbit of `group`, in order."""
+    least = sorted({min(p[v] for p in group) for v in range(len(group[0]))})
+    return [(u, [p for p in group if p[u] == u]) for u in least]
+
+
+def _index_scan(table, u, size, budget, anchors=(), seed=None):
+    """The g-null minimal f-null families of at most `size` terms at index u
+    of `table`, as (sign, term) lists, maybe repeated: one g-first
+    cancel_search from the groups of terms `anchors`, or from its `seed`."""
+    hits = []
+
+    def close(family, gres):
+        if not gres and table.is_minimal_null(family):
+            hits.append(family)
+
+    cancel_search(table, size, close, anchors, g_cancel=table.g_cancel[u], seed=seed, budget=budget)
+    return hits
+
+
 class _Cycles:
     """The cycles a search reaches, each once up to global sign: every one
     is re-checked through the boundary map, paired with the cocycle and
@@ -251,9 +277,10 @@ class _Cycles:
     ``values``.  Both are linear, so a cycle's are sums.  A term's image
     has each face at most once, with coefficient +-1, so the summed code of
     at most MAX_SEARCH_LENGTH terms, with multiplicity, is 0 exactly when
-    the summed image is.  add_terms takes the cycle as {term: coefficient},
-    the join's form, and builds a checked Chain only for a new cycle with
-    nonzero pairing; add takes a Chain.
+    the summed image is.  add_terms, the one way in for the joins and the
+    one-family scans alike, takes the cycle as {term: coefficient} and
+    builds a checked Chain only for a new cycle with nonzero pairing;
+    ``key in cycles`` asks whether a sign-normal key was reached.
     """
 
     def __init__(self, q, theta):
@@ -266,12 +293,12 @@ class _Cycles:
         self.images[t] = _code(boundary(one, self.q).terms.items(), self.faces)
         self.values[t] = evaluate(self.theta, one)
 
-    def add(self, chain, shape):
-        self.add_terms(chain.terms, shape, chain)
+    def __contains__(self, key):
+        return key in self.zero or key in self.found
 
-    def add_terms(self, terms, shape, chain=None):
+    def add_terms(self, terms, shape):
         key = _sign_normal_key(terms)
-        if key in self.zero or key in self.found:
+        if key in self:
             return
         for t in filterfalse(self.images.__contains__, terms):
             self._take(t)
@@ -279,9 +306,7 @@ class _Cycles:
             raise AssertionError("search produced a non-cycle")
         value = sum(map(mul, terms.values(), map(self.values.__getitem__, terms))) % self.theta.modulus
         if value:
-            if chain is None:
-                chain = Chain(3, True, terms)
-            self.found[key] = FoundCycle(chain, value, shape)
+            self.found[key] = FoundCycle(Chain(3, True, terms), value, shape)
         else:
             self.zero.add(key)
 
@@ -477,31 +502,22 @@ def _orbit_components(table, max_length, group, budget):
     components that alone form a one-degree cycle, as sorted tuples with the
     least term positive, by size, for every size 2..max_length; sorted.
 
-    One cancellation scan of size max_length runs at the least index u of
-    each orbit of `group`, once per orbit of u's stabiliser on the terms at
-    u, from its least term, the orbits in order and each retired after its
-    scan.  A closure returns without extending and the residual prune only
-    loosens as the size grows, so it passes every state of each smaller
-    size's scan.  f and g commute with automorphisms, so a family at u is
-    moved by the stabiliser onto one holding the least term of the first
-    orbit it meets and no earlier orbit's term; the families at p(u) are p
-    of those at u.  Each hit is expanded over `group`, in the scan's form."""
+    One _index_scan of size max_length runs at each u of _index_orbits,
+    from the orbits of u's stabiliser on the terms at u, in order, each
+    retired after its scan.  A closure returns without extending and the
+    residual prune only loosens as the size grows, so it passes every state
+    of each smaller size's scan.  f and g commute with automorphisms, so a
+    family at u is moved by the stabiliser onto one holding the least term
+    of the first orbit it meets and no earlier orbit's term; the families
+    at p(u) are p of those at u.  Each hit is expanded over `group`."""
     hits = {size: set() for size in range(2, max_length + 1)}
-
-    def close(family, gres):
-        if not gres and len(family) in hits and table.is_minimal_null(family):
+    for u, stabiliser in _index_orbits(group):
+        orbits = {tuple(sorted({_move(p, t) for p in stabiliser})) for t in table.terms if t[1] == u}
+        for family in _index_scan(table, u, max_length, budget, sorted(orbits)):
             for p in group:
-                image = [(s, (d, p[v], tuple([p[x] for x in w]))) for s, (d, v, w) in family]
+                image = [(s, _move(p, t)) for s, t in family]
                 flip = min((t, s) for s, t in image)[1]
                 hits[len(family)].add(tuple(sorted([(flip * s, t) for s, t in image])))
-
-    for u in sorted({min(p[v] for p in group) for v in range(len(group[0]))}):
-        stabiliser = [p for p in group if p[u] == u]
-        orbits = {
-            tuple(sorted({(d, u, tuple([p[x] for x in w])) for p in stabiliser}))
-            for d, v, w in table.terms if v == u
-        }
-        cancel_search(table, max_length, close, sorted(orbits), g_cancel=table.g_cancel[u], budget=budget)
     return {size: sorted(fams) for size, fams in hits.items()}
 
 
@@ -560,7 +576,7 @@ def _search_single_degree(cfg, report, table):
     scanned = {}
     for size, fams in _orbit_components(table, max_length, automorphisms(q), budget).items():
         for fam in fams:
-            cycles.add(Chain.from_signed_terms(fam, arity=3, graded=True), "degree0 single family of %d" % size)
+            cycles.add_terms(_merged({}, fam), "degree0 single family of %d" % size)
         scanned[size] = "length %d as one family (index scan, %d hits)" % (size, len(fams))
     # The covered lines keep their order: a length's one-family line follows
     # its joins, where its one-part partition sorts, and the sizes past the
@@ -584,32 +600,16 @@ def _bottom_layers(table, q, sizes, group):
     pairs: the least member whose least term, the orbit's, is positive, met
     at the least index u of an index orbit through u's stabiliser."""
     bottoms = set()
-    for u in sorted({min(p[v] for p in group) for v in range(q.size)}):
-        stabiliser = [p for p in group if p[u] == u]
+    for u, stabiliser in _index_orbits(group):
         for size in sizes:
             for fam in concrete_families(q, size):
                 members = [
-                    tuple(sorted([((0, u, tuple([p[x] for x in w])), sign * s) for s, w in fam]))
+                    tuple(sorted([(_move(p, (0, u, w)), sign * s) for s, w in fam]))
                     for p in stabiliser
                     for sign in (1, -1)
                 ]
                 bottoms.add(min(m for m in members if m[0][1] > 0))
     return sorted(b for b in bottoms if table.image([(c, t) for t, c in b], table.g))
-
-
-def _families_cancelling(table, size, seed, budget):
-    """The minimal f-null families of `size` terms at one index of `table`
-    whose g-image cancels `seed`, as sorted (sign, term) tuples: one
-    cancel_search per index, seeded with it as its g residual."""
-    hits = set()
-
-    def close(family, gres):
-        if not gres and len(family) == size and table.is_minimal_null(family):
-            hits.add(tuple(sorted(family)))
-
-    for cancel in table.g_cancel.values():
-        cancel_search(table, size, close, (), g_cancel=cancel, seed=({}, seed), budget=budget)
-    return sorted(hits)
 
 
 def _search_double_window(cfg, report, table):
@@ -647,18 +647,18 @@ def _search_double_window(cfg, report, table):
         for l in lengths:
             for partition in _partitions_into_parts(l, MAX_FAMILY_SIZE):
                 _join_partition(partition, index, budget, add, gkey)
-            if l > MAX_FAMILY_SIZE:
-                for fam in _families_cancelling(top, l, seed, budget):
-                    add(_merged({}, fam))
+            if l > MAX_FAMILY_SIZE:  # one family past the census, at each index
+                for u in range(q.size):
+                    for fam in _index_scan(top, u, l, budget, seed=({}, seed)):
+                        if len(fam) == l:
+                            add(_merged({}, fam))
         for t1 in sorted(layers):
             terms, length = dict(t0 + t1), sum(abs(c) for _, c in t1)
-            key = _sign_normal_key(terms)
             # A merge may take a term's coefficient from 2 back to 1: a top layer shorter than its parts.
-            if length in lengths and key not in cycles.zero and key not in cycles.found:
+            if length in lengths and _sign_normal_key(terms) not in cycles:
                 shape = "degrees 0+1 split %d+%d" % (len(t0), length)
                 for p in group:
-                    moved = {(d, p[u], tuple([p[x] for x in w])): c for (d, u, w), c in terms.items()}
-                    cycles.add_terms(moved, shape)
+                    cycles.add_terms({_move(p, t): c for t, c in terms.items()}, shape)
 
     report.covered += [
         "every cycle of length 6..%d with degrees exactly {0, 1}, bottom layer size"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, neg
 
-from .quandles import QuandleError, TAU_O6, _is_degenerate, color_words
+from .quandles import QuandleError, TAU_O6, color_words
 from .chains import Chain, ChainError, _accumulate, f_map, g_map
 
 
@@ -352,14 +352,14 @@ def _expand_pattern(pattern):
 
 
 def _family_is_valid(family):
+    """No word with both signs, and minimal f-null.  Every family comes from a
+    shape-preserving glue, which keeps each word non-degenerate."""
     seen = set()
     for sign, colors in family:
-        if _is_degenerate(colors):
-            return False
         if (-sign, colors) in seen:
             return False
         seen.add((sign, colors))
-    return bool(family) and _is_minimal_null(family)
+    return _is_minimal_null(family)
 
 
 def _glue(family, mapping):

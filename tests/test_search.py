@@ -27,6 +27,7 @@ from quandlehom.search import (
     _bottom_layers,
     _family_indexes,
     _g_codes,
+    _index_orbits,
     _join_partition,
     _orbit_components,
     _partitions_into_parts,
@@ -268,6 +269,20 @@ def test_orbit_components_are_the_scan_at_every_index(q, max_length):
     # one scan of size L files the hits of each smaller size's own scan
     for size in range(2, max_length):
         assert hits[size] == scan(size)[size], size
+
+
+@pytest.mark.parametrize(
+    "q, expected", [(O6, [(0, 4)]), (R7, [(0, 6)]), (R3_PLUS_POINT, [(0, 2), (3, 6)])], ids=["o6", "r7", "r3+point"]
+)
+def test_index_orbits_are_the_least_indices_with_their_stabilisers(q, expected):
+    # Both windows walk the least index of each Aut(Q)-orbit on the indices,
+    # in order, with its stabiliser: the elements of Aut(Q) that fix it.
+    group = automorphisms(q)
+    orbits = _index_orbits(group)
+    assert [(u, len(stabiliser)) for u, stabiliser in orbits] == expected
+    for u, stabiliser in orbits:
+        assert all(p[u] == u for p in stabiliser)
+        assert u == min(p[u] for p in group)
 
 
 def _oracle_window(keys, table, sizes, max_length):
@@ -739,9 +754,9 @@ def test_cycle_recheck_rejects_a_non_cycle():
     terms = witness.items_sorted()
     broken = Chain(3, True, [(terms[0][0], -terms[0][1])] + terms[1:])
     with pytest.raises(AssertionError, match="search produced a non-cycle"):
-        cycles.add(broken, "test")
+        cycles.add_terms(broken.terms, "test")
     assert not cycles.found and not cycles.zero
-    cycles.add(witness, "test")
+    cycles.add_terms(witness.terms, "test")
     assert list(cycles.found) == [_sign_normal_key(witness.terms)]
 
 
@@ -795,7 +810,7 @@ def test_cycle_recheck_images_are_the_boundaries_of_the_terms():
     # size, and the re-check's integer sum is exact.
     cycles = _Cycles(O6, ETA)
     for fc in cached_search("o6", 7).found:
-        cycles.add(fc.chain, fc.shape)
+        cycles.add_terms(fc.chain.terms, fc.shape)
     face_of = {number: face for face, number in cycles.faces.items()}
     assert len(face_of) == len(cycles.faces)
     assert cycles.images
